@@ -5,6 +5,10 @@
 //   batched       N client threads, micro-batching worker pool, no cache
 //   batched+cache same, with the sharded EmbeddingCache on
 //
+// The worker pool pops work-conserving micro-batches: a free worker takes
+// whatever is queued, up to --max-batch, and never waits for a batch to
+// fill, so batches form only when the clients outrun the workers.
+//
 // Closed-loop by default (each client submits, waits, repeats); --qps=N
 // adds an open-loop phase submitting at a fixed aggregate rate regardless
 // of completions, which is what stresses the bounded queue.
@@ -13,12 +17,18 @@
 // set of active alarms dominates (80% of queries) over a long tail of cold
 // surfaces, which is what makes service-vector memoization pay off.
 //
-// Acceptance (ISSUE 2): the full engine (8 workers, micro-batching, cache)
-// must reach >= 3x the requests/sec of the single-threaded unbatched
-// uncached baseline. On multi-core hosts the worker pool contributes; on a
-// single core the cache carries the speedup (batching alone moves the same
-// FLOPs through the same core and is throughput-neutral there, as the
-// nocache row shows).
+// Flags: --workers=N (8) --clients=N (8) --requests=N (600 per
+// configuration) --max-batch=N (8) --qps=N (0 = no open-loop phase)
+// --slo-demo=0|1 --connect=host:port[,...] --out=PATH --obs-out=PATH, plus
+// the common --obs-json/--log-level/--compute-threads. Any other flag is a
+// usage error (exit 64).
+//
+// Acceptance: the full engine (8 workers, micro-batching, cache) must
+// reach >= 3x the requests/sec of the single-threaded unbatched uncached
+// baseline. On multi-core hosts the worker pool contributes; on a single
+// core the cache carries the speedup (batching alone moves the same FLOPs
+// through the same core and is throughput-neutral there, as the nocache
+// row shows).
 
 #include <algorithm>
 #include <atomic>
@@ -60,7 +70,6 @@ struct LoadgenFlags {
   int clients = 8;
   int requests = 600;       // per measured configuration
   int max_batch = 8;
-  int64_t max_wait_us = 2000;
   int qps = 0;              // open-loop phase target rate (0 = skip)
   bool slo_demo = true;     // --slo-demo=0 skips the alert-lifecycle demo
   std::string connect;      // host:port[,host:port...] -> TCP client mode
@@ -139,7 +148,6 @@ RunResult RunBaseline(const core::ServiceEncoder& service,
                       const LoadgenFlags& flags) {
   serve::EngineOptions options;
   options.num_workers = 0;  // Process() only, no queue involved
-  options.enable_batching = false;
   options.enable_cache = false;
   serve::ServeEngine engine(&service, options);
   for (serve::TaskOp op :
@@ -175,8 +183,6 @@ RunResult RunClosedLoop(const core::ServiceEncoder& service,
   serve::EngineOptions options;
   options.num_workers = flags.workers;
   options.max_batch = flags.max_batch;
-  options.max_wait_us = flags.max_wait_us;
-  options.enable_batching = true;
   options.enable_cache = enable_cache;
   serve::ServeEngine engine(&service, options);
   for (serve::TaskOp op :
@@ -224,7 +230,6 @@ RunResult RunOpenLoop(const core::ServiceEncoder& service,
   serve::EngineOptions options;
   options.num_workers = flags.workers;
   options.max_batch = flags.max_batch;
-  options.max_wait_us = flags.max_wait_us;
   options.queue_capacity = 256;
   serve::ServeEngine engine(&service, options);
   for (serve::TaskOp op :
@@ -277,7 +282,6 @@ obs::JsonValue RunSloAlertDemo(const core::ServiceEncoder& service,
                                bool* passed) {
   serve::EngineOptions options;
   options.num_workers = 0;  // Process(): latency is pure compute, no queue
-  options.enable_batching = false;
   options.enable_cache = true;
   serve::ServeEngine engine(&service, options);
   for (serve::TaskOp op :
@@ -597,9 +601,6 @@ int Main(int argc, char** argv) {
     else if (const char* v = value("max-batch"))
       flags.max_batch = static_cast<int>(
           telekit::ParseIntFlagOrDie("max-batch", v, 1, 1 << 20));
-    else if (const char* v = value("max-wait-us"))
-      flags.max_wait_us =
-          telekit::ParseIntFlagOrDie("max-wait-us", v, 0, int64_t{1} << 40);
     else if (const char* v = value("qps"))
       flags.qps = static_cast<int>(
           telekit::ParseIntFlagOrDie("qps", v, 0, 1 << 30));
@@ -608,6 +609,11 @@ int Main(int argc, char** argv) {
     else if (const char* v = value("connect")) flags.connect = v;
     else if (const char* v = value("out")) flags.out = v;
     else if (const char* v = value("obs-out")) flags.obs_out = v;
+    else if (!value("obs-json") && !value("log-level") &&
+             !value("compute-threads")) {  // ObsSession's flags
+      std::cerr << "unknown flag: " << arg << "\n";
+      std::exit(64);
+    }
   }
 
   if (!flags.connect.empty()) return ConnectMain(flags);
@@ -671,7 +677,6 @@ int Main(int argc, char** argv) {
   cfg.Set("clients", obs::JsonValue(flags.clients));
   cfg.Set("requests", obs::JsonValue(flags.requests));
   cfg.Set("max_batch", obs::JsonValue(flags.max_batch));
-  cfg.Set("max_wait_us", obs::JsonValue(static_cast<int64_t>(flags.max_wait_us)));
   cfg.Set("compute_threads", obs::JsonValue(tensor::ComputeThreads()));
   report.Set("config", std::move(cfg));
   obs::JsonValue runs = obs::JsonValue::Array();

@@ -11,7 +11,8 @@
 #      tree, so new warnings fail loudly instead of scrolling by.
 #   5. flag validation: daemons and bench binaries must reject malformed
 #      numeric flags with a usage error (exit 64) instead of silently
-#      parsing a prefix.
+#      parsing a prefix, and removed flags (--max-wait-us, --no-batching)
+#      with the same exit code instead of ignoring them.
 #   6. admin smoke: start telekit_serve with --admin-port on loopback,
 #      poll /healthz until live, assert /metrics serves a non-empty
 #      Prometheus exposition, then drive one traced request through the
@@ -103,6 +104,13 @@ expect_exit64 "telekit_serve --port=abc" \
   ./build/src/serve/telekit_serve --port=abc
 expect_exit64 "telekit_serve --precision=fp16" \
   ./build/src/serve/telekit_serve --precision=fp16
+# Removed flags must fail loudly, not be ignored.
+expect_exit64 "telekit_serve --max-wait-us=2000" \
+  ./build/src/serve/telekit_serve --max-wait-us=2000
+expect_exit64 "telekit_serve --no-batching" \
+  ./build/src/serve/telekit_serve --no-batching
+expect_exit64 "serve_loadgen --max-wait-us=2000" \
+  ./build/bench/serve_loadgen --max-wait-us=2000
 expect_exit64 "telekit_router --vnodes=abc" \
   ./build/src/route/telekit_router --vnodes=abc --replica=18000:18001
 expect_exit64 "telekit_streamd --episodes=abc" \

@@ -17,20 +17,19 @@ namespace serve {
 struct BatcherOptions {
   /// Bounded backpressure: Push() fails fast once this many items wait.
   size_t capacity = 1024;
-  /// Flush a batch as soon as it reaches this size...
+  /// Most items one PopBatch() takes (1 = no batching).
   int max_batch = 8;
-  /// ...or once the oldest queued item has waited this long.
-  int64_t max_wait_us = 2000;
-  /// false degrades PopBatch() to one item at a time (baseline mode).
-  bool enable_batching = true;
 };
 
-/// Bounded MPMC queue that coalesces items into dynamically-sized
-/// micro-batches: a consumer popping from a non-empty queue waits up to
-/// `max_wait_us` (measured from the oldest item's enqueue) for the batch
-/// to fill to `max_batch`, then takes whatever has accumulated. Under
-/// load batches are full and no one waits; under trickle traffic the
-/// max-wait bound caps added latency.
+/// Bounded MPMC queue with work-conserving micro-batch pops: a free
+/// consumer takes whatever is queued, up to `max_batch`, at once and never
+/// waits on a non-empty queue, so batches form only from a real backlog.
+///
+/// Consumers that find the queue empty park, each on its own condition
+/// variable, and Push hands the item to the one that parked most recently
+/// (LIFO). At light load one warm consumer then serves the traffic while
+/// the others stay parked, instead of the longest-idle, cache-cold one
+/// being woken for every item.
 ///
 /// Thread-safety: all methods are safe from any thread.
 template <typename T>
@@ -43,70 +42,50 @@ class MicroBatchQueue {
   /// `item` is left untouched, so the caller keeps ownership and can
   /// reject the request.
   bool Push(T&& item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || queue_.size() >= options_.capacity) return false;
-      queue_.emplace_back(std::move(item), Clock::now());
-    }
-    cv_.notify_one();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_ || queue_.size() >= options_.capacity) return false;
+    EnqueueLocked(std::move(item));
     return true;
   }
 
-  /// Like Push, but when the queue is full blocks up to `max_wait_us` for
+  /// Like Push, but when the queue is full blocks up to `max_block_us` for
   /// a consumer to make room — the backpressure primitive for ingestion
   /// paths that must throttle rather than shed. Still fails fast when
   /// closed, and fails (leaving `item` untouched) when the wait expires
   /// with the queue still full.
-  bool PushBlocking(T&& item, int64_t max_wait_us) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      space_cv_.wait_for(lock, std::chrono::microseconds(max_wait_us), [&] {
-        return closed_ || queue_.size() < options_.capacity;
-      });
-      if (closed_ || queue_.size() >= options_.capacity) return false;
-      queue_.emplace_back(std::move(item), Clock::now());
-    }
-    cv_.notify_one();
+  bool PushBlocking(T&& item, int64_t max_block_us) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    space_cv_.wait_for(lock, std::chrono::microseconds(max_block_us), [&] {
+      return closed_ || queue_.size() < options_.capacity;
+    });
+    if (closed_ || queue_.size() >= options_.capacity) return false;
+    EnqueueLocked(std::move(item));
     return true;
   }
 
-  /// Blocks until a batch is ready (or the queue is closed and drained);
-  /// an empty result means "closed, nothing left" — never "another
-  /// consumer beat me to the items".
+  /// Takes up to `max_batch` queued items, blocking only while the queue
+  /// is empty. An empty result means "closed, nothing left" — never
+  /// "another consumer beat me to the items".
   std::vector<T> PopBatch() {
     std::unique_lock<std::mutex> lock(mutex_);
-    while (true) {
-      cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-      if (queue_.empty()) return {};  // closed and drained
-      const size_t want =
-          options_.enable_batching
-              ? static_cast<size_t>(std::max(options_.max_batch, 1))
-              : 1;
-      if (options_.enable_batching && queue_.size() < want && !closed_) {
-        const auto flush_at = queue_.front().second +
-                              std::chrono::microseconds(options_.max_wait_us);
-        cv_.wait_until(lock, flush_at,
-                       [&] { return closed_ || queue_.size() >= want; });
-      }
-      // Two consumers can pass the first wait on the same non-empty queue;
-      // whichever loses the race to pop finds it drained here and must go
-      // back to waiting, not return an empty batch on an open queue.
-      if (queue_.empty()) {
-        if (closed_) return {};
-        continue;
-      }
-      std::vector<T> batch;
-      batch.reserve(std::min(want, queue_.size()));
-      while (!queue_.empty() && batch.size() < want) {
-        batch.push_back(std::move(queue_.front().first));
-        queue_.pop_front();
-      }
-      // More items may remain; let another consumer start on them, and
-      // wake producers blocked on a full queue (the pop made room).
-      if (!queue_.empty()) cv_.notify_one();
-      space_cv_.notify_all();
-      return batch;
+    // A woken consumer can find the queue empty again when another
+    // consumer took the item first; it parks again.
+    while (queue_.empty()) {
+      if (closed_) return {};
+      Parked self;
+      parked_.push_back(&self);
+      self.cv.wait(lock, [&] { return self.woken; });
     }
+    const size_t take = std::min(
+        queue_.size(), static_cast<size_t>(std::max(options_.max_batch, 1)));
+    std::vector<T> batch;
+    batch.reserve(take);
+    for (size_t i = 0; i < take; ++i) {
+      batch.push_back(std::move(queue_.front()));
+      queue_.pop_front();
+    }
+    space_cv_.notify_all();  // the pop made room for blocked producers
+    return batch;
   }
 
   /// Wakes all consumers; PopBatch drains the remainder, then returns
@@ -115,8 +94,8 @@ class MicroBatchQueue {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       closed_ = true;
+      while (!parked_.empty()) WakeNewestLocked();
     }
-    cv_.notify_all();
     space_cv_.notify_all();
   }
 
@@ -125,17 +104,40 @@ class MicroBatchQueue {
     return queue_.size();
   }
 
-  const BatcherOptions& options() const { return options_; }
+  /// Consumers currently blocked in PopBatch on an empty queue.
+  size_t parked() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return parked_.size();
+  }
 
  private:
-  using Clock = std::chrono::steady_clock;
+  /// One blocked PopBatch call; lives on that consumer's stack.
+  struct Parked {
+    std::condition_variable cv;
+    bool woken = false;
+  };
+
+  void EnqueueLocked(T&& item) {
+    queue_.push_back(std::move(item));
+    if (!parked_.empty()) WakeNewestLocked();
+  }
+
+  /// Unparks the most recently parked consumer. Signalled under the lock:
+  /// once woken, the consumer may return and destroy its Parked.
+  void WakeNewestLocked() {
+    Parked* newest = parked_.back();
+    parked_.pop_back();
+    newest->woken = true;
+    newest->cv.notify_one();
+  }
 
   BatcherOptions options_;
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   /// Signalled when a pop (or Close) makes room for blocked producers.
   std::condition_variable space_cv_;
-  std::deque<std::pair<T, Clock::time_point>> queue_;
+  std::deque<T> queue_;
+  /// Parked consumers, oldest first.
+  std::vector<Parked*> parked_;
   bool closed_ = false;
 };
 

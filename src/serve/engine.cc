@@ -274,9 +274,7 @@ ServeEngine::ServeEngine(const core::ServiceEncoder* service,
       options_(options),
       cache_(std::max<size_t>(options.cache_capacity, 1),
              std::max(options.cache_shards, 1)),
-      queue_(BatcherOptions{options.queue_capacity,
-                            std::max(options.max_batch, 1),
-                            options.max_wait_us, options.enable_batching}) {
+      queue_(BatcherOptions{options.queue_capacity, options.max_batch}) {
   TELEKIT_CHECK(service_ != nullptr);
   TELEKIT_CHECK_GE(options_.num_workers, 0);
   if (options_.compute_threads > 0) {
@@ -380,9 +378,7 @@ void ServeEngine::WorkerLoop() {
     if (batch.empty()) return;  // closed and drained
     metrics.queue_depth.Set(static_cast<double>(queue_.size()));
     metrics.batch_size.Observe(static_cast<double>(batch.size()));
-    busy_workers_.fetch_add(1, std::memory_order_relaxed);
     ProcessBatch(std::move(batch));
-    busy_workers_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -709,7 +705,10 @@ EngineStats ServeEngine::GetStats() const {
   stats.queue_depth = queue_.size();
   stats.queue_capacity = options_.queue_capacity;
   stats.num_workers = options_.num_workers;
-  stats.busy_workers = busy_workers_.load(std::memory_order_relaxed);
+  stats.busy_workers =
+      stopped_.load() ? 0
+                      : options_.num_workers -
+                            static_cast<int>(queue_.parked());
   stats.requests = metrics.requests.value();
   stats.rejected = metrics.rejected.value();
   stats.deadline_exceeded = metrics.deadline_exceeded.value();

@@ -124,11 +124,10 @@ struct Response {
 /// Engine tuning knobs.
 struct EngineOptions {
   int num_workers = 4;
-  /// Micro-batching (see BatcherOptions).
+  /// Bounded queue and work-conserving micro-batching (see BatcherOptions);
+  /// max_batch = 1 serves one request per forward.
   size_t queue_capacity = 1024;
   int max_batch = 8;
-  int64_t max_wait_us = 2000;
-  bool enable_batching = true;
   /// Service-vector memoization.
   size_t cache_capacity = 4096;
   int cache_shards = 8;
@@ -151,7 +150,7 @@ struct EngineStats {
   size_t queue_depth = 0;
   size_t queue_capacity = 0;
   int num_workers = 0;
-  /// Workers currently inside ProcessBatch (the rest are blocked popping).
+  /// Workers not parked on an empty queue (the rest wait for work).
   int busy_workers = 0;
   uint64_t requests = 0;
   uint64_t rejected = 0;
@@ -277,7 +276,6 @@ class ServeEngine {
   std::map<TaskOp, Catalog> catalogs_;
   std::vector<std::thread> workers_;
   std::atomic<bool> stopped_{false};
-  mutable std::atomic<int> busy_workers_{0};
 };
 
 }  // namespace serve

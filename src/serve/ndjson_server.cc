@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -188,20 +189,18 @@ bool NdjsonServer::Start(int port, LineHandler handler) {
 }
 
 void NdjsonServer::AcceptLoop() {
-  // A receive timeout on the listener bounds each accept() wait so
-  // finished sessions are reaped periodically even when no new client
-  // ever connects.
-  timeval tv{};
-  tv.tv_sec = 1;
-  ::setsockopt(listener_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   while (!stopping_.load()) {
     ReapFinished();
+    // poll() bounds each wait so finished sessions are reaped even when no
+    // new client connects. (A receive timeout on the listener would do the
+    // same, but accepted sockets inherit it, and an idle client would then
+    // be dropped after the timeout.)
+    pollfd ready{listener_, POLLIN, 0};
+    if (::poll(&ready, 1, /*timeout_ms=*/1000) <= 0) continue;  // or EINTR
     const int fd = ::accept(listener_, nullptr, nullptr);
     if (fd < 0) {
       if (stopping_.load() || draining_.load()) break;
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-        continue;
-      }
+      if (errno == EINTR || errno == ECONNABORTED) continue;
       break;
     }
     int one = 1;

@@ -53,11 +53,9 @@ struct Flags {
   double slow_request_ms = 100.0;
   int workers = 4;
   int max_batch = 8;
-  int64_t max_wait_us = 2000;
   size_t queue_capacity = 1024;
   size_t cache_capacity = 4096;
   int cache_shards = 8;
-  bool batching = true;
   bool cache = true;
   int compute_threads = 0;  // 0 = TELEKIT_COMPUTE_THREADS / hardware default
   Precision precision = Precision::kFp32;  // default for untagged requests
@@ -95,12 +93,12 @@ void PrintUsage() {
       << "  --slow-request-ms=X log + /tracez requests slower than X ms\n"
       << "                      (default 100; 0 = off)\n"
       << "  --workers=N         engine worker threads (default 4)\n"
-      << "  --max-batch=N       micro-batch size cap (default 8)\n"
-      << "  --max-wait-us=N     micro-batch flush deadline (default 2000)\n"
+      << "  --max-batch=N       most queued requests one worker takes per\n"
+      << "                      forward (default 8; 1 = no batching); a\n"
+      << "                      free worker never waits for a batch to fill\n"
       << "  --queue-capacity=N  bounded queue size (default 1024)\n"
       << "  --cache-capacity=N  embedding cache entries (default 4096)\n"
       << "  --cache-shards=N    embedding cache shards (default 8)\n"
-      << "  --no-batching       one request per forward\n"
       << "  --no-cache          disable the embedding cache\n"
       << "  --compute-threads=N intra-op tensor threads (default: \n"
       << "                      TELEKIT_COMPUTE_THREADS env, else hardware;\n"
@@ -149,9 +147,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (ParseFlag(arg, "max-batch", &v)) {
       flags->max_batch =
           static_cast<int>(ParseIntFlagOrDie("max-batch", v, 1, 1 << 20));
-    } else if (ParseFlag(arg, "max-wait-us", &v)) {
-      flags->max_wait_us = ParseIntFlagOrDie("max-wait-us", v, 0, int64_t{1}
-                                                                     << 40);
     } else if (ParseFlag(arg, "queue-capacity", &v)) {
       flags->queue_capacity = static_cast<size_t>(
           ParseIntFlagOrDie("queue-capacity", v, 1, int64_t{1} << 30));
@@ -161,8 +156,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (ParseFlag(arg, "cache-shards", &v)) {
       flags->cache_shards =
           static_cast<int>(ParseIntFlagOrDie("cache-shards", v, 1, 4096));
-    } else if (arg == "--no-batching") {
-      flags->batching = false;
     } else if (arg == "--no-cache") {
       flags->cache = false;
     } else if (ParseFlag(arg, "compute-threads", &v)) {
@@ -215,7 +208,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
       PrintUsage();
-      return false;
+      std::exit(64);
     }
   }
   return true;
@@ -258,8 +251,6 @@ EngineOptions MakeEngineOptions(const Flags& flags) {
   options.num_workers = flags.workers;
   options.queue_capacity = flags.queue_capacity;
   options.max_batch = flags.max_batch;
-  options.max_wait_us = flags.max_wait_us;
-  options.enable_batching = flags.batching;
   options.cache_capacity = flags.cache_capacity;
   options.cache_shards = flags.cache_shards;
   options.enable_cache = flags.cache;

@@ -1068,6 +1068,31 @@ TEST(NdjsonServerTest, DrainStopsAcceptingButFinishesSessions) {
   server.Stop();
 }
 
+// Regression: accepted sockets used to inherit the listener's 1-s receive
+// timeout, so a session idle for longer than that was dropped and the
+// client read EOF on its next request.
+TEST(NdjsonServerTest, IdleConnectionOutlivesOneSecond) {
+  serve::NdjsonServer server;
+  ASSERT_TRUE(server.Start(0, [](std::string line) {
+    std::promise<std::string> ready;
+    ready.set_value("echo:" + line);
+    return ready.get_future();
+  }));
+  const int fd = serve::ConnectTcp("127.0.0.1", server.port(), 1000.0);
+  ASSERT_GE(fd, 0);
+  serve::LineReader reader(fd);
+  std::string line;
+  ASSERT_TRUE(serve::SendLine(fd, "first"));
+  ASSERT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line, "echo:first");
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  ASSERT_TRUE(serve::SendLine(fd, "second"));
+  ASSERT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line, "echo:second");
+  ::close(fd);
+  server.Stop();
+}
+
 // Regression: finished sessions must be reaped while the server runs — a
 // long-running daemon must not hold one fd + thread per disconnected
 // client until Stop() (fd exhaustion kills the accept loop).
@@ -1088,7 +1113,7 @@ TEST(NdjsonServerTest, ReapsFinishedConnections) {
     ASSERT_TRUE(reader.ReadLine(&line));
     ::close(fd);
   }
-  // The accept loop sweeps at least once a second (listener timeout), so
+  // The accept loop sweeps at least once a second (poll timeout), so
   // every closed session is joined + closed well within the deadline.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -127,28 +128,14 @@ TEST(EmbeddingCacheTest, ConcurrentMixedLoadKeepsInvariants) {
 // ---------------------------------------------------------------------------
 
 TEST(MicroBatchQueueTest, CoalescesWaitingItems) {
-  MicroBatchQueue<int> queue(
-      {.capacity = 16, .max_batch = 4, .max_wait_us = 200000});
+  MicroBatchQueue<int> queue({.capacity = 16, .max_batch = 4});
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(queue.Push(std::move(i)));
   const std::vector<int> batch = queue.PopBatch();
   EXPECT_EQ(batch, std::vector<int>({0, 1, 2, 3}));
 }
 
-TEST(MicroBatchQueueTest, MaxWaitBoundsBatchLatency) {
-  MicroBatchQueue<int> queue(
-      {.capacity = 16, .max_batch = 8, .max_wait_us = 1000});
-  int one = 1;
-  EXPECT_TRUE(queue.Push(std::move(one)));
-  const auto start = std::chrono::steady_clock::now();
-  const std::vector<int> batch = queue.PopBatch();  // never fills to 8
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(batch.size(), 1u);
-  EXPECT_LT(elapsed, std::chrono::seconds(5));
-}
-
 TEST(MicroBatchQueueTest, BackpressureAndClose) {
-  MicroBatchQueue<int> queue(
-      {.capacity = 2, .max_batch = 2, .max_wait_us = 0});
+  MicroBatchQueue<int> queue({.capacity = 2, .max_batch = 2});
   int v = 0;
   EXPECT_TRUE(queue.Push(std::move(v)));
   EXPECT_TRUE(queue.Push(std::move(v)));
@@ -164,8 +151,7 @@ TEST(MicroBatchQueueTest, BackpressureAndClose) {
 // race then timed out over a drained-but-open queue and returned an empty
 // batch, which callers treat as "closed" (ServeEngine workers exit on it).
 TEST(MicroBatchQueueTest, EmptyPopMeansClosedUnderManyConsumers) {
-  MicroBatchQueue<int> queue(
-      {.capacity = 1024, .max_batch = 4, .max_wait_us = 300});
+  MicroBatchQueue<int> queue({.capacity = 1024, .max_batch = 4});
   std::atomic<bool> closing{false};
   std::atomic<int> popped{0};
   std::atomic<int> premature_empty{0};
@@ -197,14 +183,57 @@ TEST(MicroBatchQueueTest, EmptyPopMeansClosedUnderManyConsumers) {
   EXPECT_EQ(popped.load(), kItems);
 }
 
-TEST(MicroBatchQueueTest, DisabledBatchingPopsSingles) {
-  MicroBatchQueue<int> queue({.capacity = 8,
-                              .max_batch = 8,
-                              .max_wait_us = 200000,
-                              .enable_batching = false});
+TEST(MicroBatchQueueTest, MaxBatchOnePopsSingles) {
+  MicroBatchQueue<int> queue({.capacity = 8, .max_batch = 1});
   for (int i = 0; i < 3; ++i) EXPECT_TRUE(queue.Push(std::move(i)));
-  EXPECT_EQ(queue.PopBatch().size(), 1u);
-  EXPECT_EQ(queue.PopBatch().size(), 1u);
+  EXPECT_EQ(queue.PopBatch(), std::vector<int>({0}));
+  EXPECT_EQ(queue.PopBatch(), std::vector<int>({1}));
+}
+
+/// Blocks until `queue` has `count` parked consumers (fails after 10 s).
+void WaitParked(const MicroBatchQueue<int>& queue, size_t count) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (queue.parked() != count) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "parked " << queue.parked() << ", want " << count;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
+// LIFO wake: the consumer that parked last gets the item, so light traffic
+// stays on one warm consumer instead of rotating through all of them.
+TEST(MicroBatchQueueTest, PushWakesTheNewestParkedConsumer) {
+  MicroBatchQueue<int> queue({.capacity = 16, .max_batch = 8});
+  std::vector<int> got_a;
+  std::vector<int> got_b;
+  std::thread a([&] { got_a = queue.PopBatch(); });
+  WaitParked(queue, 1);
+  std::thread b([&] { got_b = queue.PopBatch(); });
+  WaitParked(queue, 2);
+  EXPECT_TRUE(queue.Push(42));
+  b.join();
+  EXPECT_EQ(got_b, std::vector<int>({42}));
+  EXPECT_EQ(queue.parked(), 1u);  // A is still parked
+  queue.Close();
+  a.join();
+  EXPECT_TRUE(got_a.empty());
+}
+
+TEST(MicroBatchQueueTest, CloseWakesEveryParkedConsumer) {
+  MicroBatchQueue<int> queue({.capacity = 16, .max_batch = 8});
+  std::atomic<int> returned_empty{0};
+  std::vector<std::thread> consumers;
+  for (int t = 0; t < 4; ++t) {
+    consumers.emplace_back([&] {
+      if (queue.PopBatch().empty()) returned_empty.fetch_add(1);
+    });
+  }
+  WaitParked(queue, 4);
+  queue.Close();
+  for (auto& thread : consumers) thread.join();
+  EXPECT_EQ(returned_empty.load(), 4);
+  EXPECT_EQ(queue.parked(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -514,7 +543,6 @@ TEST(ServeEngineTest, EndToEndMixedOps) {
   EngineOptions options;
   options.num_workers = 4;
   options.max_batch = 4;
-  options.max_wait_us = 1000;
   ServeEngine engine(&service, options);
   std::vector<std::string> names;
   for (const auto& alarm : zoo.world().alarms()) names.push_back(alarm.name);
@@ -570,7 +598,6 @@ TEST(ServeEngineTest, CatalogReloadDuringTraffic) {
   EngineOptions options;
   options.num_workers = 2;
   options.max_batch = 4;
-  options.max_wait_us = 500;
   ServeEngine engine(&service, options);
   std::vector<std::string> names;
   for (const auto& alarm : zoo.world().alarms()) names.push_back(alarm.name);
@@ -714,9 +741,7 @@ TEST(ServeEngineTest, DeadlineExceededThroughWorker) {
       zoo.MakeServiceEncoder(core::ModelKind::kTeleBert);
   EngineOptions options;
   options.num_workers = 1;
-  options.enable_batching = true;
   options.max_batch = 4;
-  options.max_wait_us = 20000;  // let requests sit long enough to lapse
   ServeEngine engine(&service, options);
   Request request;
   request.text = zoo.world().alarms()[1].name;
@@ -724,6 +749,35 @@ TEST(ServeEngineTest, DeadlineExceededThroughWorker) {
   const Response response = engine.Submit(request).get();
   EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(response.vector.empty());
+}
+
+// A lone request on an idle engine is not held back for a batch to form:
+// a parked worker takes it at once.
+TEST(ServeEngineTest, LoneRequestIsNotHeldForABatch) {
+  const core::ModelZoo& zoo = SharedZoo();
+  core::ServiceEncoder service =
+      zoo.MakeServiceEncoder(core::ModelKind::kTeleBert);
+  ServeEngine engine(&service, EngineOptions{});
+  Request request;
+  request.text = zoo.world().alarms()[2].name;
+  std::vector<double> queue_ms;
+  for (int i = 0; i < 20; ++i) {
+    const Response response = engine.Submit(request).get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.batch_size, 1);
+    queue_ms.push_back(response.queue_ms);
+  }
+  std::nth_element(queue_ms.begin(), queue_ms.begin() + 10, queue_ms.end());
+  EXPECT_LT(queue_ms[10], 1.0);
+
+  // Idle again: every worker parks, so none counts as busy.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.GetStats().busy_workers != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(engine.GetStats().busy_workers, 0);
 }
 
 TEST(ServeEngineTest, TraceIdsCorrelateRequestAndResponse) {

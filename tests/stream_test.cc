@@ -267,7 +267,7 @@ TEST(PushBlockingTest, TimesOutOnFullQueue) {
   serve::MicroBatchQueue<int> queue(options);
   EXPECT_TRUE(queue.Push(1));
   int item = 2;
-  EXPECT_FALSE(queue.PushBlocking(std::move(item), /*max_wait_us=*/2000));
+  EXPECT_FALSE(queue.PushBlocking(std::move(item), /*max_block_us=*/2000));
   EXPECT_EQ(queue.size(), 1u);
 }
 
@@ -279,7 +279,7 @@ TEST(PushBlockingTest, UnblocksWhenConsumerMakesRoom) {
   EXPECT_TRUE(queue.Push(1));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
-    pushed.store(queue.PushBlocking(2, /*max_wait_us=*/2'000'000));
+    pushed.store(queue.PushBlocking(2, /*max_block_us=*/2'000'000));
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load());  // still blocked on the full queue
@@ -303,7 +303,7 @@ TEST(PushBlockingTest, FailsFastWhenClosed) {
   // Blocked producer must be released by Close (with failure), not ride
   // out the full wait.
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(queue.PushBlocking(2, /*max_wait_us=*/5'000'000));
+  EXPECT_FALSE(queue.PushBlocking(2, /*max_block_us=*/5'000'000));
   EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start)
                 .count(),
