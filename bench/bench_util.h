@@ -2,9 +2,11 @@
 #define TELEKIT_BENCH_BENCH_UTIL_H_
 
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,9 +40,6 @@ class ObsSession {
   ObsSession(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      constexpr const char kObsJson[] = "--obs-json=";
-      constexpr const char kLogLevel[] = "--log-level=";
-      constexpr const char kComputeThreads[] = "--compute-threads=";
       if (arg.rfind(kObsJson, 0) == 0) {
         obs_json_path_ = arg.substr(sizeof(kObsJson) - 1);
       } else if (arg.rfind(kLogLevel, 0) == 0) {
@@ -70,10 +69,45 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
+  /// True for the flags the session consumes, so a binary's own parser can
+  /// reject every other unknown flag.
+  static bool Consumes(const std::string& arg) {
+    for (const char* prefix : {kObsJson, kLogLevel, kComputeThreads}) {
+      if (arg.rfind(prefix, 0) == 0) return true;
+    }
+    return false;
+  }
+
  private:
+  static constexpr const char kObsJson[] = "--obs-json=";
+  static constexpr const char kLogLevel[] = "--log-level=";
+  static constexpr const char kComputeThreads[] = "--compute-threads=";
+
   std::string obs_json_path_;
   std::unique_ptr<obs::Span> root_;
 };
+
+/// Sets `key` to `value` in the JSON object stored at `path` and rewrites
+/// the file, keeping every other member, so several benches can share one
+/// BENCH_*.json. A missing, unreadable or non-object file starts a new
+/// object. Returns false when the file cannot be written.
+inline bool MergeJsonSection(const std::string& path, const std::string& key,
+                             obs::JsonValue value) {
+  obs::JsonValue report = obs::JsonValue::Object();
+  if (std::ifstream in(path); in) {
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    obs::JsonValue existing;
+    if (obs::JsonValue::Parse(buffer.str(), &existing) &&
+        existing.is_object()) {
+      report = std::move(existing);
+    }
+  }
+  report.Set(key, std::move(value));
+  std::ofstream out(path);
+  out << report.Dump(2) << "\n";
+  return static_cast<bool>(out);
+}
 
 /// Paper-reported reference rows (ICDE 2023, Tables IV / VI / VIII),
 /// used to print measured-vs-paper comparisons. Indexed by ModelKind.

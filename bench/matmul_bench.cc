@@ -25,8 +25,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -304,22 +302,8 @@ int Main(int argc, char** argv) {
 
   // Merge into the shared serve benchmark artifact instead of clobbering
   // whatever serve_loadgen already wrote there.
-  obs::JsonValue report = obs::JsonValue::Object();
-  {
-    std::ifstream in(out_path);
-    if (in) {
-      std::stringstream buffer;
-      buffer << in.rdbuf();
-      obs::JsonValue existing;
-      if (obs::JsonValue::Parse(buffer.str(), &existing)) {
-        report = std::move(existing);
-      }
-    }
-  }
-  report.Set("matmul_scaling", std::move(section));
-  report.Set("simd", std::move(simd_section));
-  std::ofstream out(out_path);
-  out << report.Dump(2) << "\n";
+  MergeJsonSection(out_path, "matmul_scaling", std::move(section));
+  MergeJsonSection(out_path, "simd", std::move(simd_section));
   const bool encode_gate_ok = encode_speedup >= kGateEncodeSpeedup;
   std::printf(
       "matmul_bench: wrote %s (4-thread speedup %.2fx, gate %s; "

@@ -16,9 +16,7 @@
 // --obs-json/--log-level/--compute-threads.
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -318,21 +316,7 @@ int Main(int argc, char** argv) {
   section.Set("gate",
               obs::JsonValue(std::string(gate_ok ? "pass" : "fail")));
 
-  obs::JsonValue report = obs::JsonValue::Object();
-  {
-    std::ifstream in(out_path);
-    if (in) {
-      std::stringstream buffer;
-      buffer << in.rdbuf();
-      obs::JsonValue existing;
-      if (obs::JsonValue::Parse(buffer.str(), &existing)) {
-        report = std::move(existing);
-      }
-    }
-  }
-  report.Set("int8_accuracy", std::move(section));
-  std::ofstream out(out_path);
-  out << report.Dump(2) << "\n";
+  bench::MergeJsonSection(out_path, "int8_accuracy", std::move(section));
   std::printf("quant_eval: wrote %s (max |delta| %.4f, epsilon %.2f, gate "
               "%s)\n",
               out_path.c_str(), worst_delta, epsilon,

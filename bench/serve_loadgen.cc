@@ -35,7 +35,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <future>
 #include <iostream>
 #include <string>
@@ -425,6 +424,15 @@ obs::JsonValue RunSloAlertDemo(const core::ServiceEncoder& service,
 
 obs::JsonValue ResultToJson(const RunResult& result);
 
+// Merges each top-level member of `report` into the file at `path`, so the
+// sections other benches keep there (matmul_scaling, simd, int8_accuracy)
+// survive a re-run.
+void WriteReport(const std::string& path, const obs::JsonValue& report) {
+  for (const auto& [key, value] : report.members()) {
+    MergeJsonSection(path, key, value);
+  }
+}
+
 struct Endpoint {
   std::string host = "127.0.0.1";
   int port = 0;
@@ -558,8 +566,7 @@ int ConnectMain(const LoadgenFlags& flags) {
   obs::JsonValue runs = obs::JsonValue::Array();
   runs.Append(ResultToJson(result));
   report.Set("runs", std::move(runs));
-  std::ofstream out(flags.out);
-  out << report.Dump(2) << "\n";
+  WriteReport(flags.out, report);
   std::cout << "wrote " << flags.out << "\n";
   return result.rejected == 0 && result.completed == flags.requests ? 0 : 1;
 }
@@ -609,8 +616,7 @@ int Main(int argc, char** argv) {
     else if (const char* v = value("connect")) flags.connect = v;
     else if (const char* v = value("out")) flags.out = v;
     else if (const char* v = value("obs-out")) flags.obs_out = v;
-    else if (!value("obs-json") && !value("log-level") &&
-             !value("compute-threads")) {  // ObsSession's flags
+    else if (!ObsSession::Consumes(arg)) {
       std::cerr << "unknown flag: " << arg << "\n";
       std::exit(64);
     }
@@ -687,8 +693,7 @@ int Main(int argc, char** argv) {
   report.Set("batched_over_baseline_speedup",
              obs::JsonValue(nocache_speedup));
   report.Set("engine_over_baseline_speedup", obs::JsonValue(engine_speedup));
-  std::ofstream out(flags.out);
-  out << report.Dump(2) << "\n";
+  WriteReport(flags.out, report);
   std::cout << "wrote " << flags.out << "\n";
 
   bool demo_passed = true;

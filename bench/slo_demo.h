@@ -1,12 +1,11 @@
 #ifndef TELEKIT_BENCH_SLO_DEMO_H_
 #define TELEKIT_BENCH_SLO_DEMO_H_
 
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <utility>
 
+#include "bench/bench_util.h"
 #include "obs/json.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
@@ -140,26 +139,9 @@ inline obs::JsonValue SloDemoResultToJson(const SloDemoResult& result) {
 /// file is replaced rather than fatal.
 inline bool MergeObsReport(const std::string& path, const std::string& key,
                            obs::JsonValue section) {
-  obs::JsonValue report = obs::JsonValue::Object();
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      obs::JsonValue existing;
-      std::string error;
-      if (obs::JsonValue::Parse(buffer.str(), &existing, &error) &&
-          existing.is_object()) {
-        report = std::move(existing);
-      }
-    }
-  }
-  report.Set("benchmark", obs::JsonValue("slo_alert_demo"));
-  report.Set(key, std::move(section));
-  std::ofstream out(path);
-  if (!out) return false;
-  out << report.Dump(2) << "\n";
-  return static_cast<bool>(out);
+  return MergeJsonSection(path, "benchmark",
+                          obs::JsonValue("slo_alert_demo")) &&
+         MergeJsonSection(path, key, std::move(section));
 }
 
 }  // namespace bench

@@ -289,6 +289,10 @@ int Main(int argc, char** argv) {
       flags.slo_demo = ParseIntFlagOrDie("slo-demo", v, 0, 1) != 0;
     else if (const char* v = value("out")) flags.out = v;
     else if (const char* v = value("obs-out")) flags.obs_out = v;
+    else if (!ObsSession::Consumes(arg)) {
+      std::cerr << "unknown flag: " << arg << "\n";
+      return 64;
+    }
   }
 
   // Same scale as telekit_streamd's default zoo: untrained encoder (same

@@ -7,12 +7,14 @@
 #      vector-vs-scalar agreement itself is asserted in-process by the
 #      SimdKernelTest cases, which force both backends).
 #   4. rebuild the obs layer (library + its tests) plus the tensor/core/
-#      serve test binaries under -Wall -Wextra -Werror in a separate
-#      tree, so new warnings fail loudly instead of scrolling by.
+#      serve test binaries, the three daemon mains and matmul_bench under
+#      -Wall -Wextra -Werror in a separate tree, so new warnings fail
+#      loudly instead of scrolling by.
 #   5. flag validation: daemons and bench binaries must reject malformed
 #      numeric flags with a usage error (exit 64) instead of silently
-#      parsing a prefix, and removed flags (--max-wait-us, --no-batching)
-#      with the same exit code instead of ignoring them.
+#      parsing a prefix, and unknown or removed flags (--bogus,
+#      --max-wait-us, --no-batching) with the same exit code instead of
+#      ignoring them; --help on a daemon exits 0.
 #   6. admin smoke: start telekit_serve with --admin-port on loopback,
 #      poll /healthz until live, assert /metrics serves a non-empty
 #      Prometheus exposition, then drive one traced request through the
@@ -77,11 +79,12 @@ TELEKIT_SIMD=off ./build/tests/tensor_test --gtest_brief=1
 TELEKIT_SIMD=off ./build/tests/core_test --gtest_brief=1
 TELEKIT_SIMD=off ./build/tests/serve_test --gtest_brief=1
 
-echo "== [4/9] -Werror build of the obs + stream + route + index + tensor/core/serve layers =="
+echo "== [4/9] -Werror build of the obs + stream + route + index + tensor/core/serve layers, daemons and matmul_bench =="
 cmake -B build_strict -S . -DCMAKE_CXX_FLAGS="-Wall -Wextra -Werror"
 cmake --build build_strict -j --target telekit_obs obs_test obs_admin_test \
   obs_timeseries_test telekit_stream stream_test telekit_route route_test \
-  telekit_index index_test tensor_test core_test serve_test
+  telekit_index index_test tensor_test core_test serve_test \
+  telekit_serve_bin telekit_router_bin telekit_streamd_bin matmul_bench
 ./build_strict/tests/obs_test --gtest_brief=1
 ./build_strict/tests/obs_admin_test --gtest_brief=1
 ./build_strict/tests/obs_timeseries_test --gtest_brief=1
@@ -113,16 +116,30 @@ expect_exit64 "serve_loadgen --max-wait-us=2000" \
   ./build/bench/serve_loadgen --max-wait-us=2000
 expect_exit64 "telekit_router --vnodes=abc" \
   ./build/src/route/telekit_router --vnodes=abc --replica=18000:18001
+expect_exit64 "telekit_router --bogus" \
+  ./build/src/route/telekit_router --bogus --replica=18000:18001
 expect_exit64 "telekit_streamd --episodes=abc" \
   ./build/src/stream/telekit_streamd --episodes=abc
+expect_exit64 "telekit_streamd --bogus" \
+  ./build/src/stream/telekit_streamd --bogus
 expect_exit64 "route_bench --replicas=abc" \
   ./build/bench/route_bench --replicas=abc
 expect_exit64 "stream_loadgen --mean-gap=1x2" \
   ./build/bench/stream_loadgen --mean-gap=1x2
+expect_exit64 "stream_loadgen --bogus" \
+  ./build/bench/stream_loadgen --bogus
 expect_exit64 "matmul_bench --iters=-3" \
   ./build/bench/matmul_bench --iters=-3
 expect_exit64 "retrieval_bench --queries=1e3" \
   ./build/bench/retrieval_bench --queries=1e3
+for daemon in serve/telekit_serve route/telekit_router stream/telekit_streamd; do
+  rc=0
+  "./build/src/${daemon}" --help >/dev/null 2>&1 || rc=$?
+  if [[ "${rc}" -ne 0 ]]; then
+    echo "flag validation: ${daemon##*/} --help exited ${rc}, want 0"
+    exit 1
+  fi
+done
 echo "flag validation: OK"
 
 echo "== [6/9] admin endpoint smoke =="

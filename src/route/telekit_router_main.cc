@@ -14,8 +14,7 @@
 //
 //   telekit_serve --port=7101 --admin-port=7201 &
 //   telekit_serve --port=7102 --admin-port=7202 &
-//   telekit_router --port=7001 --admin-port=7002 \
-//       --replica=7101:7201 --replica=7102:7202
+//   telekit_router --port=7001 --admin-port=7002 --replica=7101:7201 --replica=7102:7202
 
 #include <atomic>
 #include <chrono>
@@ -107,7 +106,7 @@ void PrintUsage() {
       << "  --log-level=LEVEL     debug|info|warn|error|off\n";
 }
 
-bool ParseFlags(int argc, char** argv, Flags* flags) {
+void ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string v;
@@ -162,19 +161,18 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       obs::Logger::Global().set_level(obs::ParseLogLevel(v));
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage();
-      return false;
+      std::exit(0);
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
       PrintUsage();
-      return false;
+      std::exit(64);
     }
   }
-  return true;
 }
 
 int Main(int argc, char** argv) {
   Flags flags;
-  if (!ParseFlags(argc, argv, &flags)) return 1;
+  ParseFlags(argc, argv, &flags);
   if (flags.replica_specs.empty()) {
     std::cerr << "at least one --replica is required\n";
     PrintUsage();

@@ -127,7 +127,7 @@ void PrintUsage() {
       << "  --log-level=LEVEL   debug|info|warn|error|off\n";
 }
 
-bool ParseFlags(int argc, char** argv, Flags* flags) {
+void ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string v;
@@ -204,14 +204,13 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       obs::Logger::Global().set_level(obs::ParseLogLevel(v));
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage();
-      return false;
+      std::exit(0);
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
       PrintUsage();
       std::exit(64);
     }
   }
-  return true;
 }
 
 /// Small, fast-to-build zoo sized for interactive startup.
@@ -351,7 +350,7 @@ class ReloadManager {
 
 int Main(int argc, char** argv) {
   Flags flags;
-  if (!ParseFlags(argc, argv, &flags)) return 1;
+  ParseFlags(argc, argv, &flags);
   if (!flags.obs_json.empty()) {
     obs::TraceCollector::Global().set_recording(true);
   }

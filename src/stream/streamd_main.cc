@@ -113,7 +113,7 @@ void PrintUsage() {
       << "  --log-level=LEVEL    debug|info|warn|error|off\n";
 }
 
-bool ParseFlags(int argc, char** argv, Flags* flags) {
+void ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string v;
@@ -140,7 +140,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (ParseFlag(arg, "mode", &v)) {
       if (v != "sync" && v != "async" && v != "auto") {
         std::cerr << "bad --mode: " << v << "\n";
-        return false;
+        std::exit(64);
       }
       flags->mode = v;
     } else if (ParseFlag(arg, "max-in-flight", &v)) {
@@ -189,14 +189,13 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       obs::Logger::Global().set_level(obs::ParseLogLevel(v));
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage();
-      return false;
+      std::exit(0);
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
       PrintUsage();
-      return false;
+      std::exit(64);
     }
   }
-  return true;
 }
 
 /// Same interactive-startup zoo scale as telekit_serve.
@@ -265,7 +264,7 @@ obs::JsonValue StreamStatusJson(const RunState& state) {
 
 int Main(int argc, char** argv) {
   Flags flags;
-  if (!ParseFlags(argc, argv, &flags)) return 1;
+  ParseFlags(argc, argv, &flags);
   if (!flags.obs_json.empty()) {
     obs::TraceCollector::Global().set_recording(true);
   }

@@ -45,71 +45,60 @@ bool AnyGrad(const Tensor& a, const Tensor& b) {
   return a.requires_grad() || b.requires_grad();
 }
 
-// --- Tiled / parallel GEMM kernels -------------------------------------------
+// --- Register-tiled, parallel GEMM -------------------------------------------
 //
-// All three kernels partition the rows of C across the ComputePool (each
-// output row owned by exactly one worker) and keep per-element accumulation
-// in ascending reduction order, so results are bit-identical for any thread
-// count (DESIGN.md §3). The k/j loops are cache-blocked: a kKc x kNc panel of
-// B stays resident in L1/L2 while every row of the chunk streams over it.
-// Blocking never reorders the per-(i,j) sum — outer p-blocks ascend and p
-// ascends within each block.
-constexpr int kKc = 64;   // rows of B per panel
-constexpr int kNc = 256;  // cols of B per panel
+// All three products partition the rows of C across the ComputePool (each
+// output row owned by exactly one worker) and walk each chunk in tiles of
+// the backend's register kernels (simd::GemmKernels). A tile gives every
+// element of C exactly the arithmetic of the per-(row, k) Axpy or
+// per-element Dot loop on the same backend, so results are bit-identical
+// for any thread count and any tiling (DESIGN.md §3).
 
 // Chunk size (in rows) for a row-partitioned kernel where each row costs
-// `flops_per_row`. Fixed per shape — never a function of the thread count —
-// so the chunk grid is deterministic. Returns `rows` (one serial chunk) when
-// the whole op is too small to amortize a fan-out.
-int RowGrain(int rows, size_t flops_per_row) {
+// `flops_per_row`, rounded up to whole `tile`-row tiles. Fixed per shape —
+// never a function of the thread count — so the chunk grid is
+// deterministic. Returns `rows` (one serial chunk) when the whole op is too
+// small to amortize a fan-out.
+int RowGrain(int rows, size_t flops_per_row, int tile = 1) {
   constexpr size_t kMinChunkFlops = 1 << 15;
   const size_t per_row = std::max<size_t>(flops_per_row, 1);
   if (static_cast<size_t>(rows) * per_row < 2 * kMinChunkFlops) return rows;
-  return static_cast<int>(std::max<size_t>(1, kMinChunkFlops / per_row));
+  const size_t grain = std::max<size_t>(1, kMinChunkFlops / per_row);
+  return static_cast<int>((grain + tile - 1) / tile * tile);
 }
 
 // Chunk size for flat elementwise loops; ops smaller than 2x this run
 // serially inside ParallelFor.
 constexpr int kElemGrain = 16384;
 
-// C[i0:i1,n] += A[i0:i1,k] * B[k,n], cache-blocked.
-void MmRows(const float* a, const float* b, float* c, int i0, int i1, int k,
-            int n) {
-  for (int pb = 0; pb < k; pb += kKc) {
-    const int pe = std::min(pb + kKc, k);
-    for (int jb = 0; jb < n; jb += kNc) {
-      const int je = std::min(jb + kNc, n);
-      for (int i = i0; i < i1; ++i) {
-        const float* arow = a + static_cast<size_t>(i) * k;
-        float* crow = c + static_cast<size_t>(i) * n;
-        for (int p = pb; p < pe; ++p) {
-          const float av = arow[p];
-          const float* brow = b + static_cast<size_t>(p) * n;
-          simd::Axpy(av, brow + jb, crow + jb, je - jb);
-        }
-      }
-    }
-  }
+// C[rows,n] += Â[rows,k] * B[k,n] with Â[r,p] = a[r*a_row + p*a_red]: A
+// itself for NN, A^T for TN.
+void MmAxpyTiles(const float* a, size_t a_row, size_t a_red, const float* b,
+                 float* c, int rows, int k, int n) {
+  constexpr int kTile = simd::kAxpyTileRows;
+  const auto tile = simd::ActiveGemmKernels().axpy_tile;
+  ParallelFor(rows, RowGrain(rows, 2ull * k * n, kTile),
+              [=](int i0, int i1) {
+                for (int i = i0; i < i1; i += kTile) {
+                  tile(std::min(kTile, i1 - i), k, n, a + i * a_row, a_row,
+                       a_red, b, c + static_cast<size_t>(i) * n);
+                }
+              });
 }
 
 // C[m,n] += A[m,k] * B[k,n]
 void MmAcc(const float* a, const float* b, float* c, int m, int k, int n) {
-  const size_t per_row = 2ull * static_cast<size_t>(k) * n;
-  ParallelFor(m, RowGrain(m, per_row),
-              [=](int i0, int i1) { MmRows(a, b, c, i0, i1, k, n); });
+  MmAxpyTiles(a, k, 1, b, c, m, k, n);
 }
 
-// C[m,k] += A[m,n] * B[k,n]^T  (i.e. C = A * B^T)
+// C[m,k] += A[m,n] * B[k,n]^T  (i.e. C = A * B^T): one Dot per element.
 void MmAccNT(const float* a, const float* b, float* c, int m, int n, int k) {
-  const size_t per_row = 2ull * static_cast<size_t>(n) * k;
-  ParallelFor(m, RowGrain(m, per_row), [=](int i0, int i1) {
-    for (int i = i0; i < i1; ++i) {
-      const float* arow = a + static_cast<size_t>(i) * n;
-      float* crow = c + static_cast<size_t>(i) * k;
-      for (int p = 0; p < k; ++p) {
-        const float* brow = b + static_cast<size_t>(p) * n;
-        crow[p] += simd::Dot(arow, brow, n);
-      }
+  constexpr int kTile = simd::kDotTileRows;
+  const auto tile = simd::ActiveGemmKernels().dot_tile;
+  ParallelFor(m, RowGrain(m, 2ull * n * k, kTile), [=](int i0, int i1) {
+    for (int i = i0; i < i1; i += kTile) {
+      tile(std::min(kTile, i1 - i), k, n, a + static_cast<size_t>(i) * n, b,
+           c + static_cast<size_t>(i) * k);
     }
   });
 }
@@ -119,20 +108,7 @@ void MmAccNT(const float* a, const float* b, float* c, int m, int n, int k) {
 // which would race across workers. Per output element the reduction is still
 // over i ascending, exactly as the i-outer form, so the bits match.
 void MmAccTN(const float* a, const float* b, float* c, int m, int k, int n) {
-  const size_t per_row = 2ull * static_cast<size_t>(m) * n;
-  ParallelFor(k, RowGrain(k, per_row), [=](int p0, int p1) {
-    for (int ib = 0; ib < m; ib += kKc) {
-      const int ie = std::min(ib + kKc, m);
-      for (int p = p0; p < p1; ++p) {
-        float* crow = c + static_cast<size_t>(p) * n;
-        for (int i = ib; i < ie; ++i) {
-          const float av = a[static_cast<size_t>(i) * k + p];
-          const float* brow = b + static_cast<size_t>(i) * n;
-          simd::Axpy(av, brow, crow, n);
-        }
-      }
-    }
-  });
+  MmAxpyTiles(a, 1, k, b, c, k, m, n);
 }
 
 // Broadcasting classification for binary elementwise ops.

@@ -1,10 +1,12 @@
 #include "tensor/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "common/check.h"
 #include "obs/log.h"
@@ -98,6 +100,111 @@ int32_t DotI8Scalar(const int8_t* a, const int8_t* b, int n) {
     acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
   }
   return acc;
+}
+
+// --- GEMM tiles, shared shape ------------------------------------------------
+//
+// Every backend tiles the same way. NN/TN: kAxpyTileRows x 16 tiles of C,
+// then narrower vector tiles, then the columns its Axpy leaves to a scalar
+// tail, run with that tail's own expression. NT: kDotTileRows x 3 blocks of
+// Dots, x 2 and x 1 at the right edge.
+
+constexpr int kDotTileCols = 3;
+
+// Calls fn(std::integral_constant<int, rows>) for 1 <= rows <= kMax, so a
+// tile can be instantiated for each row count it meets at a bottom edge.
+template <int kMax, typename Fn>
+void ForRows(int rows, const Fn& fn) {
+  if constexpr (kMax > 1) {
+    if (rows < kMax) return ForRows<kMax - 1>(rows, fn);
+  }
+  fn(std::integral_constant<int, kMax>());
+}
+
+// --- Scalar GEMM tiles -------------------------------------------------------
+//
+// AxpyScalar's and DotScalar's expressions, in their order, per element.
+// The 16 columns of a tile are independent, so the compiler may vectorize
+// across them without changing any element's arithmetic.
+
+template <int MR>
+void AxpyTileScalarRows(int k, int n, const float* a, size_t a_row,
+                        size_t a_red, const float* b, float* c) {
+  constexpr int kCols = 16;
+  int j = 0;
+  for (; j + kCols <= n; j += kCols) {
+    float acc[MR][kCols];
+    for (int r = 0; r < MR; ++r) {
+      for (int jj = 0; jj < kCols; ++jj) {
+        acc[r][jj] = c[static_cast<size_t>(r) * n + j + jj];
+      }
+    }
+    for (int p = 0; p < k; ++p) {
+      const float* brow = b + static_cast<size_t>(p) * n + j;
+      for (int r = 0; r < MR; ++r) {
+        const float av = a[r * a_row + p * a_red];
+        for (int jj = 0; jj < kCols; ++jj) acc[r][jj] += av * brow[jj];
+      }
+    }
+    for (int r = 0; r < MR; ++r) {
+      for (int jj = 0; jj < kCols; ++jj) {
+        c[static_cast<size_t>(r) * n + j + jj] = acc[r][jj];
+      }
+    }
+  }
+  for (; j < n; ++j) {
+    float acc[MR];
+    for (int r = 0; r < MR; ++r) acc[r] = c[static_cast<size_t>(r) * n + j];
+    for (int p = 0; p < k; ++p) {
+      const float bv = b[static_cast<size_t>(p) * n + j];
+      for (int r = 0; r < MR; ++r) acc[r] += a[r * a_row + p * a_red] * bv;
+    }
+    for (int r = 0; r < MR; ++r) c[static_cast<size_t>(r) * n + j] = acc[r];
+  }
+}
+
+void AxpyTileScalar(int rows, int k, int n, const float* a, size_t a_row,
+                    size_t a_red, const float* b, float* c) {
+  ForRows<kAxpyTileRows>(rows, [&](auto mr) {
+    AxpyTileScalarRows<decltype(mr)::value>(k, n, a, a_row, a_red, b, c);
+  });
+}
+
+template <int MR, int NR>
+void DotBlockScalar(int n, const float* a, const float* b, float* c,
+                    int ldc) {
+  float acc[MR][NR] = {};
+  for (int i = 0; i < n; ++i) {
+    for (int r = 0; r < MR; ++r) {
+      for (int q = 0; q < NR; ++q) {
+        acc[r][q] += a[static_cast<size_t>(r) * n + i] *
+                     b[static_cast<size_t>(q) * n + i];
+      }
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    for (int q = 0; q < NR; ++q) c[r * ldc + q] += acc[r][q];
+  }
+}
+
+template <int MR>
+void DotTileScalarRows(int cols, int n, const float* a, const float* b,
+                       float* c) {
+  int q = 0;
+  for (; q + kDotTileCols <= cols; q += kDotTileCols) {
+    DotBlockScalar<MR, kDotTileCols>(n, a, b + static_cast<size_t>(q) * n,
+                                     c + q, cols);
+  }
+  const float* bq = b + static_cast<size_t>(q) * n;
+  if (cols - q == 2) DotBlockScalar<MR, 2>(n, a, bq, c + q, cols);
+  if (cols - q == 1) DotBlockScalar<MR, 1>(n, a, bq, c + q, cols);
+}
+
+void DotTileScalar(int rows, int cols, int n, const float* a, const float* b,
+                   float* c) {
+  ForRows<kDotTileRows>(rows, [&](auto mr) {
+    DotTileScalarRows<decltype(mr)::value>(cols, n, a, b, c);
+  });
 }
 
 // --- AVX2(+FMA) kernels ------------------------------------------------------
@@ -291,6 +398,136 @@ __attribute__((target("avx2"))) int32_t DotI8Avx2(const int8_t* a,
   return total;
 }
 
+// GEMM tiles: AxpyAvx2's FMA per element in p order (its scalar tail's
+// expression for the columns past the last full vector), and per Dot,
+// DotAvx2's eight lane partials, HSum and tail. kVecs vectors of 8 columns
+// per row of the block; 6 x 2 accumulators + 2 B vectors + 1 broadcast fill
+// the 16 ymm registers.
+template <int MR, int kVecs>
+__attribute__((target("avx2,fma"))) void AxpyBlockAvx2(
+    int k, int n, const float* a, size_t a_row, size_t a_red, const float* b,
+    float* c) {
+  __m256 acc[MR][kVecs];
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) {
+      acc[r][v] = _mm256_loadu_ps(c + static_cast<size_t>(r) * n + 8 * v);
+    }
+  }
+  for (int p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<size_t>(p) * n;
+    const float* acol = a + p * a_red;
+    __m256 bv[kVecs];
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) bv[v] = _mm256_loadu_ps(brow + 8 * v);
+#pragma GCC unroll 8
+    for (int r = 0; r < MR; ++r) {
+      const __m256 av = _mm256_broadcast_ss(acol + r * a_row);
+#pragma GCC unroll 2
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) {
+      _mm256_storeu_ps(c + static_cast<size_t>(r) * n + 8 * v, acc[r][v]);
+    }
+  }
+}
+
+template <int MR>
+__attribute__((target("avx2,fma"))) void AxpyTileAvx2Rows(
+    int k, int n, const float* a, size_t a_row, size_t a_red, const float* b,
+    float* c) {
+  int j = 0;
+  for (; j + 16 <= n; j += 16) {
+    AxpyBlockAvx2<MR, 2>(k, n, a, a_row, a_red, b + j, c + j);
+  }
+  if (j + 8 <= n) {
+    AxpyBlockAvx2<MR, 1>(k, n, a, a_row, a_red, b + j, c + j);
+    j += 8;
+  }
+  for (; j < n; ++j) {
+    for (int r = 0; r < MR; ++r) {
+      float* cj = c + static_cast<size_t>(r) * n + j;
+      float acc = *cj;
+      for (int p = 0; p < k; ++p) {
+        acc += a[r * a_row + p * a_red] * b[static_cast<size_t>(p) * n + j];
+      }
+      *cj = acc;
+    }
+  }
+}
+
+void AxpyTileAvx2(int rows, int k, int n, const float* a, size_t a_row,
+                  size_t a_red, const float* b, float* c) {
+  ForRows<kAxpyTileRows>(rows, [&](auto mr) {
+    AxpyTileAvx2Rows<decltype(mr)::value>(k, n, a, a_row, a_red, b, c);
+  });
+}
+
+// MR x NR Dots at once: 4 x 3 accumulators + 3 B vectors + 1 A vector.
+template <int MR, int NR>
+__attribute__((target("avx2,fma"))) void DotBlockAvx2(int n, const float* a,
+                                                      const float* b,
+                                                      float* c, int ldc) {
+  __m256 acc[MR][NR];
+#pragma GCC unroll 4
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 3
+    for (int q = 0; q < NR; ++q) acc[r][q] = _mm256_setzero_ps();
+  }
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 bv[NR];
+#pragma GCC unroll 3
+    for (int q = 0; q < NR; ++q) {
+      bv[q] = _mm256_loadu_ps(b + static_cast<size_t>(q) * n + i);
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < MR; ++r) {
+      const __m256 av = _mm256_loadu_ps(a + static_cast<size_t>(r) * n + i);
+#pragma GCC unroll 3
+      for (int q = 0; q < NR; ++q) {
+        acc[r][q] = _mm256_fmadd_ps(av, bv[q], acc[r][q]);
+      }
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    const float* arow = a + static_cast<size_t>(r) * n;
+    for (int q = 0; q < NR; ++q) {
+      const float* brow = b + static_cast<size_t>(q) * n;
+      float sum = HSum(acc[r][q]);
+      for (int t = i; t < n; ++t) sum += arow[t] * brow[t];
+      c[r * ldc + q] += sum;
+    }
+  }
+}
+
+template <int MR>
+void DotTileAvx2Rows(int cols, int n, const float* a, const float* b,
+                     float* c) {
+  int q = 0;
+  for (; q + kDotTileCols <= cols; q += kDotTileCols) {
+    DotBlockAvx2<MR, kDotTileCols>(n, a, b + static_cast<size_t>(q) * n,
+                                   c + q, cols);
+  }
+  const float* bq = b + static_cast<size_t>(q) * n;
+  if (cols - q == 2) DotBlockAvx2<MR, 2>(n, a, bq, c + q, cols);
+  if (cols - q == 1) DotBlockAvx2<MR, 1>(n, a, bq, c + q, cols);
+}
+
+void DotTileAvx2(int rows, int cols, int n, const float* a, const float* b,
+                 float* c) {
+  ForRows<kDotTileRows>(rows, [&](auto mr) {
+    DotTileAvx2Rows<decltype(mr)::value>(cols, n, a, b, c);
+  });
+}
+
 #endif  // TELEKIT_SIMD_X86
 
 // --- NEON kernels ------------------------------------------------------------
@@ -432,6 +669,129 @@ int32_t DotI8Neon(const int8_t* a, const int8_t* b, int n) {
   return total;
 }
 
+// GEMM tiles: AxpyNeon's FMA per element in p order (its scalar tail's
+// expression past the last full vector), and per Dot, DotNeon's four lane
+// partials, vaddvq and tail. 6 x 4 accumulators + 4 B vectors + 1 broadcast
+// fit the 32 q registers.
+template <int MR, int kVecs>
+void AxpyBlockNeon(int k, int n, const float* a, size_t a_row, size_t a_red,
+                   const float* b, float* c) {
+  float32x4_t acc[MR][kVecs];
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < kVecs; ++v) {
+      acc[r][v] = vld1q_f32(c + static_cast<size_t>(r) * n + 4 * v);
+    }
+  }
+  for (int p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<size_t>(p) * n;
+    const float* acol = a + p * a_red;
+    float32x4_t bv[kVecs];
+#pragma GCC unroll 4
+    for (int v = 0; v < kVecs; ++v) bv[v] = vld1q_f32(brow + 4 * v);
+#pragma GCC unroll 8
+    for (int r = 0; r < MR; ++r) {
+      const float32x4_t av = vdupq_n_f32(acol[r * a_row]);
+#pragma GCC unroll 4
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] = vfmaq_f32(acc[r][v], av, bv[v]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < kVecs; ++v) {
+      vst1q_f32(c + static_cast<size_t>(r) * n + 4 * v, acc[r][v]);
+    }
+  }
+}
+
+template <int MR>
+void AxpyTileNeonRows(int k, int n, const float* a, size_t a_row,
+                      size_t a_red, const float* b, float* c) {
+  int j = 0;
+  for (; j + 16 <= n; j += 16) {
+    AxpyBlockNeon<MR, 4>(k, n, a, a_row, a_red, b + j, c + j);
+  }
+  for (; j + 4 <= n; j += 4) {
+    AxpyBlockNeon<MR, 1>(k, n, a, a_row, a_red, b + j, c + j);
+  }
+  for (; j < n; ++j) {
+    for (int r = 0; r < MR; ++r) {
+      float* cj = c + static_cast<size_t>(r) * n + j;
+      float acc = *cj;
+      for (int p = 0; p < k; ++p) {
+        acc += a[r * a_row + p * a_red] * b[static_cast<size_t>(p) * n + j];
+      }
+      *cj = acc;
+    }
+  }
+}
+
+void AxpyTileNeon(int rows, int k, int n, const float* a, size_t a_row,
+                  size_t a_red, const float* b, float* c) {
+  ForRows<kAxpyTileRows>(rows, [&](auto mr) {
+    AxpyTileNeonRows<decltype(mr)::value>(k, n, a, a_row, a_red, b, c);
+  });
+}
+
+template <int MR, int NR>
+void DotBlockNeon(int n, const float* a, const float* b, float* c, int ldc) {
+  float32x4_t acc[MR][NR];
+#pragma GCC unroll 4
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 3
+    for (int q = 0; q < NR; ++q) acc[r][q] = vdupq_n_f32(0.0f);
+  }
+  int i = 0;
+  for (; i + 4 <= n; i += 4) {
+    float32x4_t bv[NR];
+#pragma GCC unroll 3
+    for (int q = 0; q < NR; ++q) {
+      bv[q] = vld1q_f32(b + static_cast<size_t>(q) * n + i);
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < MR; ++r) {
+      const float32x4_t av = vld1q_f32(a + static_cast<size_t>(r) * n + i);
+#pragma GCC unroll 3
+      for (int q = 0; q < NR; ++q) {
+        acc[r][q] = vfmaq_f32(acc[r][q], av, bv[q]);
+      }
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    const float* arow = a + static_cast<size_t>(r) * n;
+    for (int q = 0; q < NR; ++q) {
+      const float* brow = b + static_cast<size_t>(q) * n;
+      float sum = vaddvq_f32(acc[r][q]);
+      for (int t = i; t < n; ++t) sum += arow[t] * brow[t];
+      c[r * ldc + q] += sum;
+    }
+  }
+}
+
+template <int MR>
+void DotTileNeonRows(int cols, int n, const float* a, const float* b,
+                     float* c) {
+  int q = 0;
+  for (; q + kDotTileCols <= cols; q += kDotTileCols) {
+    DotBlockNeon<MR, kDotTileCols>(n, a, b + static_cast<size_t>(q) * n,
+                                   c + q, cols);
+  }
+  const float* bq = b + static_cast<size_t>(q) * n;
+  if (cols - q == 2) DotBlockNeon<MR, 2>(n, a, bq, c + q, cols);
+  if (cols - q == 1) DotBlockNeon<MR, 1>(n, a, bq, c + q, cols);
+}
+
+void DotTileNeon(int rows, int cols, int n, const float* a, const float* b,
+                 float* c) {
+  ForRows<kDotTileRows>(rows, [&](auto mr) {
+    DotTileNeonRows<decltype(mr)::value>(cols, n, a, b, c);
+  });
+}
+
 #endif  // TELEKIT_SIMD_NEON
 
 // --- Dispatch ----------------------------------------------------------------
@@ -451,6 +811,7 @@ struct VTable {
   void (*normalize_affine)(const float*, float, float, const float*,
                            const float*, float*, float*, int);
   int32_t (*dot_i8)(const int8_t*, const int8_t*, int);
+  GemmKernels gemm;
 };
 
 constexpr VTable kScalarTable = {
@@ -459,6 +820,7 @@ constexpr VTable kScalarTable = {
     AddScalarKernel,    SubScalarKernel,   MulScalarKernel,
     ScaleToScalar,      AddScalarToScalar, ReluToScalar,
     NormalizeAffineScalar, DotI8Scalar,
+    {AxpyTileScalar, DotTileScalar},
 };
 
 #if defined(TELEKIT_SIMD_X86)
@@ -468,6 +830,7 @@ constexpr VTable kAvx2Table = {
     AddAvx2,          SubAvx2,         MulAvx2,
     ScaleToAvx2,      AddScalarToAvx2, ReluToAvx2,
     NormalizeAffineAvx2, DotI8Avx2,
+    {AxpyTileAvx2, DotTileAvx2},
 };
 #endif
 
@@ -478,6 +841,7 @@ constexpr VTable kNeonTable = {
     AddNeon,          SubNeon,         MulNeon,
     ScaleToNeon,      AddScalarToNeon, ReluToNeon,
     NormalizeAffineNeon, DotI8Neon,
+    {AxpyTileNeon, DotTileNeon},
 };
 #endif
 
@@ -650,6 +1014,8 @@ void NormalizeAffine(const float* x, float mean, float istd,
                      float* out, int n) {
   Active().normalize_affine(x, mean, istd, gain, bias, xhat, out, n);
 }
+
+const GemmKernels& ActiveGemmKernels() { return Active().gemm; }
 
 int32_t DotI8(const int8_t* a, const int8_t* b, int n) {
   return Active().dot_i8(a, b, n);

@@ -1,6 +1,7 @@
 #ifndef TELEKIT_TENSOR_SIMD_H_
 #define TELEKIT_TENSOR_SIMD_H_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace telekit {
@@ -85,6 +86,38 @@ void ReluTo(const float* x, float* out, int n);
 void NormalizeAffine(const float* x, float mean, float istd,
                      const float* gain, const float* bias, float* xhat,
                      float* out, int n);
+
+// --- GEMM tile kernels -------------------------------------------------------
+//
+// The register tiles under MatMul (DESIGN.md §3). Each keeps a block of C
+// in registers while it runs the whole reduction, yet gives every output
+// element exactly the arithmetic of the loop it replaces on the same
+// backend: the k-ascending Axpy sequence (NN, TN) or one Dot (NT), with
+// the same multiply-add, the same Dot lane partials and the same
+// horizontal sum. A tile's result therefore never depends on where a tile
+// or a thread's chunk starts.
+
+/// Rows of C per tile, the same on every backend, so MatMul's chunk grid
+/// depends only on the shape.
+constexpr int kAxpyTileRows = 6;
+constexpr int kDotTileRows = 4;
+
+struct GemmKernels {
+  /// For r < rows (<= kAxpyTileRows) and j < n:
+  /// c[r*n + j] += a[r*a_row + p*a_red] * b[p*n + j] for p = 0..k-1 in
+  /// order, bit for bit what Axpy(a[r*a_row + p*a_red], b + p*n,
+  /// c + r*n, n) does for each p in turn.
+  void (*axpy_tile)(int rows, int k, int n, const float* a, size_t a_row,
+                    size_t a_red, const float* b, float* c);
+  /// For r < rows (<= kDotTileRows) and q < cols:
+  /// c[r*cols + q] += Dot(a + r*n, b + q*n, n), bit for bit.
+  void (*dot_tile)(int rows, int cols, int n, const float* a, const float* b,
+                   float* c);
+};
+
+/// The active backend's GEMM tiles. A GEMM looks them up once, not per
+/// tile.
+const GemmKernels& ActiveGemmKernels();
 
 // --- Int8 kernels ------------------------------------------------------------
 

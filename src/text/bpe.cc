@@ -79,23 +79,26 @@ void BpeLearner::Fit(const std::vector<std::string>& sentences) {
       w.symbols = std::move(updated);
     }
   }
+  BuildRankIndex();
   fitted_ = true;
+}
+
+void BpeLearner::BuildRankIndex() {
+  rank_.clear();
+  for (size_t i = 0; i < merges_.size(); ++i) {
+    rank_.emplace(merges_[i], static_cast<int>(i));
+  }
 }
 
 std::vector<std::string> BpeLearner::Segment(const std::string& word) const {
   TELEKIT_CHECK(fitted_) << "BpeLearner::Fit must be called first";
   std::vector<std::string> symbols = CharSymbols(word);
-  // Rank table for O(1) merge lookup.
-  std::map<std::pair<std::string, std::string>, int> rank;
-  for (size_t i = 0; i < merges_.size(); ++i) {
-    rank.emplace(merges_[i], static_cast<int>(i));
-  }
   while (symbols.size() > 1) {
     int best_rank = static_cast<int>(merges_.size());
     size_t best_pos = 0;
     for (size_t i = 0; i + 1 < symbols.size(); ++i) {
-      auto it = rank.find({symbols[i], symbols[i + 1]});
-      if (it != rank.end() && it->second < best_rank) {
+      auto it = rank_.find({symbols[i], symbols[i + 1]});
+      if (it != rank_.end() && it->second < best_rank) {
         best_rank = it->second;
         best_pos = i;
       }

@@ -1,6 +1,7 @@
 #ifndef TELEKIT_TEXT_BPE_H_
 #define TELEKIT_TEXT_BPE_H_
 
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,7 +42,9 @@ class BpeLearner {
       : options_(options),
         merges_(std::move(merges)),
         symbol_freqs_(std::move(symbol_freqs)),
-        fitted_(true) {}
+        fitted_(true) {
+    BuildRankIndex();
+  }
 
   /// Learns merges from the corpus. Must be called before Segment /
   /// ExtractTeleTokens.
@@ -69,8 +72,15 @@ class BpeLearner {
   const BpeOptions& options() const { return options_; }
 
  private:
+  // Fills rank_ from merges_; a pair listed twice keeps its first rank.
+  void BuildRankIndex();
+
   BpeOptions options_;
   std::vector<std::pair<std::string, std::string>> merges_;
+  // Merge pair -> its rank in merges_, built once by Fit and the load
+  // constructor and read-only afterwards, so concurrent Segment calls
+  // share it without a lock.
+  std::map<std::pair<std::string, std::string>, int> rank_;
   // Frequency of each merged symbol at the time it was created.
   std::vector<std::pair<std::string, int64_t>> symbol_freqs_;
   bool fitted_ = false;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "common/rng.h"
 #include "tensor/compute_pool.h"
@@ -795,6 +797,88 @@ TEST(SimdKernelTest, MatMulBitIdenticalAcrossThreadCountsOnSimdPath) {
   for (int threads : {2, 4}) {
     SetComputeThreads(threads);
     EXPECT_EQ(MatMul(a, b).data(), serial) << "threads=" << threads;
+  }
+  SetComputeThreads(previous);
+}
+
+// Bitwise equality (EXPECT_EQ on floats would let -0 match +0), naming the
+// first element that differs.
+::testing::AssertionResult SameBits(const std::vector<float>& got,
+                                    const std::vector<float>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " vs " << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The GEMM tiles must give MatMul, forward and both backward products,
+// exactly the bits of the per-element loops they replace on the same
+// backend: k-ascending Axpy for C = A*B and dB = A^T*dC, one Dot per
+// element for dA = dC*B^T. The shapes straddle the 6-row and 4-row tile
+// edges, the 3-column Dot blocks, the 8/16-column tiles and the vector
+// lane tails of both operands; the last one is large enough that every
+// product fans out over the pool.
+TEST(SimdKernelTest, MatMulTilesMatchAxpyAndDotLoopsBitForBit) {
+  BackendGuard guard;
+  const int previous = ComputeThreads();
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::DetectBackend() != simd::Backend::kScalar) {
+    backends.push_back(simd::DetectBackend());
+  }
+  std::vector<std::array<int, 3>> shapes;  // {m, n, k}
+  for (int m : {1, 5, 6, 7, 13}) {
+    for (int n : {1, 7, 8, 15, 16, 17, 33}) {
+      for (int k : {1, 3, 64, 65}) shapes.push_back({m, n, k});
+    }
+  }
+  shapes.push_back({37, 130, 70});
+  Rng rng(17);
+  for (simd::Backend backend : backends) {
+    simd::ForceBackend(backend);
+    for (const auto& [m, n, k] : shapes) {
+      const Tensor a0 = Tensor::Randn({m, k}, rng, 1.0f);
+      const Tensor b0 = Tensor::Randn({k, n}, rng, 1.0f);
+      const Tensor dc = Tensor::Randn({m, n}, rng, 1.0f);
+      const float* av = a0.data().data();
+      const float* bv = b0.data().data();
+      const float* gv = dc.data().data();
+      std::vector<float> c_ref(static_cast<size_t>(m) * n, 0.0f);
+      std::vector<float> da_ref(static_cast<size_t>(m) * k, 0.0f);
+      std::vector<float> db_ref(static_cast<size_t>(k) * n, 0.0f);
+      for (int i = 0; i < m; ++i) {
+        for (int p = 0; p < k; ++p) {
+          simd::Axpy(av[i * k + p], bv + p * n, c_ref.data() + i * n, n);
+          da_ref[i * k + p] += simd::Dot(gv + i * n, bv + p * n, n);
+        }
+      }
+      for (int p = 0; p < k; ++p) {
+        for (int i = 0; i < m; ++i) {
+          simd::Axpy(av[i * k + p], gv + i * n, db_ref.data() + p * n, n);
+        }
+      }
+      for (int threads : {1, 2, 4}) {
+        SetComputeThreads(threads);
+        Tensor a = Tensor::FromData({m, k}, a0.data(), true);
+        Tensor b = Tensor::FromData({k, n}, b0.data(), true);
+        Tensor c = MatMul(a, b);
+        // d(sum(C .* dC))/dC is dC exactly (products with 1.0f).
+        Sum(Mul(c, dc)).Backward();
+        const std::string where =
+            std::string(simd::BackendName(backend)) +
+            " m=" + std::to_string(m) + " n=" + std::to_string(n) +
+            " k=" + std::to_string(k) + " threads=" + std::to_string(threads);
+        EXPECT_TRUE(SameBits(c.data(), c_ref)) << "C = A*B, " << where;
+        EXPECT_TRUE(SameBits(a.grad(), da_ref)) << "dA = dC*B^T, " << where;
+        EXPECT_TRUE(SameBits(b.grad(), db_ref)) << "dB = A^T*dC, " << where;
+      }
+    }
   }
   SetComputeThreads(previous);
 }

@@ -131,6 +131,13 @@ TEST(BpeTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.merges(), b.merges());
 }
 
+TEST(BpeTest, DuplicateMergeKeepsItsFirstRank) {
+  // ("a","b") is listed at ranks 0 and 2; at rank 0 it beats ("b","c").
+  const BpeLearner bpe(BpeOptions{}, {{"a", "b"}, {"b", "c"}, {"a", "b"}},
+                       {{"ab", 3}, {"bc", 2}, {"ab", 1}});
+  EXPECT_EQ(bpe.Segment("abc"), (std::vector<std::string>{"ab", "c"}));
+}
+
 // --- Prompt ----------------------------------------------------------------------
 
 TEST(PromptTest, AlarmTemplateShape) {
@@ -335,6 +342,22 @@ TEST(TokenizerIoTest, SaveLoadRoundTripEncodesIdentically) {
   EXPECT_EQ(a.ids, b.ids);
   ASSERT_EQ(b.numeric_slots.size(), 1u);
   EXPECT_EQ(a.numeric_slots[0].tag_ids, b.numeric_slots[0].tag_ids);
+  std::remove(path.c_str());
+}
+
+TEST(TokenizerIoTest, LoadedBpeSegmentsUnseenWordsLikeTheFittedOne) {
+  Tokenizer tok = MakeTokenizer();
+  const std::string path = ::testing::TempDir() + "/tok_bpe.txt";
+  ASSERT_TRUE(tok.Save(path).ok());
+  auto loaded = Tokenizer::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->bpe().merges(), tok.bpe().merges());
+  for (const std::string word :
+       {"unseenword", "congestionpoints", "alarmx7", "serviceloss", "zq",
+        "@#"}) {
+    EXPECT_FALSE(tok.vocab().Contains(word)) << word;
+    EXPECT_EQ(loaded->bpe().Segment(word), tok.bpe().Segment(word)) << word;
+  }
   std::remove(path.c_str());
 }
 
