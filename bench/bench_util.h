@@ -2,6 +2,7 @@
 #define TELEKIT_BENCH_BENCH_UTIL_H_
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -21,36 +22,24 @@ namespace telekit {
 namespace bench {
 
 /// Shared observability wiring for every bench binary. Construct first
-/// thing in Main():
-///
-///   int Main(int argc, char** argv) {
-///     bench::ObsSession obs(argc, argv);
-///     ...
-///   }
-///
-/// Flags (unknown flags are left alone for the binary to handle):
-///   --obs-json=<path>      write a metrics + span + Chrome-trace artifact
-///                          on exit, and enable full trace-event recording
-///   --log-level=<level>    debug|info|warn|error|off (overrides
-///                          TELEKIT_LOG_LEVEL)
-///   --compute-threads=<n>  intra-op ComputePool threads (0 = env /
-///                          hardware default, 1 = serial)
+/// thing in Main(), after declaring the binary's own flags (if any) in a
+/// FlagSet: it adds --obs-json (a metrics + span + Chrome-trace artifact
+/// written on exit, with full trace-event recording), --log-level and
+/// --compute-threads to the table and parses the command line, so any
+/// other flag is a usage error (exit 64).
 class ObsSession {
  public:
-  ObsSession(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind(kObsJson, 0) == 0) {
-        obs_json_path_ = arg.substr(sizeof(kObsJson) - 1);
-      } else if (arg.rfind(kLogLevel, 0) == 0) {
-        obs::Logger::Global().set_level(
-            obs::ParseLogLevel(arg.substr(sizeof(kLogLevel) - 1)));
-      } else if (arg.rfind(kComputeThreads, 0) == 0) {
-        tensor::SetComputeThreads(static_cast<int>(ParseIntFlagOrDie(
-            "compute-threads", arg.substr(sizeof(kComputeThreads) - 1), 0,
-            4096)));
-      }
-    }
+  /// For a binary with no flags of its own.
+  ObsSession(int argc, char** argv) : ObsSession(argc, argv, nullptr) {}
+
+  ObsSession(int argc, char** argv, FlagSet* flags) {
+    FlagSet own(std::filesystem::path(argv[0]).filename().string());
+    FlagSet* table = flags != nullptr ? flags : &own;
+    table->String("obs-json=PATH", &obs_json_path_,
+                  "write metrics/trace report on exit");
+    AddLogLevelFlag(table);
+    tensor::AddComputeThreadsFlag(table);
+    table->Parse(argc, argv);
     if (!obs_json_path_.empty()) {
       obs::TraceCollector::Global().set_recording(true);
     }
@@ -69,20 +58,7 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
-  /// True for the flags the session consumes, so a binary's own parser can
-  /// reject every other unknown flag.
-  static bool Consumes(const std::string& arg) {
-    for (const char* prefix : {kObsJson, kLogLevel, kComputeThreads}) {
-      if (arg.rfind(prefix, 0) == 0) return true;
-    }
-    return false;
-  }
-
  private:
-  static constexpr const char kObsJson[] = "--obs-json=";
-  static constexpr const char kLogLevel[] = "--log-level=";
-  static constexpr const char kComputeThreads[] = "--compute-threads=";
-
   std::string obs_json_path_;
   std::unique_ptr<obs::Span> root_;
 };

@@ -19,8 +19,7 @@
 // On hosts where a gate cannot apply (no parallelism / no vector unit)
 // the sweep still records honest numbers and the gate reports "skipped".
 //
-// Flags: --out=PATH (default BENCH_serve.json), --iters=N (0 = auto),
-// plus the shared --obs-json/--log-level/--compute-threads.
+// Flags: see --help.
 
 #include <chrono>
 #include <cmath>
@@ -165,16 +164,14 @@ core::EncoderConfig EncodeBenchConfig() {
 }
 
 int Main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
   std::string out_path = "BENCH_serve.json";
-  int iters = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
-    if (arg.rfind("--iters=", 0) == 0)
-      iters = static_cast<int>(
-          ParseIntFlagOrDie("iters", arg.substr(8), 1, 1 << 30));
-  }
+  int iters = 0;  // 0 = auto
+  FlagSet flags("matmul_bench");
+  flags.String("out=PATH", &out_path,
+               "report file (default BENCH_serve.json)");
+  flags.Int("iters=N", &iters, 1, 1 << 30,
+            "timed calls per cell (default: auto)");
+  ObsSession obs_session(argc, argv, &flags);
 
   const int hw = std::max(1u, std::thread::hardware_concurrency());
   std::printf("matmul_bench: hardware_concurrency=%d\n", hw);

@@ -11,9 +11,7 @@
 // single sample flip worth more than 3 points). Mean rank is reported but
 // not gated (its scale tracks the candidate-set size, not a fixed range).
 //
-// Flags: --out=PATH (default BENCH_serve.json), --fast (tiny zoo +
-// smaller datasets, for CI smoke), plus the shared
-// --obs-json/--log-level/--compute-threads.
+// Flags: see --help.
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -152,14 +150,13 @@ obs::JsonValue MetricsJson(const std::vector<MetricRow>& rows,
 }
 
 int Main(int argc, char** argv) {
-  bench::ObsSession obs_session(argc, argv);
   std::string out_path = "BENCH_serve.json";
   bool fast = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
-    if (arg == "--fast") fast = true;
-  }
+  FlagSet flags("quant_eval");
+  flags.String("out=PATH", &out_path, "report file (default BENCH_serve.json)");
+  flags.Switch("fast", &fast, true,
+               "tiny zoo + smaller datasets, for CI smoke");
+  bench::ObsSession obs_session(argc, argv, &flags);
 
   core::ModelZoo zoo(fast ? FastZooConfig() : bench::BenchZooConfig());
   std::cerr << "[quant_eval] building model zoo"

@@ -350,30 +350,19 @@ obs::JsonValue RunEncoderDelta(const RetrievalFlags& flags,
 }
 
 int Main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
   RetrievalFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* name) -> const char* {
-      const std::string prefix = std::string("--") + name + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size()
-                                       : nullptr;
-    };
-    if (const char* v = value("synthetic-n"))
-      flags.synthetic_n =
-          static_cast<int>(ParseIntFlagOrDie("synthetic-n", v, 64, 1 << 22));
-    else if (const char* v = value("synthetic-dim"))
-      flags.synthetic_dim = static_cast<int>(
-          ParseIntFlagOrDie("synthetic-dim", v, 4, 4096));
-    else if (const char* v = value("queries"))
-      flags.queries =
-          static_cast<int>(ParseIntFlagOrDie("queries", v, 1, 1 << 20));
-    else if (const char* v = value("num-tickets"))
-      flags.num_tickets = static_cast<int>(
-          ParseIntFlagOrDie("num-tickets", v, 0, 1 << 20));
-    else if (const char* v = value("out"))
-      flags.out = v;
-  }
+  FlagSet cli("retrieval_bench");
+  cli.Int("synthetic-n=N", &flags.synthetic_n, 64, 1 << 22,
+          "synthetic corpus size (default 8000)");
+  cli.Int("synthetic-dim=N", &flags.synthetic_dim, 4, 4096,
+          "synthetic vector width (default 96)");
+  cli.Int("queries=N", &flags.queries, 1, 1 << 20,
+          "queries per part (default 200)");
+  cli.Int("num-tickets=N", &flags.num_tickets, 0, 1 << 20,
+          "trouble tickets in the encoder corpus (default 96)");
+  cli.String("out=PATH", &flags.out,
+             "report file (default BENCH_retrieval.json)");
+  ObsSession obs_session(argc, argv, &cli);
 
   bool recall_passed = false;
   bool speedup_passed = false;

@@ -56,9 +56,9 @@ using Clock = std::chrono::steady_clock;
 struct RouteBenchFlags {
   int replicas = 3;
   int clients = 4;
-  int passes = 4;          // affinity sweeps over the working set
-  int working_set = 96;    // distinct request texts
-  int cache_capacity = 48; // per-replica EmbeddingCache entries
+  int passes = 4;
+  int working_set = 96;
+  int cache_capacity = 48;
   std::string out = "BENCH_route.json";
 };
 
@@ -460,32 +460,20 @@ obs::JsonValue RunTracing(std::shared_ptr<core::ModelZoo> zoo,
 }
 
 int Main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
   RouteBenchFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* name) -> const char* {
-      const std::string prefix = std::string("--") + name + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size()
-                                       : nullptr;
-    };
-    if (const char* v = value("replicas"))
-      flags.replicas =
-          static_cast<int>(ParseIntFlagOrDie("replicas", v, 1, 64));
-    else if (const char* v = value("clients"))
-      flags.clients =
-          static_cast<int>(ParseIntFlagOrDie("clients", v, 1, 1024));
-    else if (const char* v = value("passes"))
-      flags.passes =
-          static_cast<int>(ParseIntFlagOrDie("passes", v, 1, 1 << 20));
-    else if (const char* v = value("working-set"))
-      flags.working_set =
-          static_cast<int>(ParseIntFlagOrDie("working-set", v, 1, 1 << 20));
-    else if (const char* v = value("cache-capacity"))
-      flags.cache_capacity = static_cast<int>(
-          ParseIntFlagOrDie("cache-capacity", v, 0, int64_t{1} << 30));
-    else if (const char* v = value("out")) flags.out = v;
-  }
+  FlagSet cli("route_bench");
+  cli.Int("replicas=N", &flags.replicas, 1, 64,
+          "in-process replicas (default 3)");
+  cli.Int("clients=N", &flags.clients, 1, 1024,
+          "client threads (default 4)");
+  cli.Int("passes=N", &flags.passes, 1, 1 << 20,
+          "affinity sweeps over the working set (default 4)");
+  cli.Int("working-set=N", &flags.working_set, 1, 1 << 20,
+          "distinct request texts (default 96)");
+  cli.Int("cache-capacity=N", &flags.cache_capacity, 0, int64_t{1} << 30,
+          "per-replica embedding cache entries (default 48)");
+  cli.String("out=PATH", &flags.out, "report file (default BENCH_route.json)");
+  ObsSession obs_session(argc, argv, &cli);
 
   // An untrained encoder costs the same per request as a trained one, so
   // routing/caching behaviour transfers and startup stays in seconds.

@@ -17,11 +17,7 @@
 // set of active alarms dominates (80% of queries) over a long tail of cold
 // surfaces, which is what makes service-vector memoization pay off.
 //
-// Flags: --workers=N (8) --clients=N (8) --requests=N (600 per
-// configuration) --max-batch=N (8) --qps=N (0 = no open-loop phase)
-// --slo-demo=0|1 --connect=host:port[,...] --out=PATH --obs-out=PATH, plus
-// the common --obs-json/--log-level/--compute-threads. Any other flag is a
-// usage error (exit 64).
+// Flags: see --help.
 //
 // Acceptance: the full engine (8 workers, micro-batching, cache) must
 // reach >= 3x the requests/sec of the single-threaded unbatched uncached
@@ -67,11 +63,11 @@ using Clock = std::chrono::steady_clock;
 struct LoadgenFlags {
   int workers = 8;
   int clients = 8;
-  int requests = 600;       // per measured configuration
+  int requests = 600;
   int max_batch = 8;
-  int qps = 0;              // open-loop phase target rate (0 = skip)
-  bool slo_demo = true;     // --slo-demo=0 skips the alert-lifecycle demo
-  std::string connect;      // host:port[,host:port...] -> TCP client mode
+  int qps = 0;
+  bool slo_demo = true;
+  std::string connect;
   std::string out = "BENCH_serve.json";
   std::string obs_out = "BENCH_obs.json";
 };
@@ -322,32 +318,11 @@ obs::JsonValue RunSloAlertDemo(const core::ServiceEncoder& service,
   const bool regimes_separate = cold_p50 > hot_p95 * 1.5;
   if (!regimes_separate) threshold_ms = hot_p95 * 2.0;
 
-  // Compressed burn windows so the lifecycle completes in seconds; the
-  // daemons run the same machinery at 60 s / 300 s.
-  obs::TimeSeriesOptions ts_options;
-  ts_options.interval_s = 0.1;
-  ts_options.capacity = 1024;
-  obs::TimeSeriesStore store(ts_options);
-  obs::SloConfig slo_config;
-  slo_config.fast_window_s = 1.5;
-  slo_config.slow_window_s = 4.0;
-  slo_config.budget_window_s = 24.0;
-  slo_config.burn_threshold = 1.5;
-  obs::SloEngine slo(&store, slo_config);
-  obs::SloObjective objective;
-  objective.name = "serve/latency_demo";
-  objective.kind = obs::SloObjective::Kind::kLatency;
-  objective.histogram = "serve/request_ms";
-  objective.threshold_ms = threshold_ms;
-  objective.target = 0.9;
-  slo.AddObjective(objective);
-  store.SetOnSample([&slo](double now_s) { slo.Evaluate(now_s); });
-  store.Start();
-
+  DemoSlo demo("serve/latency_demo", "serve/request_ms", threshold_ms);
   SloDemoPhases phases;
-  phases.healthy_s = slo_config.slow_window_s + 1.0;
+  phases.healthy_s = demo.slo.config().slow_window_s + 1.0;
   const SloDemoResult lifecycle = RunSloAlertLifecycle(
-      store, slo, objective.name,
+      demo.store, demo.slo, demo.objective.name,
       [&] {
         hot_request();
         // Pace the hot phase near the degraded rate so the slow window is
@@ -355,7 +330,7 @@ obs::JsonValue RunSloAlertDemo(const core::ServiceEncoder& service,
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       },
       [&] { cold_request(); }, phases);
-  store.Stop();
+  demo.store.Stop();
 
   // Exemplar acceptance: the latest exemplar in a latency bucket must
   // resolve through the wide-event log to a request whose total_us matches
@@ -386,17 +361,13 @@ obs::JsonValue RunSloAlertDemo(const core::ServiceEncoder& service,
             << (exemplar_matches ? "yes" : "NO") << "\n";
 
   obs::JsonValue section = SloDemoResultToJson(lifecycle);
-  section.Set("objective", obs::JsonValue(objective.name));
-  section.Set("histogram", obs::JsonValue(objective.histogram));
+  section.Set("objective", obs::JsonValue(demo.objective.name));
+  section.Set("histogram", obs::JsonValue(demo.objective.histogram));
   section.Set("threshold_ms", obs::JsonValue(threshold_ms));
   section.Set("hot_p95_ms", obs::JsonValue(hot_p95));
   section.Set("cold_p50_ms", obs::JsonValue(cold_p50));
   section.Set("regimes_separate", obs::JsonValue(regimes_separate));
-  section.Set("target", obs::JsonValue(objective.target));
-  section.Set("ts_interval_s", obs::JsonValue(ts_options.interval_s));
-  section.Set("fast_window_s", obs::JsonValue(slo_config.fast_window_s));
-  section.Set("slow_window_s", obs::JsonValue(slo_config.slow_window_s));
-  section.Set("burn_threshold", obs::JsonValue(slo_config.burn_threshold));
+  demo.AddSettings(&section);
   obs::JsonValue exemplar_json = obs::JsonValue::Object();
   exemplar_json.Set("found", obs::JsonValue(exemplar_found));
   exemplar_json.Set("trace_id",
@@ -587,40 +558,25 @@ obs::JsonValue ResultToJson(const RunResult& result) {
 }
 
 int Main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
   LoadgenFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* name) -> const char* {
-      const std::string prefix = std::string("--") + name + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size()
-                                       : nullptr;
-    };
-    if (const char* v = value("workers"))
-      flags.workers = static_cast<int>(
-          telekit::ParseIntFlagOrDie("workers", v, 1, 1024));
-    else if (const char* v = value("clients"))
-      flags.clients = static_cast<int>(
-          telekit::ParseIntFlagOrDie("clients", v, 1, 4096));
-    else if (const char* v = value("requests"))
-      flags.requests = static_cast<int>(
-          telekit::ParseIntFlagOrDie("requests", v, 1, 1 << 30));
-    else if (const char* v = value("max-batch"))
-      flags.max_batch = static_cast<int>(
-          telekit::ParseIntFlagOrDie("max-batch", v, 1, 1 << 20));
-    else if (const char* v = value("qps"))
-      flags.qps = static_cast<int>(
-          telekit::ParseIntFlagOrDie("qps", v, 0, 1 << 30));
-    else if (const char* v = value("slo-demo"))
-      flags.slo_demo = telekit::ParseIntFlagOrDie("slo-demo", v, 0, 1) != 0;
-    else if (const char* v = value("connect")) flags.connect = v;
-    else if (const char* v = value("out")) flags.out = v;
-    else if (const char* v = value("obs-out")) flags.obs_out = v;
-    else if (!ObsSession::Consumes(arg)) {
-      std::cerr << "unknown flag: " << arg << "\n";
-      std::exit(64);
-    }
-  }
+  FlagSet cli("serve_loadgen");
+  cli.Int("workers=N", &flags.workers, 1, 1024, "engine workers (default 8)");
+  cli.Int("clients=N", &flags.clients, 1, 4096,
+          "closed-loop client threads (default 8)");
+  cli.Int("requests=N", &flags.requests, 1, 1 << 30,
+          "requests per configuration (default 600)");
+  cli.Int("max-batch=N", &flags.max_batch, 1, 1 << 20,
+          "engine micro-batch cap (default 8)");
+  cli.Int("qps=N", &flags.qps, 0, 1 << 30,
+          "open-loop phase rate (default 0 = no open-loop phase)");
+  cli.Int("slo-demo=0|1", &flags.slo_demo, 0, 1,
+          "run the alert-lifecycle demo (default 1)");
+  cli.String("connect=HOST:PORT[,...]", &flags.connect,
+             "drive running servers over TCP instead");
+  cli.String("out=PATH", &flags.out, "report file (default BENCH_serve.json)");
+  cli.String("obs-out=PATH", &flags.obs_out,
+             "SLO demo report file (default BENCH_obs.json)");
+  ObsSession obs_session(argc, argv, &cli);
 
   if (!flags.connect.empty()) return ConnectMain(flags);
 

@@ -47,6 +47,43 @@ struct SloDemoResult {
   bool ok() const { return healthy_clean && fired && resolved; }
 };
 
+/// The demo's store and SLO engine, watching one latency objective
+/// (target 0.9): the daemons' machinery (60 s / 300 s windows) with burn
+/// windows compressed so the lifecycle completes in seconds. The sampler
+/// runs from construction until Stop().
+struct DemoSlo {
+  DemoSlo(std::string name, std::string histogram, double threshold_ms)
+      : store(obs::TimeSeriesOptions{.interval_s = 0.1, .capacity = 1024}),
+        slo(&store, obs::SloConfig{.fast_window_s = 1.5,
+                                   .slow_window_s = 4.0,
+                                   .budget_window_s = 24.0,
+                                   .burn_threshold = 1.5}) {
+    objective.name = std::move(name);
+    objective.kind = obs::SloObjective::Kind::kLatency;
+    objective.histogram = std::move(histogram);
+    objective.threshold_ms = threshold_ms;
+    objective.target = 0.9;
+    slo.AddObjective(objective);
+    store.SetOnSample([this](double now_s) { slo.Evaluate(now_s); });
+    store.Start();
+  }
+  ~DemoSlo() { store.Stop(); }
+
+  /// The demo's settings, for the end of its report section.
+  void AddSettings(obs::JsonValue* section) const {
+    section->Set("target", obs::JsonValue(objective.target));
+    section->Set("ts_interval_s", obs::JsonValue(store.options().interval_s));
+    section->Set("fast_window_s", obs::JsonValue(slo.config().fast_window_s));
+    section->Set("slow_window_s", obs::JsonValue(slo.config().slow_window_s));
+    section->Set("burn_threshold",
+                 obs::JsonValue(slo.config().burn_threshold));
+  }
+
+  obs::SloObjective objective;
+  obs::TimeSeriesStore store;
+  obs::SloEngine slo;
+};
+
 inline bool FindSloStatus(const obs::SloEngine& slo, const std::string& name,
                           obs::SloStatus* out) {
   for (const obs::SloStatus& status : slo.Snapshot()) {

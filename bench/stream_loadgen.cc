@@ -38,6 +38,7 @@
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
+#include "serve/daemon_kit.h"
 #include "serve/engine.h"
 #include "stream/pipeline.h"
 #include "synth/replay.h"
@@ -52,7 +53,7 @@ struct LoadgenFlags {
   double mean_gap = 12.0;
   int workers = 4;
   int max_batch = 8;
-  bool slo_demo = true;  // --slo-demo=0 skips the alert-lifecycle demo
+  bool slo_demo = true;
   std::string out = "BENCH_stream.json";
   std::string obs_out = "BENCH_obs.json";
 };
@@ -173,32 +174,11 @@ obs::JsonValue RunSloAlertDemo(const core::ModelZoo& zoo,
   const bool regimes_separate = degraded_p50 > healthy_p95 * 1.5;
   if (!regimes_separate) threshold_ms = healthy_p95 * 2.0;
 
-  // Compressed burn windows so the lifecycle completes in seconds; the
-  // daemons run the same machinery at 60 s / 300 s.
-  obs::TimeSeriesOptions ts_options;
-  ts_options.interval_s = 0.1;
-  ts_options.capacity = 1024;
-  obs::TimeSeriesStore store(ts_options);
-  obs::SloConfig slo_config;
-  slo_config.fast_window_s = 1.5;
-  slo_config.slow_window_s = 4.0;
-  slo_config.budget_window_s = 24.0;
-  slo_config.burn_threshold = 1.5;
-  obs::SloEngine slo(&store, slo_config);
-  obs::SloObjective objective;
-  objective.name = "stream/detect_demo";
-  objective.kind = obs::SloObjective::Kind::kLatency;
-  objective.histogram = "stream/detect_ms";
-  objective.threshold_ms = threshold_ms;
-  objective.target = 0.9;
-  slo.AddObjective(objective);
-  store.SetOnSample([&slo](double now_s) { slo.Evaluate(now_s); });
-  store.Start();
-
+  DemoSlo demo("stream/detect_demo", "stream/detect_ms", threshold_ms);
   SloDemoPhases phases;
-  phases.healthy_s = slo_config.slow_window_s + 1.0;
+  phases.healthy_s = demo.slo.config().slow_window_s + 1.0;
   const SloDemoResult lifecycle = RunSloAlertLifecycle(
-      store, slo, objective.name,
+      demo.store, demo.slo, demo.objective.name,
       [&] {
         run_tick(&healthy_engine, healthy_config, events, nullptr);
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -207,7 +187,7 @@ obs::JsonValue RunSloAlertDemo(const core::ModelZoo& zoo,
         run_tick(&degraded_engine, degraded_config, burst_events, nullptr);
       },
       phases);
-  store.Stop();
+  demo.store.Stop();
   healthy_engine.Stop();
   degraded_engine.Stop();
 
@@ -221,17 +201,13 @@ obs::JsonValue RunSloAlertDemo(const core::ModelZoo& zoo,
             << lifecycle.firing_interval_s << " s)\n";
 
   obs::JsonValue section = SloDemoResultToJson(lifecycle);
-  section.Set("objective", obs::JsonValue(objective.name));
-  section.Set("histogram", obs::JsonValue(objective.histogram));
+  section.Set("objective", obs::JsonValue(demo.objective.name));
+  section.Set("histogram", obs::JsonValue(demo.objective.histogram));
   section.Set("threshold_ms", obs::JsonValue(threshold_ms));
   section.Set("healthy_p95_ms", obs::JsonValue(healthy_p95));
   section.Set("degraded_p50_ms", obs::JsonValue(degraded_p50));
   section.Set("regimes_separate", obs::JsonValue(regimes_separate));
-  section.Set("target", obs::JsonValue(objective.target));
-  section.Set("ts_interval_s", obs::JsonValue(ts_options.interval_s));
-  section.Set("fast_window_s", obs::JsonValue(slo_config.fast_window_s));
-  section.Set("slow_window_s", obs::JsonValue(slo_config.slow_window_s));
-  section.Set("burn_threshold", obs::JsonValue(slo_config.burn_threshold));
+  demo.AddSettings(&section);
   return section;
 }
 
@@ -262,51 +238,28 @@ obs::JsonValue ResultToJson(const RunResult& result) {
 }
 
 int Main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
   LoadgenFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* name) -> const char* {
-      const std::string prefix = std::string("--") + name + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size()
-                                       : nullptr;
-    };
-    if (const char* v = value("seed"))
-      flags.seed = static_cast<uint64_t>(ParseIntFlagOrDie(
-          "seed", v, 0, std::numeric_limits<int64_t>::max()));
-    else if (const char* v = value("episodes"))
-      flags.episodes =
-          static_cast<int>(ParseIntFlagOrDie("episodes", v, 1, 1 << 20));
-    else if (const char* v = value("mean-gap"))
-      flags.mean_gap = ParseDoubleFlagOrDie("mean-gap", v, 0.0, 1e6);
-    else if (const char* v = value("workers"))
-      flags.workers =
-          static_cast<int>(ParseIntFlagOrDie("workers", v, 1, 1024));
-    else if (const char* v = value("max-batch"))
-      flags.max_batch =
-          static_cast<int>(ParseIntFlagOrDie("max-batch", v, 1, 1 << 20));
-    else if (const char* v = value("slo-demo"))
-      flags.slo_demo = ParseIntFlagOrDie("slo-demo", v, 0, 1) != 0;
-    else if (const char* v = value("out")) flags.out = v;
-    else if (const char* v = value("obs-out")) flags.obs_out = v;
-    else if (!ObsSession::Consumes(arg)) {
-      std::cerr << "unknown flag: " << arg << "\n";
-      return 64;
-    }
-  }
+  FlagSet cli("stream_loadgen");
+  cli.Int("seed=N", &flags.seed, 0, std::numeric_limits<int64_t>::max(),
+          "world/model/replay seed (default 20230401)");
+  cli.Int("episodes=N", &flags.episodes, 1, 1 << 20,
+          "fault episodes to replay (default 40)");
+  cli.Double("mean-gap=X", &flags.mean_gap, 0.0, 1e6,
+             "mean episode inter-arrival gap, sim s (default 12)");
+  cli.Int("workers=N", &flags.workers, 1, 1024, "engine workers (default 4)");
+  cli.Int("max-batch=N", &flags.max_batch, 1, 1 << 20,
+          "engine micro-batch cap (default 8)");
+  cli.Int("slo-demo=0|1", &flags.slo_demo, 0, 1,
+          "run the alert-lifecycle demo (default 1)");
+  cli.String("out=PATH", &flags.out,
+             "report file (default BENCH_stream.json)");
+  cli.String("obs-out=PATH", &flags.obs_out,
+             "SLO demo report file (default BENCH_obs.json)");
+  ObsSession obs_session(argc, argv, &cli);
 
-  // Same scale as telekit_streamd's default zoo: untrained encoder (same
-  // per-episode compute as a trained one), startup in seconds.
-  core::ZooConfig config;
-  config.seed = flags.seed;
-  config.world.num_alarm_types = 48;
-  config.world.num_kpi_types = 24;
-  config.corpus.num_tele_sentences = 1500;
-  config.corpus.num_general_sentences = 1500;
-  config.num_episodes = 40;
-  config.pretrain.steps = 0;
-  config.cache_dir = "";
-  core::ModelZoo zoo(config);
+  // telekit_streamd's zoo: untrained encoder (same per-episode compute as
+  // a trained one), startup in seconds.
+  core::ModelZoo zoo(serve::InteractiveZooConfig(flags.seed, 0));
   zoo.BuildData();
   zoo.BuildPretrained();
   core::TeleBertEncoder encoder(&zoo.telebert());

@@ -6,15 +6,15 @@
 #      TELEKIT_SIMD=off, so the scalar kernel backend stays green (the
 #      vector-vs-scalar agreement itself is asserted in-process by the
 #      SimdKernelTest cases, which force both backends).
-#   4. rebuild the obs layer (library + its tests) plus the tensor/core/
-#      serve test binaries, the three daemon mains and matmul_bench under
-#      -Wall -Wextra -Werror in a separate tree, so new warnings fail
-#      loudly instead of scrolling by.
-#   5. flag validation: daemons and bench binaries must reject malformed
-#      numeric flags with a usage error (exit 64) instead of silently
-#      parsing a prefix, and unknown or removed flags (--bogus,
-#      --max-wait-us, --no-batching) with the same exit code instead of
-#      ignoring them; --help on a daemon exits 0.
+#   4. rebuild every target under -Wall -Wextra -Werror in a separate
+#      tree, so new warnings fail loudly instead of scrolling by, and run
+#      the obs/stream/route/tensor/index suites from it.
+#   5. flag contract: one table of (command, expected exit code) rows.
+#      Every daemon and bench binary (micro_components keeps google-
+#      benchmark's own parser) exits 64 on a usage error (unknown or
+#      removed flag, malformed or out-of-range number, value outside a
+#      choice set, malformed or missing --replica) and 0 on --help, before
+#      any work starts.
 #   6. admin smoke: start telekit_serve with --admin-port on loopback,
 #      poll /healthz until live, assert /metrics serves a non-empty
 #      Prometheus exposition, then drive one traced request through the
@@ -79,12 +79,9 @@ TELEKIT_SIMD=off ./build/tests/tensor_test --gtest_brief=1
 TELEKIT_SIMD=off ./build/tests/core_test --gtest_brief=1
 TELEKIT_SIMD=off ./build/tests/serve_test --gtest_brief=1
 
-echo "== [4/9] -Werror build of the obs + stream + route + index + tensor/core/serve layers, daemons and matmul_bench =="
+echo "== [4/9] -Werror build of every target =="
 cmake -B build_strict -S . -DCMAKE_CXX_FLAGS="-Wall -Wextra -Werror"
-cmake --build build_strict -j --target telekit_obs obs_test obs_admin_test \
-  obs_timeseries_test telekit_stream stream_test telekit_route route_test \
-  telekit_index index_test tensor_test core_test serve_test \
-  telekit_serve_bin telekit_router_bin telekit_streamd_bin matmul_bench
+cmake --build build_strict -j
 ./build_strict/tests/obs_test --gtest_brief=1
 ./build_strict/tests/obs_admin_test --gtest_brief=1
 ./build_strict/tests/obs_timeseries_test --gtest_brief=1
@@ -93,54 +90,55 @@ cmake --build build_strict -j --target telekit_obs obs_test obs_admin_test \
 ./build_strict/tests/tensor_test --gtest_brief=1
 ./build_strict/tests/index_test --gtest_brief=1
 
-echo "== [5/9] strict flag validation (exit 64 on malformed numerics) =="
-expect_exit64() {
-  local desc=$1; shift
-  local rc=0
-  "$@" >/dev/null 2>&1 || rc=$?
-  if [[ "${rc}" -ne 64 ]]; then
-    echo "flag validation: ${desc} exited ${rc}, want 64"
-    exit 1
-  fi
-}
-expect_exit64 "telekit_serve --port=abc" \
-  ./build/src/serve/telekit_serve --port=abc
-expect_exit64 "telekit_serve --precision=fp16" \
-  ./build/src/serve/telekit_serve --precision=fp16
-# Removed flags must fail loudly, not be ignored.
-expect_exit64 "telekit_serve --max-wait-us=2000" \
-  ./build/src/serve/telekit_serve --max-wait-us=2000
-expect_exit64 "telekit_serve --no-batching" \
-  ./build/src/serve/telekit_serve --no-batching
-expect_exit64 "serve_loadgen --max-wait-us=2000" \
-  ./build/bench/serve_loadgen --max-wait-us=2000
-expect_exit64 "telekit_router --vnodes=abc" \
-  ./build/src/route/telekit_router --vnodes=abc --replica=18000:18001
-expect_exit64 "telekit_router --bogus" \
-  ./build/src/route/telekit_router --bogus --replica=18000:18001
-expect_exit64 "telekit_streamd --episodes=abc" \
-  ./build/src/stream/telekit_streamd --episodes=abc
-expect_exit64 "telekit_streamd --bogus" \
-  ./build/src/stream/telekit_streamd --bogus
-expect_exit64 "route_bench --replicas=abc" \
-  ./build/bench/route_bench --replicas=abc
-expect_exit64 "stream_loadgen --mean-gap=1x2" \
-  ./build/bench/stream_loadgen --mean-gap=1x2
-expect_exit64 "stream_loadgen --bogus" \
-  ./build/bench/stream_loadgen --bogus
-expect_exit64 "matmul_bench --iters=-3" \
-  ./build/bench/matmul_bench --iters=-3
-expect_exit64 "retrieval_bench --queries=1e3" \
-  ./build/bench/retrieval_bench --queries=1e3
-for daemon in serve/telekit_serve route/telekit_router stream/telekit_streamd; do
+echo "== [5/9] flag contract (64 on a usage error, 0 on --help) =="
+SERVE=./build/src/serve/telekit_serve
+ROUTER=./build/src/route/telekit_router
+STREAMD=./build/src/stream/telekit_streamd
+BENCHES=(ablation_kge_models ablation_pretraining ablation_retraining
+  fig10_numeric_space lowresource_rca matmul_bench quant_eval
+  retrieval_bench route_bench serve_loadgen stream_loadgen
+  table2_strategies table3_rca_stats table4_rca_results table5_eap_stats
+  table6_eap_results table7_fct_stats table8_fct_results)
+# "<expected exit code> <command>" per row.
+FLAG_ROWS=(
+  "64 ${SERVE} --port=abc"
+  "64 ${SERVE} --precision=fp16"
+  "64 ${SERVE} --max-wait-us=2000"  # removed flags fail loudly
+  "64 ${SERVE} --no-batching"
+  "64 ${SERVE} --bogus"
+  "64 ${SERVE} --log-level=bogus"
+  "64 ${SERVE} --models=,"
+  "64 ${ROUTER} --vnodes=abc --replica=18000:18001"
+  "64 ${ROUTER} --bogus --replica=18000:18001"
+  "64 ${ROUTER} --policy=bogus --replica=18000:18001"
+  "64 ${ROUTER} --replica=a:b:c:d"
+  "64 ${ROUTER}"
+  "64 ${STREAMD} --episodes=abc"
+  "64 ${STREAMD} --bogus"
+  "64 ./build/bench/serve_loadgen --max-wait-us=2000"
+  "64 ./build/bench/route_bench --replicas=abc"
+  "64 ./build/bench/stream_loadgen --mean-gap=1x2"
+  "64 ./build/bench/matmul_bench --iters=-3"
+  "64 ./build/bench/retrieval_bench --queries=1e3"
+  "64 ./build/bench/table4_rca_results --log-level=bogus"
+  "0 ${SERVE} --help"
+  "0 ${ROUTER} --help"
+  "0 ${STREAMD} --help"
+)
+for bench in "${BENCHES[@]}"; do
+  FLAG_ROWS+=("64 ./build/bench/${bench} --bogus" "0 ./build/bench/${bench} --help")
+done
+for row in "${FLAG_ROWS[@]}"; do
+  read -r want cmd <<<"${row}"
   rc=0
-  "./build/src/${daemon}" --help >/dev/null 2>&1 || rc=$?
-  if [[ "${rc}" -ne 0 ]]; then
-    echo "flag validation: ${daemon##*/} --help exited ${rc}, want 0"
+  # shellcheck disable=SC2086  # the command is word-split on purpose
+  timeout 20 ${cmd} >/dev/null 2>&1 </dev/null || rc=$?
+  if [[ "${rc}" -ne "${want}" ]]; then
+    echo "flag contract: '${cmd}' exited ${rc}, want ${want}"
     exit 1
   fi
 done
-echo "flag validation: OK"
+echo "flag contract: OK (${#FLAG_ROWS[@]} rows)"
 
 echo "== [6/9] admin endpoint smoke =="
 SERVE_PORT=18473

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification harness: builds, runs every test, then regenerates
 # every paper table/figure. Writes test_output.txt / bench_output.txt at
-# the repository root (the files EXPERIMENTS.md refers to).
+# the repository root (gitignored run logs).
 set -u
 cd "$(dirname "$0")/.."
 

@@ -68,18 +68,6 @@ std::string PrometheusNumber(double v) {
   return buf;
 }
 
-/// ParseLogLevel silently falls back on unknown input; /loglevelz wants
-/// to reject typos instead, so validate against the five known names.
-bool IsKnownLogLevel(const std::string& text) {
-  std::string lower;
-  for (char c : text) {
-    lower.push_back(c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a')
-                                         : c);
-  }
-  return lower == "debug" || lower == "info" || lower == "warn" ||
-         lower == "error" || lower == "off";
-}
-
 void AppendHelpType(std::string* out, const std::string& prom_name,
                     const std::string& raw_name, const char* type) {
   *out += "# HELP " + prom_name + " TeleKit metric " + raw_name + "\n";
@@ -227,14 +215,15 @@ AdminServer::AdminServer() {
     JsonValue out = JsonValue::Object();
     const auto set = params.find("set");
     if (set != params.end()) {
-      if (!IsKnownLogLevel(set->second)) {
+      LogLevel level;
+      if (!TryParseLogLevel(set->second, &level)) {
         JsonValue error = JsonValue::Object();
         error.Set("error", JsonValue("unknown level: " + set->second +
                                      " (want debug|info|warn|error|off)"));
         return HttpResponse::Json(400, error);
       }
       const LogLevel previous = Logger::Global().level();
-      Logger::Global().set_level(ParseLogLevel(set->second));
+      Logger::Global().set_level(level);
       out.Set("previous", JsonValue(LogLevelName(previous)));
     }
     out.Set("level", JsonValue(LogLevelName(Logger::Global().level())));

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <utility>
 
 namespace telekit {
 namespace obs {
@@ -46,16 +47,23 @@ bool EqualsIgnoreCase(const std::string& a, const char* b) {
 
 }  // namespace
 
+bool TryParseLogLevel(const std::string& text, LogLevel* level) {
+  static constexpr std::pair<const char*, LogLevel> kNames[] = {
+      {"debug", LogLevel::kDebug}, {"info", LogLevel::kInfo},
+      {"warn", LogLevel::kWarn},   {"warning", LogLevel::kWarn},
+      {"error", LogLevel::kError}, {"off", LogLevel::kOff},
+      {"none", LogLevel::kOff}};
+  for (const auto& [name, value] : kNames) {
+    if (EqualsIgnoreCase(text, name)) {
+      *level = value;
+      return true;
+    }
+  }
+  return false;
+}
+
 LogLevel ParseLogLevel(const std::string& text, LogLevel fallback) {
-  if (EqualsIgnoreCase(text, "debug")) return LogLevel::kDebug;
-  if (EqualsIgnoreCase(text, "info")) return LogLevel::kInfo;
-  if (EqualsIgnoreCase(text, "warn") || EqualsIgnoreCase(text, "warning")) {
-    return LogLevel::kWarn;
-  }
-  if (EqualsIgnoreCase(text, "error")) return LogLevel::kError;
-  if (EqualsIgnoreCase(text, "off") || EqualsIgnoreCase(text, "none")) {
-    return LogLevel::kOff;
-  }
+  TryParseLogLevel(text, &fallback);
   return fallback;
 }
 

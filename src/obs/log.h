@@ -21,8 +21,10 @@ enum class LogLevel : int {
   kOff = 4,
 };
 
-/// "debug"/"info"/"warn"/"error"/"off" (case-insensitive); falls back to
-/// `fallback` on unknown input.
+/// "debug"/"info"/"warn"/"error"/"off" (case-insensitive; "warning" and
+/// "none" are aliases). False on unknown input, leaving *level untouched.
+bool TryParseLogLevel(const std::string& text, LogLevel* level);
+/// TryParseLogLevel that falls back to `fallback` on unknown input.
 LogLevel ParseLogLevel(const std::string& text,
                        LogLevel fallback = LogLevel::kInfo);
 const char* LogLevelName(LogLevel level);

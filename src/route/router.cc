@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <numeric>
 #include <thread>
@@ -293,7 +294,8 @@ void Router::ReturnConn(size_t replica,
 
 StatusOr<std::string> Router::ForwardOnce(size_t replica,
                                           const std::string& line,
-                                          double timeout_ms) {
+                                          double timeout_ms,
+                                          bool budget_bound) {
   const auto start = Clock::now();
   auto conn = CheckoutConn(replica, timeout_ms);
   if (conn == nullptr) {
@@ -305,7 +307,12 @@ StatusOr<std::string> Router::ForwardOnce(size_t replica,
   std::string response;
   if (!serve::SendLine(conn->fd, line) ||
       !conn->reader.ReadLine(&response)) {
-    // conn is dropped (closed) — its stream state is unknown.
+    // conn is dropped (closed) — its stream state is unknown. A timeout on
+    // a leg capped by the request budget is the budget running out, not
+    // the replica failing (errno is still the failed send/recv's).
+    if (budget_bound && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return Status::DeadlineExceeded("request budget exhausted");
+    }
     prober_->ReportFailure(replica);
     return Status::Unavailable("exchange with " + replicas_[replica].name +
                                " failed");
@@ -335,7 +342,8 @@ void Router::LaunchAttempt(size_t replica, const std::string& line,
                rendezvous = std::move(rendezvous)] {
     const double span_start_us = obs::UnixNowUs();
     const auto attempt_start = Clock::now();
-    StatusOr<std::string> result = ForwardOnce(replica, line, timeout_ms);
+    StatusOr<std::string> result =
+        ForwardOnce(replica, line, timeout_ms, ctx.budget_bound);
     const bool was_success = result.ok();
     // An upstream UNAVAILABLE rejection is a failed hop in the trace even
     // though the rendezvous treats it as a deliverable response (Handle
@@ -471,10 +479,12 @@ std::string Router::Handle(const std::string& line) {
   // Each leg forwards its own copy of the line, stamped with the shared
   // trace id and that leg's attempt span as `parent_span` — the replica's
   // serve spans then attach to the exact retry/hedge hop that ran them.
-  const auto launch = [&](size_t replica, double timeout_ms,
+  const auto launch = [&](size_t replica,
                           const std::shared_ptr<Rendezvous>& rendezvous) {
     ++attempts;
+    const double remaining = RemainingMs(deadline);
     AttemptContext ctx;
+    ctx.budget_bound = remaining <= options_.per_try_ms;
     ctx.trace_id = trace_id;
     ctx.parent_span = root_span;
     ctx.attempt = attempts;
@@ -489,21 +499,17 @@ std::string Router::Handle(const std::string& line) {
       }
       forwarded = stamped.Dump();
     }
-    LaunchAttempt(replica, forwarded, timeout_ms, rendezvous, ctx);
+    LaunchAttempt(replica, forwarded, std::min(options_.per_try_ms, remaining),
+                  rendezvous, ctx);
   };
 
   if (plan.empty()) metrics.no_healthy->Increment();
   for (size_t pos = 0; pos < plan.size() && attempts < options_.max_attempts;
        ++pos) {
-    const double remaining = RemainingMs(deadline);
-    if (remaining <= 0.0) {
-      final_status = Status::DeadlineExceeded("request budget exhausted");
-      metrics.deadline_exceeded->Increment();
-      break;
-    }
+    if (RemainingMs(deadline) <= 0.0) break;
     if (pos > 0) metrics.retries->Increment();
     auto rendezvous = std::make_shared<Rendezvous>();
-    launch(plan[pos], std::min(options_.per_try_ms, remaining), rendezvous);
+    launch(plan[pos], rendezvous);
     // Tail hedge: first attempt only, and only when there is somewhere
     // else to send it.
     if (pos == 0 && options_.hedge && plan.size() > 1 &&
@@ -511,21 +517,15 @@ std::string Router::Handle(const std::string& line) {
       const double trigger =
           std::min(HedgeDelayMs(), RemainingMs(deadline));
       if (!rendezvous->WaitFor(trigger)) {
-        const double hedge_remaining = RemainingMs(deadline);
-        if (hedge_remaining > 0.0) {
+        if (RemainingMs(deadline) > 0.0) {
           metrics.hedges->Increment();
           hedged = true;
-          launch(plan[1], std::min(options_.per_try_ms, hedge_remaining),
-                 rendezvous);
+          launch(plan[1], rendezvous);
           ++pos;  // the hedge consumed plan[1]; retries move past it
         }
       }
     }
-    if (!rendezvous->WaitFor(RemainingMs(deadline))) {
-      final_status = Status::DeadlineExceeded("request budget exhausted");
-      metrics.deadline_exceeded->Increment();
-      break;
-    }
+    if (!rendezvous->WaitFor(RemainingMs(deadline))) break;
     std::lock_guard<std::mutex> lock(rendezvous->mutex);
     if (rendezvous->have_success) {
       if (IsRetryableResponse(rendezvous->response)) {
@@ -543,6 +543,16 @@ std::string Router::Handle(const std::string& line) {
       break;
     }
     final_status = rendezvous->first_error;
+    if (final_status.code() == StatusCode::kDeadlineExceeded) break;
+  }
+  // No response once the budget is spent is a deadline miss, whatever
+  // the last leg reported; a leg that failed with budget left keeps its
+  // transport error.
+  if (!have_response &&
+      (RemainingMs(deadline) <= 0.0 ||
+       final_status.code() == StatusCode::kDeadlineExceeded)) {
+    final_status = Status::DeadlineExceeded("request budget exhausted");
+    metrics.deadline_exceeded->Increment();
   }
 
   const double total_ms =

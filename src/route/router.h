@@ -128,6 +128,8 @@ class Router {
     uint64_t span_id = 0;
     uint64_t parent_span = 0;
     int attempt = 0;  ///< 1-based across the request (retries + hedges)
+    /// The leg's timeout is the request's remaining budget, not the cap.
+    bool budget_bound = false;
   };
 
   /// Replica indices to try for `key`, routable-first, policy-ordered.
@@ -136,9 +138,11 @@ class Router {
   double HedgeDelayMs() const;
 
   /// One upstream exchange on a pooled connection. Reports the outcome
-  /// to the prober. Transport failures come back as UNAVAILABLE.
+  /// to the prober. Transport failures come back as UNAVAILABLE, except
+  /// that a `budget_bound` leg that times out reports DEADLINE_EXCEEDED
+  /// and leaves the prober alone.
   StatusOr<std::string> ForwardOnce(size_t replica, const std::string& line,
-                                    double timeout_ms);
+                                    double timeout_ms, bool budget_bound);
   std::unique_ptr<PooledConn> CheckoutConn(size_t replica, double timeout_ms);
   void ReturnConn(size_t replica, std::unique_ptr<PooledConn> conn);
 

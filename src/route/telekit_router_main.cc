@@ -16,33 +16,23 @@
 //   telekit_serve --port=7102 --admin-port=7202 &
 //   telekit_router --port=7001 --admin-port=7002 --replica=7101:7201 --replica=7102:7202
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdlib>
 #include <future>
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/flag_parse.h"
-#include "common/string_util.h"
 #include "obs/admin.h"
 #include "obs/json.h"
-#include "obs/log.h"
-#include "obs/report.h"
-#include "obs/requestlog.h"
-#include "obs/spanstore.h"
 #include "obs/trace.h"
 #include "route/fleet_metrics.h"
 #include "route/http_client.h"
 #include "route/router.h"
 #include "route/trace_assembler.h"
+#include "serve/daemon_kit.h"
 #include "serve/ndjson_server.h"
 #include "serve/protocol.h"
 
@@ -52,184 +42,70 @@ namespace {
 
 struct Flags {
   int port = 7001;
-  int admin_port = -1;  // -1 = disabled, 0 = ephemeral
-  std::vector<std::string> replica_specs;
-  int vnodes = 64;
-  int max_attempts = 3;
-  double deadline_ms = 2000.0;
-  double per_try_ms = 1000.0;
-  bool hedge = true;
-  double hedge_ms = 0.0;       // 0 = derive from the latency quantile
-  double hedge_quantile = 0.95;
+  std::vector<ReplicaSpec> replicas;
+  RouterOptions options;
   std::string policy = "hash";
-  double probe_interval_ms = 250.0;
-  double probe_timeout_ms = 500.0;
-  int eject_after = 3;
-  int readmit_after = 2;
   double scrape_timeout_ms = 1000.0;
-  std::string request_log;
-  std::string obs_json;
+  serve::DaemonFlags daemon;
 };
 
-bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-void PrintUsage() {
-  std::cerr
-      << "usage: telekit_router --replica=SPEC [--replica=SPEC ...]\n"
-      << "  SPEC: host:port:admin_port | host:port | port:admin_port | port\n"
-      << "  --port=N              NDJSON data plane (default 7001)\n"
-      << "  --admin-port=N        admin endpoints on 127.0.0.1:N\n"
-      << "                        (0 = ephemeral; default off)\n"
-      << "  --vnodes=N            virtual nodes per replica (default 64)\n"
-      << "  --max-attempts=N      tries per request (default 3)\n"
-      << "  --deadline-ms=X       default request budget (default 2000)\n"
-      << "  --per-try-ms=X        per-attempt cap (default 1000)\n"
-      << "  --hedge-ms=X          fixed hedge trigger; 0 = p95-derived\n"
-      << "  --hedge-quantile=Q    derived-trigger quantile (default 0.95)\n"
-      << "  --no-hedge            disable tail hedging\n"
-      << "  --policy=hash|random  replica selection (default hash)\n"
-      << "  --probe-interval-ms=X health sweep period (default 250)\n"
-      << "  --probe-timeout-ms=X  per-probe timeout (default 500)\n"
-      << "  --eject-after=N       consecutive failures to eject (default 3)\n"
-      << "  --readmit-after=N     consecutive probe successes to readmit\n"
-      << "                        (default 2)\n"
-      << "  --scrape-timeout-ms=X per-replica /spanz and /metrics fan-out\n"
-      << "                        timeout (default 1000)\n"
-      << "  --request-log=PATH    append one NDJSON wide event per routed\n"
-      << "                        request (replica, attempts, hedge)\n"
-      << "  --obs-json=PATH       write metrics/trace report on exit\n"
-      << "  --log-level=LEVEL     debug|info|warn|error|off\n";
-}
-
 void ParseFlags(int argc, char** argv, Flags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string v;
-    if (ParseFlag(arg, "port", &v)) {
-      flags->port = static_cast<int>(ParseIntFlagOrDie("port", v, 1, 65535));
-    } else if (ParseFlag(arg, "admin-port", &v)) {
-      flags->admin_port =
-          static_cast<int>(ParseIntFlagOrDie("admin-port", v, -1, 65535));
-    } else if (ParseFlag(arg, "replica", &v)) {
-      for (const std::string& spec : SplitString(v, ',')) {
-        flags->replica_specs.push_back(spec);
-      }
-    } else if (ParseFlag(arg, "vnodes", &v)) {
-      flags->vnodes =
-          static_cast<int>(ParseIntFlagOrDie("vnodes", v, 1, 1 << 20));
-    } else if (ParseFlag(arg, "max-attempts", &v)) {
-      flags->max_attempts =
-          static_cast<int>(ParseIntFlagOrDie("max-attempts", v, 1, 64));
-    } else if (ParseFlag(arg, "deadline-ms", &v)) {
-      flags->deadline_ms = ParseDoubleFlagOrDie("deadline-ms", v, 0.001, 1e9);
-    } else if (ParseFlag(arg, "per-try-ms", &v)) {
-      flags->per_try_ms = ParseDoubleFlagOrDie("per-try-ms", v, 0.001, 1e9);
-    } else if (ParseFlag(arg, "hedge-ms", &v)) {
-      flags->hedge_ms = ParseDoubleFlagOrDie("hedge-ms", v, 0.0, 1e9);
-    } else if (ParseFlag(arg, "hedge-quantile", &v)) {
-      flags->hedge_quantile =
-          ParseDoubleFlagOrDie("hedge-quantile", v, 0.0, 1.0);
-    } else if (arg == "--no-hedge") {
-      flags->hedge = false;
-    } else if (ParseFlag(arg, "policy", &v)) {
-      flags->policy = v;
-    } else if (ParseFlag(arg, "probe-interval-ms", &v)) {
-      flags->probe_interval_ms =
-          ParseDoubleFlagOrDie("probe-interval-ms", v, 0.001, 1e9);
-    } else if (ParseFlag(arg, "probe-timeout-ms", &v)) {
-      flags->probe_timeout_ms =
-          ParseDoubleFlagOrDie("probe-timeout-ms", v, 0.001, 1e9);
-    } else if (ParseFlag(arg, "eject-after", &v)) {
-      flags->eject_after =
-          static_cast<int>(ParseIntFlagOrDie("eject-after", v, 1, 1 << 20));
-    } else if (ParseFlag(arg, "readmit-after", &v)) {
-      flags->readmit_after =
-          static_cast<int>(ParseIntFlagOrDie("readmit-after", v, 1, 1 << 20));
-    } else if (ParseFlag(arg, "scrape-timeout-ms", &v)) {
-      flags->scrape_timeout_ms =
-          ParseDoubleFlagOrDie("scrape-timeout-ms", v, 0.001, 1e9);
-    } else if (ParseFlag(arg, "request-log", &v)) {
-      flags->request_log = v;
-    } else if (ParseFlag(arg, "obs-json", &v)) {
-      flags->obs_json = v;
-    } else if (ParseFlag(arg, "log-level", &v)) {
-      obs::Logger::Global().set_level(obs::ParseLogLevel(v));
-    } else if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      std::exit(0);
-    } else {
-      std::cerr << "unknown flag: " << arg << "\n";
-      PrintUsage();
-      std::exit(64);
-    }
+  FlagSet table("telekit_router",
+                "--replica=SPEC [--replica=SPEC ...]\n"
+                "  SPEC: host:port:admin_port | host:port | port:admin_port"
+                " | port");
+  RouterOptions& options = flags->options;
+  table.Int("port=N", &flags->port, 1, 65535,
+            "NDJSON data plane (default 7001)");
+  table.List("replica=SPEC", &flags->replicas, ParseReplicaSpec,
+             "host:port:admin_port | host:port | port:admin_port | port",
+             "a replica to route to (repeatable;\ncomma-separated lists too)");
+  table.Int("vnodes=N", &options.vnodes, 1, 1 << 20,
+            "virtual nodes per replica (default 64)");
+  table.Int("max-attempts=N", &options.max_attempts, 1, 64,
+            "tries per request (default 3)");
+  table.Double("deadline-ms=X", &options.default_deadline_ms, 0.001, 1e9,
+               "default request budget (default 2000)");
+  table.Double("per-try-ms=X", &options.per_try_ms, 0.001, 1e9,
+               "per-attempt cap (default 1000)");
+  table.Double("hedge-ms=X", &options.hedge_delay_ms, 0.0, 1e9,
+               "fixed hedge trigger; 0 = p95-derived");
+  table.Double("hedge-quantile=Q", &options.hedge_quantile, 0.0, 1.0,
+               "derived-trigger quantile (default 0.95)");
+  table.Switch("no-hedge", &options.hedge, false, "disable tail hedging");
+  table.Choice("policy=hash|random", &flags->policy, {"hash", "random"},
+               "replica selection (default hash)");
+  table.Double("probe-interval-ms=X", &options.prober.interval_ms, 0.001, 1e9,
+               "health sweep period (default 250)");
+  table.Double("probe-timeout-ms=X", &options.prober.timeout_ms, 0.001, 1e9,
+               "per-probe timeout (default 500)");
+  table.Int("eject-after=N", &options.prober.eject_after, 1, 1 << 20,
+            "consecutive failures to eject (default 3)");
+  table.Int("readmit-after=N", &options.prober.readmit_after, 1, 1 << 20,
+            "consecutive probe successes to readmit\n(default 2)");
+  table.Double("scrape-timeout-ms=X", &flags->scrape_timeout_ms, 0.001, 1e9,
+               "per-replica /spanz and /metrics fan-out\n"
+               "timeout (default 1000)");
+  serve::DaemonKit::DeclareFlags(&table, &flags->daemon, /*slo=*/false);
+  table.Parse(argc, argv);
+  if (flags->replicas.empty()) {
+    table.UsageError("at least one --replica is required");
   }
+  options.policy = flags->policy == "random" ? RoutePolicy::kRandom
+                                             : RoutePolicy::kHashRing;
 }
 
 int Main(int argc, char** argv) {
   Flags flags;
   ParseFlags(argc, argv, &flags);
-  if (flags.replica_specs.empty()) {
-    std::cerr << "at least one --replica is required\n";
-    PrintUsage();
-    return 1;
-  }
-  std::vector<ReplicaSpec> replicas;
-  for (const std::string& text : flags.replica_specs) {
-    ReplicaSpec spec;
-    if (!ParseReplicaSpec(text, &spec)) {
-      std::cerr << "bad --replica spec: " << text << "\n";
-      return 1;
-    }
-    replicas.push_back(std::move(spec));
-  }
-
-  RouterOptions options;
-  options.vnodes = flags.vnodes;
-  options.max_attempts = flags.max_attempts;
-  options.default_deadline_ms = flags.deadline_ms;
-  options.per_try_ms = flags.per_try_ms;
-  options.hedge = flags.hedge;
-  options.hedge_delay_ms = flags.hedge_ms;
-  options.hedge_quantile = flags.hedge_quantile;
-  if (flags.policy == "hash") {
-    options.policy = RoutePolicy::kHashRing;
-  } else if (flags.policy == "random") {
-    options.policy = RoutePolicy::kRandom;
-  } else {
-    std::cerr << "bad --policy (want hash|random): " << flags.policy << "\n";
-    return 1;
-  }
-  options.prober.interval_ms = flags.probe_interval_ms;
-  options.prober.timeout_ms = flags.probe_timeout_ms;
-  options.prober.eject_after = flags.eject_after;
-  options.prober.readmit_after = flags.readmit_after;
-
-  Router router(std::move(replicas), options);
+  Router router(flags.replicas, flags.options);
   router.Start();
 
-  obs::SpanStore::Global().SetProcessLabel(
-      "telekit_router:" + std::to_string(flags.port));
-  if (!flags.request_log.empty() &&
-      !obs::RequestLog::Global().SetSinkFile(flags.request_log)) {
-    std::cerr << "failed to open --request-log=" << flags.request_log << "\n";
-    return 1;
-  }
-
-  std::atomic<bool> draining{false};
-  std::mutex quit_mutex;
-  std::condition_variable quit_cv;
-  bool quit_requested = false;
-
-  obs::AdminServer admin;
-  admin.Handle("/fleetz", [&router](const obs::HttpRequest&) {
+  serve::DaemonKit kit("telekit_router", flags.daemon);
+  kit.admin().Handle("/fleetz", [&router](const obs::HttpRequest&) {
     return obs::HttpResponse::Json(200, router.FleetJson());
   });
-  admin.Handle("/reloadz", [&router](const obs::HttpRequest& request) {
+  kit.admin().Handle("/reloadz", [&router](const obs::HttpRequest& request) {
     const auto params = obs::ParseQuery(request.query);
     std::string model = "telebert";
     if (auto it = params.find("model"); it != params.end()) {
@@ -249,7 +125,8 @@ int Main(int argc, char** argv) {
     const int status = result.Find("error") != nullptr ? 400 : 200;
     return obs::HttpResponse::Json(status, result);
   });
-  admin.Handle("/tracezd", [&router, &flags](const obs::HttpRequest& request) {
+  kit.admin().Handle("/tracezd", [&router,
+                                  &flags](const obs::HttpRequest& request) {
     const auto params = obs::ParseQuery(request.query);
     const auto it = params.find("trace_id");
     if (it == params.end()) {
@@ -278,7 +155,8 @@ int Main(int argc, char** argv) {
     return obs::HttpResponse::Json(200,
                                    AssembleTraceJson(trace_id, collected));
   });
-  admin.Handle("/fleetmetricz", [&router, &flags](const obs::HttpRequest&) {
+  kit.admin().Handle("/fleetmetricz", [&router,
+                                       &flags](const obs::HttpRequest&) {
     std::vector<ReplicaScrape> scrapes;
     for (const ReplicaSpec& replica : router.replicas()) {
       ReplicaScrape scrape;
@@ -298,8 +176,8 @@ int Main(int argc, char** argv) {
     response.body = AggregateFleetMetrics(scrapes);
     return response;
   });
-  admin.Handle("/readyz", [&router, &draining](const obs::HttpRequest&) {
-    if (draining.load()) {
+  kit.admin().Handle("/readyz", [&router, &kit](const obs::HttpRequest&) {
+    if (kit.draining().load()) {
       return obs::HttpResponse::Text(503, "draining\n");
     }
     if (router.prober().num_routable() == 0) {
@@ -307,37 +185,19 @@ int Main(int argc, char** argv) {
     }
     return obs::HttpResponse::Text(200, "ready\n");
   });
-  admin.Handle("/statusz", [&router, &draining](const obs::HttpRequest&) {
-    obs::JsonValue out = obs::JsonValue::Object();
-    out.Set("server", obs::JsonValue("telekit_router"));
-    out.Set("draining", obs::JsonValue(draining.load()));
-    out.Set("fleet", router.FleetJson());
-    return obs::HttpResponse::Json(200, out);
+  kit.HandleStatus([&router, &kit](obs::JsonValue* out) {
+    out->Set("draining", obs::JsonValue(kit.draining().load()));
+    out->Set("fleet", router.FleetJson());
   });
-  admin.Handle("/quitquitquit",
-               [&draining, &quit_mutex, &quit_cv,
-                &quit_requested](const obs::HttpRequest&) {
-                 draining.store(true);
-                 {
-                   std::lock_guard<std::mutex> lock(quit_mutex);
-                   quit_requested = true;
-                 }
-                 quit_cv.notify_all();
-                 TELEKIT_LOG(WARN) << "quitquitquit: draining";
-                 return obs::HttpResponse::Text(200, "draining\n");
-               });
-  if (flags.admin_port >= 0 && !admin.Start(flags.admin_port)) {
-    std::cerr << "failed to start admin server on 127.0.0.1:"
-              << flags.admin_port << "\n";
-    return 1;
-  }
+  kit.HandleQuit();
+  if (!kit.Start(flags.port)) return 1;
 
   // Each request line forwards on its own thread so one slow upstream
   // never blocks the other requests pipelined on the same connection
   // (responses still come back in order per connection).
   serve::LineHandler handler =
-      [&router, &draining](std::string line) -> std::future<std::string> {
-    if (draining.load()) {
+      [&router, &kit](std::string line) -> std::future<std::string> {
+    if (kit.draining().load()) {
       // Even the drain rejection echoes the caller's id and trace id, so
       // client-side correlation survives the shutdown window.
       std::unique_ptr<obs::JsonValue> id;
@@ -372,28 +232,12 @@ int Main(int argc, char** argv) {
     return 1;
   }
   std::cerr << "telekit_router listening on 127.0.0.1:" << server.port()
-            << " (" << flags.replica_specs.size() << " replicas, policy="
+            << " (" << flags.replicas.size() << " replicas, policy="
             << flags.policy << ")\n";
-  if (admin.running()) {
-    std::cerr << "telekit_router: admin endpoints on 127.0.0.1:"
-              << admin.port() << "\n";
-  }
-
-  {
-    std::unique_lock<std::mutex> lock(quit_mutex);
-    quit_cv.wait(lock, [&] { return quit_requested; });
-  }
-  server.Drain();
-  const auto drain_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (server.in_flight() > 0 &&
-         std::chrono::steady_clock::now() < drain_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  server.Stop();
-  admin.Stop();
+  kit.MarkReady();
+  kit.ServeUntilQuit(&server);
   router.Stop();
-  if (!flags.obs_json.empty()) obs::WriteReport(flags.obs_json);
+  kit.Finish();
   return 0;
 }
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -198,6 +199,17 @@ class Pool {
 int ComputeThreads() { return Pool::Global().Threads(); }
 
 void SetComputeThreads(int n) { Pool::Global().SetThreads(n); }
+
+void AddComputeThreadsFlag(FlagSet* flags) {
+  flags->Custom("compute-threads=N", "",
+                "intra-op tensor threads (default:\n"
+                "TELEKIT_COMPUTE_THREADS env, else hardware;\n1 = serial)",
+                [](const std::string& value) {
+                  SetComputeThreads(static_cast<int>(
+                      ParseIntFlagOrDie("compute-threads", value, 0, 4096)));
+                  return true;
+                });
+}
 
 void ParallelFor(int n, int grain, const std::function<void(int, int)>& body) {
   if (n <= 0) return;

@@ -4,6 +4,7 @@
 #include <functional>
 
 namespace telekit {
+class FlagSet;
 namespace tensor {
 
 /// Intra-op compute backend (DESIGN.md §3): a lazily-started, persistent
@@ -30,6 +31,10 @@ int ComputeThreads();
 /// time; surplus workers are joined, missing ones are spawned on the next
 /// parallel region. Updates the tensor/compute_threads gauge.
 void SetComputeThreads(int n);
+
+/// Declares --compute-threads=N into `flags`; the value reaches
+/// SetComputeThreads while parsing.
+void AddComputeThreadsFlag(FlagSet* flags);
 
 /// Runs body(begin, end) over contiguous chunks of [0, n), each `grain`
 /// items (the last may be short). Runs body(0, n) inline on the caller when

@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/flag_parse.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
+#include "obs/log.h"
 
 namespace telekit {
 namespace {
@@ -326,6 +330,165 @@ TEST(FlagParseDeathTest, EnvVarExits64NamingTheVariable) {
   EXPECT_EXIT(ParseIntEnvOrDie("TELEKIT_COMPUTE_THREADS", nullptr, 1, 4096),
               ::testing::ExitedWithCode(64), "TELEKIT_COMPUTE_THREADS");
   EXPECT_EQ(ParseIntEnvOrDie("TELEKIT_COMPUTE_THREADS", "4", 1, 4096), 4);
+}
+
+// --- Declarative flag table ----------------------------------------------
+
+/// Runs `table` over {"prog", args...}, as main() would.
+void ParseArgs(const FlagSet& table, std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  table.Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+/// One flag of every kind the table offers, each with a non-zero default.
+struct AllKinds {
+  int count = 3;
+  size_t slots = 600;
+  uint64_t seed = 7;
+  double ratio = 0.5;
+  std::string path = "default";
+  bool cache = true;
+  std::string policy = "hash";
+  std::vector<std::string> items;
+  double speedup = 1.0;
+  FlagSet table{"prog"};
+
+  AllKinds() {
+    table.Int("count=N", &count, 1, 10, "a count");
+    table.Int("slots=N", &slots, 1, int64_t{1} << 30, "ring slots");
+    table.Int("seed=N", &seed, 0, std::numeric_limits<int64_t>::max(),
+              "a seed");
+    table.Double("ratio=X", &ratio, 0.0, 1.0, "a ratio");
+    table.String("path=PATH", &path, "a path\nover two lines");
+    table.Switch("no-cache", &cache, false, "disable the cache");
+    table.Choice("policy=hash|random", &policy, {"hash", "random"},
+                 "a policy");
+    table.List(
+        "item=NAME", &items,
+        [](const std::string& text, std::string* out) {
+          *out = text;
+          return text != "bad";
+        },
+        "a name other than bad", "an item");
+    table.Custom("speedup=X|inf", "a number, or inf", "a speedup",
+                 [this](const std::string& value) {
+                   if (value == "inf") {
+                     speedup = std::numeric_limits<double>::infinity();
+                     return true;
+                   }
+                   return ParseDouble(value, 0.001, 1e9, &speedup);
+                 });
+    AddLogLevelFlag(&table);
+  }
+};
+
+TEST(FlagSetTest, EachKindParsesIntoItsField) {
+  const obs::LogLevel saved = obs::Logger::Global().level();
+  AllKinds flags;
+  ParseArgs(flags.table,
+            {"--count=9", "--slots=1024", "--seed=9223372036854775807",
+             "--ratio=0.25", "--path=/tmp/x=y", "--no-cache",
+             "--policy=random", "--item=a", "--speedup=inf",
+             "--log-level=error"});
+  EXPECT_EQ(flags.count, 9);
+  EXPECT_EQ(flags.slots, 1024u);
+  EXPECT_EQ(flags.seed, uint64_t{9223372036854775807u});
+  EXPECT_DOUBLE_EQ(flags.ratio, 0.25);
+  EXPECT_EQ(flags.path, "/tmp/x=y");  // only the first '=' splits
+  EXPECT_FALSE(flags.cache);
+  EXPECT_EQ(flags.policy, "random");
+  EXPECT_EQ(flags.items, std::vector<std::string>{"a"});
+  EXPECT_TRUE(std::isinf(flags.speedup));
+  EXPECT_EQ(obs::Logger::Global().level(), obs::LogLevel::kError);
+  obs::Logger::Global().set_level(saved);
+}
+
+TEST(FlagSetTest, AbsentFlagsKeepTheirDefaults) {
+  AllKinds flags;
+  ParseArgs(flags.table, {});
+  EXPECT_EQ(flags.count, 3);
+  EXPECT_EQ(flags.slots, 600u);
+  EXPECT_EQ(flags.seed, 7u);
+  EXPECT_DOUBLE_EQ(flags.ratio, 0.5);
+  EXPECT_EQ(flags.path, "default");
+  EXPECT_TRUE(flags.cache);
+  EXPECT_EQ(flags.policy, "hash");
+  EXPECT_TRUE(flags.items.empty());
+  EXPECT_DOUBLE_EQ(flags.speedup, 1.0);
+
+  ParseArgs(flags.table, {"--ratio=1"});
+  EXPECT_DOUBLE_EQ(flags.ratio, 1.0);
+  EXPECT_EQ(flags.count, 3);
+  EXPECT_EQ(flags.path, "default");
+}
+
+TEST(FlagSetTest, LastOccurrenceWins) {
+  AllKinds flags;
+  ParseArgs(flags.table, {"--count=2", "--policy=random", "--path=a",
+                          "--count=8", "--policy=hash", "--path=b"});
+  EXPECT_EQ(flags.count, 8);
+  EXPECT_EQ(flags.policy, "hash");
+  EXPECT_EQ(flags.path, "b");
+}
+
+TEST(FlagSetTest, ListAccumulatesAndSplitsOnCommas) {
+  AllKinds flags;
+  ParseArgs(flags.table, {"--item=a,b", "--item=c", "--item=d,,e"});
+  EXPECT_EQ(flags.items,
+            (std::vector<std::string>{"a", "b", "c", "d", "e"}));
+}
+
+TEST(FlagSetTest, UsageNamesEveryFlagWithItsHelp) {
+  AllKinds flags;
+  const std::string usage = flags.table.Usage();
+  EXPECT_EQ(usage.rfind("usage: prog [options]\n", 0), 0u) << usage;
+  for (const char* flag :
+       {"--count=N", "--slots=N", "--seed=N", "--ratio=X", "--path=PATH",
+        "--no-cache", "--policy=hash|random", "--item=NAME",
+        "--speedup=X|inf", "--log-level=LEVEL"}) {
+    EXPECT_NE(usage.find(flag), std::string::npos) << flag;
+  }
+  // A help text over two lines continues in the help column.
+  const size_t first = usage.find("a path\n");
+  ASSERT_NE(first, std::string::npos);
+  const size_t column = first - (usage.rfind('\n', first) + 1);
+  EXPECT_EQ(usage.compare(first + 7, column + 15,
+                          std::string(column, ' ') + "over two lines\n"),
+            0)
+      << usage;
+}
+
+TEST(FlagSetDeathTest, HelpExitsZeroWithTheUsage) {
+  AllKinds flags;
+  EXPECT_EXIT(ParseArgs(flags.table, {"--help"}),
+              ::testing::ExitedWithCode(0), "usage: prog");
+  EXPECT_EXIT(ParseArgs(flags.table, {"--count=2", "-h"}),
+              ::testing::ExitedWithCode(0), "--speedup=X\\|inf");
+}
+
+TEST(FlagSetDeathTest, UsageErrorsExit64NamingTheFlag) {
+  AllKinds flags;
+  const auto exits64 = [&flags](std::vector<std::string> args,
+                                const char* message) {
+    EXPECT_EXIT(ParseArgs(flags.table, std::move(args)),
+                ::testing::ExitedWithCode(64), message);
+  };
+  exits64({"--bogus"}, "unknown flag: --bogus");
+  exits64({"count=3"}, "unknown flag: count=3");
+  exits64({"--count=abc"}, "bad value for --count");
+  exits64({"--count=11"}, "bad value for --count: '11'");
+  exits64({"--slots=0"}, "bad value for --slots");
+  exits64({"--ratio=1.5"}, "bad value for --ratio");
+  exits64({"--policy=bogus"}, "want hash\\|random");
+  exits64({"--log-level=bogus"}, "bad value for --log-level: 'bogus'");
+  exits64({"--no-cache=1"}, "bad value for --no-cache: '1' \\(want no value");
+  exits64({"--count"}, "bad value for --count");
+  exits64({"--item=a,bad"}, "want a name other than bad");
+  exits64({"--speedup=fast"}, "want a number, or inf");
+  EXPECT_EXIT(flags.table.UsageError("at least one --item is required"),
+              ::testing::ExitedWithCode(64), "at least one --item");
 }
 
 }  // namespace

@@ -136,7 +136,9 @@ TEST_P(MaskingRateProperty, BudgetRespectedAndLabelsConsistent) {
     EXPECT_LE(masked.num_masked,
               static_cast<int>(rate * maskable) + 1);
     for (size_t i = 0; i < masked.ids.size(); ++i) {
-      if (masked.labels[i] < 0) EXPECT_EQ(masked.ids[i], input.ids[i]);
+      if (masked.labels[i] < 0) {
+        EXPECT_EQ(masked.ids[i], input.ids[i]);
+      }
     }
   }
 }

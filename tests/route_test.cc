@@ -778,6 +778,10 @@ TEST(RouterTraceTest, ErrorRepliesEchoTraceOnEveryPath) {
   line.Set("trace", obs::JsonValue("00000000deadbeef"));
   const obs::JsonValue unavailable = MustParse(router.Handle(line.Dump()));
   ASSERT_FALSE(unavailable.Find("ok")->AsBool());
+  // The leg failed with budget to spare: its transport error stands.
+  EXPECT_EQ(
+      static_cast<int>(unavailable.Find("error")->Find("code")->AsNumber()),
+      static_cast<int>(StatusCode::kUnavailable));
   EXPECT_EQ(unavailable.Find("trace")->AsString(), "00000000deadbeef");
   EXPECT_EQ(unavailable.Find("id")->AsString(), "doomed");
 
@@ -805,6 +809,29 @@ TEST(RouterTraceTest, ErrorRepliesEchoTraceOnEveryPath) {
             static_cast<int>(StatusCode::kDeadlineExceeded));
   EXPECT_EQ(late.Find("trace")->AsString(), "0000000000001a7e");
   slow_router.Stop();  // reap the still-sleeping attempt
+}
+
+TEST(RouterDeadlineTest, LapsedBudgetRepliesDeadlineExceeded) {
+  // One replica that answers a little late: each request's budget runs
+  // out while its only leg is still waiting, so the reply must be
+  // DEADLINE_EXCEEDED, never the leg's transport error, and the late
+  // replica must not be ejected for the client's impatience.
+  FakeReplica late(ScriptedHandler("late", 15.0));
+  Router router(Specs({late.port()}), TestOptions());
+  const obs::Counter& lapsed =
+      obs::MetricsRegistry::Global().GetCounter("route/deadline_exceeded");
+  const uint64_t lapsed_before = lapsed.value();
+  constexpr int kRequests = 100;
+  for (int i = 0; i < kRequests; ++i) {
+    const obs::JsonValue reply = MustParse(router.Handle(
+        RequestLine("late " + std::to_string(i), /*deadline_ms=*/5.0)));
+    ASSERT_FALSE(reply.Find("ok")->AsBool());
+    ASSERT_EQ(static_cast<int>(reply.Find("error")->Find("code")->AsNumber()),
+              static_cast<int>(StatusCode::kDeadlineExceeded))
+        << "request " << i << ": " << reply.Dump();
+  }
+  EXPECT_EQ(lapsed.value() - lapsed_before, static_cast<uint64_t>(kRequests));
+  router.Stop();  // reap the attempts still waiting on the replica
 }
 
 // ---------------------------------------------------------------------------

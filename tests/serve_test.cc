@@ -1,4 +1,6 @@
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -16,8 +18,10 @@
 #include "obs/spanstore.h"
 #include "obs/trace.h"
 #include "serve/batcher.h"
+#include "serve/daemon_kit.h"
 #include "serve/embedding_cache.h"
 #include "serve/engine.h"
+#include "serve/line_io.h"
 #include "serve/model_host.h"
 #include "serve/ndjson_server.h"
 #include "serve/protocol.h"
@@ -1349,6 +1353,56 @@ TEST(ModelHostTest, BundleServesRetrieveAndTroubleshoot) {
               catalogue.end())
         << "verdict cites unknown alarm: " << candidate.name;
   }
+}
+
+// ---------------------------------------------------------------------------
+// DaemonKit
+// ---------------------------------------------------------------------------
+
+/// One HTTP/1.0 GET on loopback; the raw reply (status line to body).
+std::string AdminGet(int port, const std::string& path) {
+  const int fd = ConnectTcp("127.0.0.1", port, 2000.0);
+  if (fd < 0) return "";
+  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
+  SendAll(fd, request.data(), request.size());
+  std::string reply;
+  char buffer[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+    reply.append(buffer, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return reply;
+}
+
+TEST(DaemonKitTest, QuitquitquitDrainsAndReleasesTheWaitingMain) {
+  DaemonFlags flags;
+  flags.admin_port = 0;  // ephemeral
+  DaemonKit kit("kit_test", flags);
+  kit.HandleQuit();
+  ASSERT_TRUE(kit.Start());
+  NdjsonServer server;
+  ASSERT_TRUE(server.Start(0, [](std::string line) {
+    std::promise<std::string> echo;
+    echo.set_value(std::move(line));
+    return echo.get_future();
+  }));
+  std::atomic<bool> released{false};
+  std::thread main_thread([&] {
+    kit.ServeUntilQuit(&server);
+    released.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(released.load());
+  EXPECT_FALSE(kit.draining().load());
+
+  const std::string reply = AdminGet(kit.admin().port(), "/quitquitquit");
+  EXPECT_EQ(reply.rfind("HTTP/1.0 200", 0), 0u) << reply;
+  EXPECT_NE(reply.find("\r\n\r\ndraining\n"), std::string::npos) << reply;
+  main_thread.join();  // hangs here if /quitquitquit never releases it
+  EXPECT_TRUE(released.load());
+  EXPECT_TRUE(kit.draining().load());
+  kit.Finish();
 }
 
 }  // namespace

@@ -124,7 +124,9 @@ TEST(WorldTest, ServiceLevelsPartitionServices) {
     seen_min = std::min(seen_min, level);
     seen_max = std::max(seen_max, level);
     // Monotone in service index by construction.
-    if (s > 0) EXPECT_GE(level, w.ServiceLevel(static_cast<int>(s) - 1));
+    if (s > 0) {
+      EXPECT_GE(level, w.ServiceLevel(static_cast<int>(s) - 1));
+    }
   }
   EXPECT_EQ(seen_min, 0);
   EXPECT_EQ(seen_max, levels - 1);
