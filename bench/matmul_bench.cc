@@ -9,8 +9,8 @@
 //
 // The "simd" section compares the scalar kernel backend against the
 // runtime-detected vector backend (AVX2/NEON) at one thread: a GEMM
-// GFLOP/s sweep, a transformer-encoder forward (the serve encode path),
-// and the fp32-vs-int8 quantized encode comparison.
+// GFLOP/s sweep, the served fp32 encoder forward (InferCls), and the
+// fp32-vs-int8 comparison of the two serving forwards.
 //
 // Exit code 1 when a gate applies and fails:
 //   - >= 4 hardware threads but 4-thread speedup < 2.5x;
@@ -148,7 +148,7 @@ obs::JsonValue BenchSimdGemm(tensor::simd::Backend vector_backend,
   return rows;
 }
 
-// The serve encode path in miniature: a transformer-encoder forward on one
+// The serve encode path in miniature: the served encoder forward on one
 // max-length sequence, single-threaded. This is the gated measurement —
 // the SIMD layer earns its keep here, not just on square GEMMs.
 core::EncoderConfig EncodeBenchConfig() {
@@ -226,7 +226,6 @@ int Main(int argc, char** argv) {
   double encode_speedup = 0.0;
   double int8_speedup = 0.0;
   {
-    tensor::NoGradGuard no_grad;
     tensor::SetComputeThreads(1);
     const core::EncoderConfig config = EncodeBenchConfig();
     Rng init_rng(0x51dee5eedULL);
@@ -236,9 +235,11 @@ int Main(int argc, char** argv) {
       ids[i] = 1 + static_cast<int>(init_rng.UniformInt(
                        static_cast<int64_t>(config.vocab_size - 1)));
     }
-    Rng fwd_rng(0);  // unused in eval mode
+    // The served fp32 forward (what TeleBert::ServiceVector runs), so the
+    // int8 ratio below compares the two serving paths.
+    std::vector<float> cls(static_cast<size_t>(config.d_model));
     const auto encode_once = [&] {
-      encoder.Forward(ids, config.max_len, fwd_rng, /*training=*/false);
+      encoder.InferCls(ids, config.max_len, {}, cls.data());
     };
     tensor::simd::ForceBackend(tensor::simd::Backend::kScalar);
     const double scalar_s = TimePerCall(encode_once, iters);

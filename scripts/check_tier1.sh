@@ -5,17 +5,19 @@
 #   3. SIMD parity: re-run the tensor/core/serve suites with
 #      TELEKIT_SIMD=off, so the scalar kernel backend stays green (the
 #      vector-vs-scalar agreement itself is asserted in-process by the
-#      SimdKernelTest cases, which force both backends).
-#   4. rebuild every target under -Wall -Wextra -Werror in a separate
+#      SimdKernelTest cases, which force both backends; the inference
+#      forward's bit-identity tests in serve_test run here too).
+#   4. int8 accuracy gate: quant_eval --fast, its report to a temporary file.
+#   5. rebuild every target under -Wall -Wextra -Werror in a separate
 #      tree, so new warnings fail loudly instead of scrolling by, and run
 #      the obs/stream/route/tensor/index suites from it.
-#   5. flag contract: one table of (command, expected exit code) rows.
+#   6. flag contract: one table of (command, expected exit code) rows.
 #      Every daemon and bench binary (micro_components keeps google-
 #      benchmark's own parser) exits 64 on a usage error (unknown or
 #      removed flag, malformed or out-of-range number, value outside a
-#      choice set, malformed or missing --replica) and 0 on --help, before
-#      any work starts.
-#   6. admin smoke: start telekit_serve with --admin-port on loopback,
+#      choice set, malformed or missing --replica, a bad
+#      TELEKIT_LOG_LEVEL) and 0 on --help, before any work starts.
+#   7. admin smoke: start telekit_serve with --admin-port on loopback,
 #      poll /healthz until live, assert /metrics serves a non-empty
 #      Prometheus exposition, then drive one traced request through the
 #      TCP protocol and assert the observability loop closes end to end:
@@ -28,18 +30,18 @@
 #      and asserts the loaded model variant's generation is visible in
 #      both /statusz (models section) and /metrics (serve/model/*/
 #      generation gauge).
-#   7. retrieval smoke: start telekit_serve with --index-path, drive
+#   8. retrieval smoke: start telekit_serve with --index-path, drive
 #      retrieve (k docs, descending scores, ef_search override) and
 #      troubleshoot (verdict + supporting docs) through the NDJSON
 #      protocol, assert /statusz gained an index section and the traced
 #      troubleshoot request shows index/search + serve/troubleshoot spans
 #      on /spanz, then restart on the same snapshot and assert the warm
 #      start loaded it instead of rebuilding (build_ms near zero).
-#   8. streamd smoke: replay a small seeded stream through telekit_streamd
+#   9. streamd smoke: replay a small seeded stream through telekit_streamd
 #      with --linger, assert /statusz reports a finished run with >0
 #      episodes and 0 late drops, and that the per-op serve counters made
 #      it into the Prometheus exposition.
-#   9. router smoke: start 2 telekit_serve replicas behind telekit_router
+#  10. router smoke: start 2 telekit_serve replicas behind telekit_router
 #      (with --request-log), assert /fleetz shows both routable with probe
 #      telemetry, assert /fleetmetricz sums the replicas' request counters,
 #      drive traced traffic (including retrieve + troubleshoot) through
@@ -64,14 +66,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== [1/9] configure + build =="
+echo "== [1/10] configure + build =="
 cmake -B build -S .
 cmake --build build -j
 
-echo "== [2/9] ctest =="
+echo "== [2/10] ctest =="
 ctest --test-dir build --output-on-failure -j
 
-echo "== [3/9] TELEKIT_SIMD=off scalar-backend parity =="
+echo "== [3/10] TELEKIT_SIMD=off scalar-backend parity =="
 # The full suites must stay green with the vector backend disabled; the
 # off-vs-on numeric agreement is asserted in-process by SimdKernelTest
 # (which forces scalar and the detected backend against each other).
@@ -79,7 +81,16 @@ TELEKIT_SIMD=off ./build/tests/tensor_test --gtest_brief=1
 TELEKIT_SIMD=off ./build/tests/core_test --gtest_brief=1
 TELEKIT_SIMD=off ./build/tests/serve_test --gtest_brief=1
 
-echo "== [4/9] -Werror build of every target =="
+echo "== [4/10] int8 accuracy gate (quant_eval --fast) =="
+# The int8 twin runs the shared inference forward with its own dense
+# layers: gate its RCA/EAP/FCT deltas end to end (--fast doubles the 5 pp
+# budget for its tiny corpus). The report goes to a temporary file, so
+# BENCH_serve.json keeps its recorded full-config section.
+QUANT_REPORT=$(mktemp)
+./build/bench/quant_eval --fast --out="${QUANT_REPORT}" --log-level=warn
+rm -f "${QUANT_REPORT}"
+
+echo "== [5/10] -Werror build of every target =="
 cmake -B build_strict -S . -DCMAKE_CXX_FLAGS="-Wall -Wextra -Werror"
 cmake --build build_strict -j
 ./build_strict/tests/obs_test --gtest_brief=1
@@ -90,7 +101,7 @@ cmake --build build_strict -j
 ./build_strict/tests/tensor_test --gtest_brief=1
 ./build_strict/tests/index_test --gtest_brief=1
 
-echo "== [5/9] flag contract (64 on a usage error, 0 on --help) =="
+echo "== [6/10] flag contract (64 on a usage error, 0 on --help) =="
 SERVE=./build/src/serve/telekit_serve
 ROUTER=./build/src/route/telekit_router
 STREAMD=./build/src/stream/telekit_streamd
@@ -121,6 +132,7 @@ FLAG_ROWS=(
   "64 ./build/bench/matmul_bench --iters=-3"
   "64 ./build/bench/retrieval_bench --queries=1e3"
   "64 ./build/bench/table4_rca_results --log-level=bogus"
+  "64 env TELEKIT_LOG_LEVEL=bogus ./build/bench/table3_rca_stats --help"
   "0 ${SERVE} --help"
   "0 ${ROUTER} --help"
   "0 ${STREAMD} --help"
@@ -140,7 +152,7 @@ for row in "${FLAG_ROWS[@]}"; do
 done
 echo "flag contract: OK (${#FLAG_ROWS[@]} rows)"
 
-echo "== [6/9] admin endpoint smoke =="
+echo "== [7/10] admin endpoint smoke =="
 SERVE_PORT=18473
 ADMIN_PORT=18474
 SERVE_LOG=$(mktemp)
@@ -301,7 +313,7 @@ rm -f "${SERVE_LOG}" "${REQUEST_LOG}"
 echo "admin smoke: OK (/healthz + /readyz + /statusz + /timeseriesz + /alertz live," \
   "exemplar -> /requestz loop closed, request log lints)"
 
-echo "== [7/9] retrieval smoke (retrieve + troubleshoot + snapshot warm start) =="
+echo "== [8/10] retrieval smoke (retrieve + troubleshoot + snapshot warm start) =="
 RETR_PORT=18482
 RETR_ADMIN_PORT=18483
 RETR_LOG=$(mktemp)
@@ -448,7 +460,7 @@ rm -f "${RETR_LOG}" "${INDEX_SNAPSHOT}"
 echo "retrieval smoke: OK (retrieve + ef_search override + troubleshoot," \
   "span chain visible, snapshot warm start build_ms=${WARM_BUILD_MS})"
 
-echo "== [8/9] streamd replay smoke =="
+echo "== [9/10] streamd replay smoke =="
 STREAMD_ADMIN_PORT=18475
 STREAMD_LOG=$(mktemp)
 # Unpaced deterministic replay of a small seeded stream; --linger keeps the
@@ -508,7 +520,7 @@ trap - EXIT
 rm -f "${STREAMD_LOG}"
 echo "streamd smoke: OK (${EPISODES} episodes, 0 late drops, per-op serve metrics live)"
 
-echo "== [9/9] router fleet smoke =="
+echo "== [10/10] router fleet smoke =="
 REP1_PORT=18476; REP1_ADMIN=18477
 REP2_PORT=18478; REP2_ADMIN=18479
 ROUTER_PORT=18480; ROUTER_ADMIN=18481

@@ -205,6 +205,9 @@ void FlagSet::UsageError(const std::string& message) const {
 }
 
 void AddLogLevelFlag(FlagSet* flags) {
+  // Resolves TELEKIT_LOG_LEVEL now, so a bad value exits 64 before any
+  // work, as a bad flag does.
+  obs::Logger::Global();
   flags->Custom("log-level=LEVEL", "debug|info|warn|error|off",
                 "debug|info|warn|error|off", [](const std::string& value) {
                   obs::LogLevel level;

@@ -131,6 +131,7 @@ class FlagSet {
 
 /// Declares --log-level=LEVEL, which sets the global logger's level while
 /// parsing (debug|info|warn|error|off; anything else is a usage error).
+/// Also resolves TELEKIT_LOG_LEVEL on the spot: a bad value exits 64.
 void AddLogLevelFlag(FlagSet* flags);
 
 }  // namespace telekit

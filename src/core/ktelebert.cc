@@ -45,18 +45,24 @@ Status KTeleBert::InitializeFromTeleBert(const TeleBert& telebert) {
   return tensor::RestoreInto(source, target);
 }
 
+std::vector<std::pair<int, Tensor>> KTeleBert::NumericRows(
+    const text::EncodedInput& input) const {
+  std::vector<std::pair<int, Tensor>> rows;
+  if (!config_.use_anenc) return rows;
+  for (const text::NumericSlot& slot : input.numeric_slots) {
+    if (slot.position >= input.length) continue;
+    Tensor tag_embedding = encoder_->MeanTokenEmbedding(slot.tag_ids);
+    rows.emplace_back(slot.position, anenc_->Forward(tag_embedding, slot.value));
+  }
+  return rows;
+}
+
 Tensor KTeleBert::Hidden(const text::EncodedInput& input, Rng& rng,
                          bool training,
                          std::vector<Tensor>* anenc_outputs) const {
-  std::vector<std::pair<int, Tensor>> overrides;
-  if (config_.use_anenc) {
-    for (const text::NumericSlot& slot : input.numeric_slots) {
-      if (slot.position >= input.length) continue;
-      Tensor tag_embedding = encoder_->MeanTokenEmbedding(slot.tag_ids);
-      Tensor h = anenc_->Forward(tag_embedding, slot.value);
-      if (anenc_outputs != nullptr) anenc_outputs->push_back(h);
-      overrides.emplace_back(slot.position, h);
-    }
+  const std::vector<std::pair<int, Tensor>> overrides = NumericRows(input);
+  if (anenc_outputs != nullptr) {
+    for (const auto& [position, row] : overrides) anenc_outputs->push_back(row);
   }
   Tensor embedded =
       encoder_->Embed(input.ids, input.length, overrides, rng, training);
@@ -71,48 +77,23 @@ Tensor KTeleBert::EncodeCls(const text::EncodedInput& input, Rng& rng,
 std::vector<float> KTeleBert::ServiceVector(
     const text::EncodedInput& input) const {
   tensor::NoGradGuard no_grad;
-  Rng rng(0);  // unused in eval mode
-  return EncodeCls(input, rng, /*training=*/false).data();
+  const std::vector<std::pair<int, Tensor>> rows = NumericRows(input);
+  RowOverrides overrides;
+  overrides.reserve(rows.size());
+  for (const auto& [position, row] : rows) {
+    overrides.emplace_back(position, row.data().data());
+  }
+  std::vector<float> cls(static_cast<size_t>(config_.encoder.d_model));
+  encoder_->InferCls(input.ids, input.length, overrides, cls.data());
+  return cls;
 }
 
 std::vector<std::vector<float>> KTeleBert::ServiceVectorBatch(
     const std::vector<const text::EncodedInput*>& inputs) const {
   std::vector<std::vector<float>> out;
-  if (inputs.empty()) return out;
-  tensor::NoGradGuard no_grad;
-  Rng rng(0);  // unused in eval mode
-  std::vector<const std::vector<int>*> ids;
-  std::vector<int> lengths;
-  std::vector<std::vector<std::pair<int, Tensor>>> overrides(inputs.size());
-  std::vector<const std::vector<std::pair<int, Tensor>>*> override_ptrs;
-  ids.reserve(inputs.size());
-  lengths.reserve(inputs.size());
-  override_ptrs.reserve(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    const text::EncodedInput& input = *inputs[i];
-    ids.push_back(&input.ids);
-    lengths.push_back(input.length);
-    if (config_.use_anenc) {
-      for (const text::NumericSlot& slot : input.numeric_slots) {
-        if (slot.position >= input.length) continue;
-        Tensor tag_embedding = encoder_->MeanTokenEmbedding(slot.tag_ids);
-        overrides[i].emplace_back(slot.position,
-                                  anenc_->Forward(tag_embedding, slot.value));
-      }
-    }
-    override_ptrs.push_back(&overrides[i]);
-  }
-  BatchOffsets offsets;
-  Tensor embedded = encoder_->EmbedBatch(ids, lengths, override_ptrs,
-                                         &offsets, rng, /*training=*/false);
-  Tensor hidden = encoder_->EncodeBatch(embedded, offsets, rng,
-                                        /*training=*/false);
-  const int d = encoder_->config().d_model;
   out.reserve(inputs.size());
-  for (size_t i = 0; i + 1 < offsets.size(); ++i) {
-    const float* cls =
-        hidden.data().data() + static_cast<size_t>(offsets[i]) * d;
-    out.emplace_back(cls, cls + d);  // row 0 of each sequence is [CLS]
+  for (const text::EncodedInput* input : inputs) {
+    out.push_back(ServiceVector(*input));
   }
   return out;
 }

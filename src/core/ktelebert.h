@@ -126,14 +126,14 @@ class KTeleBert {
   tensor::Tensor EncodeCls(const text::EncodedInput& input, Rng& rng,
                            bool training) const;
 
-  /// Detached [CLS] embedding (service vector, Sec. V-A3). Runs tape-free
-  /// (tensor::NoGradGuard); safe to call concurrently from many threads
+  /// Detached [CLS] embedding (service vector, Sec. V-A3): the encoder's
+  /// tape-free InferCls over the ANEnc rows of the numeric slots (those
+  /// run on the autograd ops under tensor::NoGradGuard), bit-identical to
+  /// eval-mode EncodeCls. Safe to call concurrently from many threads
   /// once the model is trained.
   std::vector<float> ServiceVector(const text::EncodedInput& input) const;
 
-  /// Service vectors for a whole batch through the ragged batched forward
-  /// path. Numeric slots still route through ANEnc per input. Row i agrees
-  /// with ServiceVector(inputs[i]) within float round-off.
+  /// ServiceVector of each input, in order.
   std::vector<std::vector<float>> ServiceVectorBatch(
       const std::vector<const text::EncodedInput*>& inputs) const;
 
@@ -155,6 +155,11 @@ class KTeleBert {
 
  private:
   friend class ReTrainer;
+
+  /// ANEnc embeddings [1, d] of the numeric slots within the input, with
+  /// their positions, in slot order (none without ANEnc).
+  std::vector<std::pair<int, tensor::Tensor>> NumericRows(
+      const text::EncodedInput& input) const;
 
   KTeleBertConfig config_;
   std::unique_ptr<TransformerEncoder> encoder_;

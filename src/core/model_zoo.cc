@@ -51,7 +51,8 @@ ModelZoo::ModelZoo(const ZooConfig& config) : config_(config) {
 
 std::string ModelZoo::CachePath(const std::string& name) const {
   if (config_.cache_dir.empty()) return "";
-  return config_.cache_dir + "/" + name + ".tkt";
+  return config_.cache_dir + "/" + name + ".v" +
+         std::to_string(kCheckpointNumericsVersion) + ".tkt";
 }
 
 void ModelZoo::BuildData() {

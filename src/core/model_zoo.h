@@ -74,6 +74,13 @@ struct ZooConfig {
   std::string cache_dir = "telekit_cache";
 };
 
+/// The training arithmetic's version, part of every checkpoint's file name
+/// (`<cache_dir>/<model>.v<N>.tkt`). A restore checks only names and
+/// shapes, so bump it whenever training arithmetic changes: checkpoints of
+/// older arithmetic then miss and retrain instead of restoring silently.
+/// 2: the polynomial GELU and softmax exp (v1 files had no version).
+constexpr int kCheckpointNumericsVersion = 2;
+
 /// Builds and owns the full experimental stack: the synthetic world, the
 /// corpora, one shared tokenizer/normalizer, the Tele-KG, and all model
 /// variants (pre-trained or restored from the checkpoint cache so that

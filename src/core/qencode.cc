@@ -2,64 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "common/check.h"
 #include "tensor/simd.h"
 
 namespace telekit {
 namespace core {
-
-namespace {
-
-constexpr float kLayerNormEps = 1e-5f;  // matches tensor::LayerNorm
-
-/// In-place row-wise layer norm, same arithmetic as the fp32 path
-/// (mean/var via the simd reductions, NormalizeAffine epilogue).
-void LayerNormRows(float* x, int rows, int d, const float* gain,
-                   const float* bias) {
-  for (int r = 0; r < rows; ++r) {
-    float* row = x + static_cast<size_t>(r) * d;
-    const float mean = tensor::simd::ReduceSum(row, d) / static_cast<float>(d);
-    const float var =
-        tensor::simd::ReduceSumSqDiff(row, mean, d) / static_cast<float>(d);
-    const float istd = 1.0f / std::sqrt(var + kLayerNormEps);
-    tensor::simd::NormalizeAffine(row, mean, istd, gain, bias,
-                                  /*xhat=*/nullptr, row, d);
-  }
-}
-
-/// GELU tanh approximation, identical constants to tensor::Gelu.
-void GeluInPlace(float* x, size_t n) {
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  for (size_t i = 0; i < n; ++i) {
-    const float v = x[i];
-    const float inner = kC * (v + 0.044715f * v * v * v);
-    x[i] = 0.5f * v * (1.0f + std::tanh(inner));
-  }
-}
-
-/// Softmax over one score row: max-shifted exp, then normalize.
-void SoftmaxRow(float* row, int n) {
-  const float max_v = tensor::simd::ReduceMax(row, n);
-  for (int i = 0; i < n; ++i) row[i] = std::exp(row[i] - max_v);
-  const float inv = 1.0f / tensor::simd::ReduceSum(row, n);
-  tensor::simd::ScaleTo(row, inv, row, n);
-}
-
-/// Pulls a named tensor out of the encoder's parameter list.
-const tensor::Tensor& Param(
-    const std::map<std::string, const tensor::Tensor*>& params,
-    const std::string& name) {
-  auto it = params.find(name);
-  TELEKIT_CHECK(it != params.end())
-      << "QuantizedEncoder: missing encoder parameter " << name;
-  return *it->second;
-}
-
-std::vector<float> CopyData(const tensor::Tensor& t) { return t.data(); }
-
-}  // namespace
 
 // --- QuantizedLinear ---------------------------------------------------------
 
@@ -93,7 +41,8 @@ QuantizedLinear::QuantizedLinear(const tensor::Tensor& weight,
 }
 
 void QuantizedLinear::Forward(const float* x, int rows, float* out) const {
-  std::vector<int8_t> q(static_cast<size_t>(in_dim_));
+  thread_local std::vector<int8_t> q;  // one quantized input row
+  q.resize(static_cast<size_t>(in_dim_));
   for (int r = 0; r < rows; ++r) {
     const float* xr = x + static_cast<size_t>(r) * in_dim_;
     const float sx =
@@ -121,162 +70,66 @@ void QuantizedLinear::Observe(const float* x, int rows) const {
 
 // --- QuantizedEncoder --------------------------------------------------------
 
+// The int8 dense layers, as InferCls runs them.
+class QuantizedEncoder::Linears final : public InferenceLinear {
+ public:
+  Linears(const std::vector<QuantizedLinear>& linears, bool calibrating)
+      : linears_(linears), calibrating_(calibrating) {}
+
+  void Apply(int layer, Projection p, const float* x, int rows,
+             float* out) const override {
+    const QuantizedLinear& linear = linears_[static_cast<size_t>(
+        layer * kProjections + static_cast<int>(p))];
+    if (calibrating_) linear.Observe(x, rows);
+    linear.Forward(x, rows, out);
+  }
+
+ private:
+  const std::vector<QuantizedLinear>& linears_;
+  bool calibrating_;
+};
+
 QuantizedEncoder::QuantizedEncoder(const TransformerEncoder& encoder,
                                    OverrideHook anenc_hook)
-    : config_(encoder.config()), anenc_hook_(std::move(anenc_hook)) {
-  std::map<std::string, const tensor::Tensor*> params;
-  const NamedParams named = encoder.Parameters();
-  for (const auto& [name, t] : named) params.emplace(name, &t);
-  token_table_ = CopyData(Param(params, "token_table"));
-  position_table_ = CopyData(Param(params, "position_table"));
-  embed_gain_ = CopyData(Param(params, "embed_norm.gain"));
-  embed_bias_ = CopyData(Param(params, "embed_norm.bias"));
-  layers_.reserve(static_cast<size_t>(config_.num_layers));
-  for (int l = 0; l < config_.num_layers; ++l) {
-    const std::string p = "layer" + std::to_string(l) + ".";
-    layers_.push_back(Layer{
-        QuantizedLinear(Param(params, p + "attn.q.weight"),
-                        Param(params, p + "attn.q.bias")),
-        QuantizedLinear(Param(params, p + "attn.k.weight"),
-                        Param(params, p + "attn.k.bias")),
-        QuantizedLinear(Param(params, p + "attn.v.weight"),
-                        Param(params, p + "attn.v.bias")),
-        QuantizedLinear(Param(params, p + "attn.o.weight"),
-                        Param(params, p + "attn.o.bias")),
-        QuantizedLinear(Param(params, p + "ffn_in.weight"),
-                        Param(params, p + "ffn_in.bias")),
-        QuantizedLinear(Param(params, p + "ffn_out.weight"),
-                        Param(params, p + "ffn_out.bias")),
-        CopyData(Param(params, p + "norm1.gain")),
-        CopyData(Param(params, p + "norm1.bias")),
-        CopyData(Param(params, p + "norm2.gain")),
-        CopyData(Param(params, p + "norm2.bias")),
-    });
+    : encoder_(encoder), anenc_hook_(std::move(anenc_hook)) {
+  linears_.reserve(static_cast<size_t>(config().num_layers * kProjections));
+  for (int l = 0; l < config().num_layers; ++l) {
+    for (int p = 0; p < kProjections; ++p) {
+      const LinearLayer& fp32 =
+          encoder.layer(l).Linear(static_cast<Projection>(p));
+      linears_.emplace_back(fp32.weight(), fp32.bias());
+    }
   }
 }
 
-std::vector<float> QuantizedEncoder::Embed(const text::EncodedInput& input,
-                                           int* length) const {
-  const int d = config_.d_model;
-  const int len = std::min(input.length, config_.max_len);
-  TELEKIT_CHECK_GT(len, 0) << "QuantizedEncoder: empty input";
-  TELEKIT_CHECK_LE(len, static_cast<int>(input.ids.size()));
-  *length = len;
-  std::vector<float> h(static_cast<size_t>(len) * d);
-  for (int i = 0; i < len; ++i) {
-    const int id = input.ids[static_cast<size_t>(i)];
-    TELEKIT_CHECK_GE(id, 0);
-    TELEKIT_CHECK_LT(id, config_.vocab_size);
-    const float* tok = token_table_.data() + static_cast<size_t>(id) * d;
-    const float* pos = position_table_.data() + static_cast<size_t>(i) * d;
-    tensor::simd::Add(tok, pos, h.data() + static_cast<size_t>(i) * d, d);
+std::vector<float> QuantizedEncoder::Run(const text::EncodedInput& input,
+                                         bool calibrating) const {
+  std::vector<std::pair<int, std::vector<float>>> rows;
+  if (anenc_hook_ != nullptr) rows = anenc_hook_(input);
+  RowOverrides overrides;
+  overrides.reserve(rows.size());
+  for (const auto& [position, row] : rows) {
+    TELEKIT_CHECK_EQ(static_cast<int>(row.size()), dim());
+    overrides.emplace_back(position, row.data());
   }
-  if (anenc_hook_ != nullptr) {
-    // Numeric-slot overrides replace the token row (position row still
-    // added), mirroring TransformerEncoder::Embed with overrides.
-    for (const auto& [position, row] : anenc_hook_(input)) {
-      if (position < 0 || position >= len) continue;
-      TELEKIT_CHECK_EQ(static_cast<int>(row.size()), d);
-      const float* pos = position_table_.data() +
-                         static_cast<size_t>(position) * d;
-      tensor::simd::Add(row.data(), pos,
-                        h.data() + static_cast<size_t>(position) * d, d);
-    }
-  }
-  LayerNormRows(h.data(), len, d, embed_gain_.data(), embed_bias_.data());
-  return h;
-}
-
-void QuantizedEncoder::RunLayers(std::vector<float>* h, int length,
-                                 bool calibrating) const {
-  const int d = config_.d_model;
-  const int heads = config_.num_heads;
-  const int hd = d / heads;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  const size_t nd = static_cast<size_t>(length) * d;
-  std::vector<float> q(nd), k(nd), v(nd), attn(nd), proj(nd);
-  std::vector<float> ffn(static_cast<size_t>(length) * config_.ffn_dim);
-  std::vector<float> scores(static_cast<size_t>(length));
-  for (const Layer& layer : layers_) {
-    float* x = h->data();
-    if (calibrating) {
-      layer.query.Observe(x, length);
-      layer.key.Observe(x, length);
-      layer.value.Observe(x, length);
-    }
-    layer.query.Forward(x, length, q.data());
-    layer.key.Forward(x, length, k.data());
-    layer.value.Forward(x, length, v.data());
-    for (int head = 0; head < heads; ++head) {
-      const int col = head * hd;
-      for (int i = 0; i < length; ++i) {
-        const float* qi = q.data() + static_cast<size_t>(i) * d + col;
-        for (int j = 0; j < length; ++j) {
-          scores[static_cast<size_t>(j)] =
-              tensor::simd::Dot(
-                  qi, k.data() + static_cast<size_t>(j) * d + col, hd) *
-              scale;
-        }
-        SoftmaxRow(scores.data(), length);
-        float* ctx = attn.data() + static_cast<size_t>(i) * d + col;
-        std::fill(ctx, ctx + hd, 0.0f);
-        for (int j = 0; j < length; ++j) {
-          tensor::simd::Axpy(scores[static_cast<size_t>(j)],
-                             v.data() + static_cast<size_t>(j) * d + col, ctx,
-                             hd);
-        }
-      }
-    }
-    if (calibrating) layer.output.Observe(attn.data(), length);
-    layer.output.Forward(attn.data(), length, proj.data());
-    tensor::simd::Add(x, proj.data(), x, static_cast<int>(nd));
-    LayerNormRows(x, length, d, layer.norm1_gain.data(),
-                  layer.norm1_bias.data());
-    if (calibrating) layer.ffn_in.Observe(x, length);
-    layer.ffn_in.Forward(x, length, ffn.data());
-    GeluInPlace(ffn.data(), ffn.size());
-    if (calibrating) layer.ffn_out.Observe(ffn.data(), length);
-    layer.ffn_out.Forward(ffn.data(), length, proj.data());
-    tensor::simd::Add(x, proj.data(), x, static_cast<int>(nd));
-    LayerNormRows(x, length, d, layer.norm2_gain.data(),
-                  layer.norm2_bias.data());
-  }
+  std::vector<float> cls(static_cast<size_t>(dim()));
+  const Linears linears(linears_, calibrating);
+  encoder_.InferCls(input.ids, std::min(input.length, config().max_len),
+                    overrides, cls.data(), &linears);
+  return cls;
 }
 
 void QuantizedEncoder::Calibrate(
     const std::vector<const text::EncodedInput*>& inputs) {
   for (const text::EncodedInput* input : inputs) {
-    int length = 0;
-    std::vector<float> h = Embed(*input, &length);
-    RunLayers(&h, length, /*calibrating=*/true);
+    Run(*input, /*calibrating=*/true);
   }
-  for (Layer& layer : layers_) {
-    layer.query.FreezeCalibration();
-    layer.key.FreezeCalibration();
-    layer.value.FreezeCalibration();
-    layer.output.FreezeCalibration();
-    layer.ffn_in.FreezeCalibration();
-    layer.ffn_out.FreezeCalibration();
-  }
+  for (QuantizedLinear& linear : linears_) linear.FreezeCalibration();
 }
 
 std::vector<float> QuantizedEncoder::Encode(
     const text::EncodedInput& input) const {
-  int length = 0;
-  std::vector<float> h = Embed(input, &length);
-  RunLayers(&h, length, /*calibrating=*/false);
-  h.resize(static_cast<size_t>(config_.d_model));  // row 0 is [CLS]
-  return h;
-}
-
-std::vector<std::vector<float>> QuantizedEncoder::EncodeBatch(
-    const std::vector<const text::EncodedInput*>& inputs) const {
-  std::vector<std::vector<float>> out;
-  out.reserve(inputs.size());
-  for (const text::EncodedInput* input : inputs) {
-    out.push_back(Encode(*input));
-  }
-  return out;
+  return Run(input, /*calibrating=*/false);
 }
 
 }  // namespace core

@@ -61,13 +61,16 @@ class QuantizedLinear {
 
 /// Inference-only int8 twin of a trained TransformerEncoder, exposed as a
 /// TextEncoder so ServeEngine can swap it in per request
-/// (--precision=int8). Construction snapshots the fp32 weights: the six
-/// dense layers per transformer block (q/k/v/o, ffn_in/ffn_out) become
-/// QuantizedLinears; embeddings, layer-norm parameters, attention
-/// scores/softmax and the GELU stay fp32, so the int8 error budget is
-/// confined to the GEMMs that dominate encode cost.
+/// (--precision=int8). It runs the encoder's own InferCls with its six
+/// dense layers per transformer block (q/k/v/o, ffn_in/ffn_out) replaced
+/// by QuantizedLinears, quantized from the fp32 weights at construction;
+/// embeddings, layer norms, attention and GELU are the fp32 forward's
+/// own, so the int8 error budget is confined to the GEMMs that dominate
+/// encode cost. The embedding and layer-norm tensors are shared with
+/// `encoder`, not copied: build the twin from a trained encoder whose
+/// weights no longer change.
 ///
-/// The encoder is a pure function of the snapshot — safe to call
+/// The encoder is a pure function of its weights — safe to call
 /// concurrently from serve workers once built (and once Calibrate, if
 /// used, has completed).
 class QuantizedEncoder : public TextEncoder {
@@ -78,47 +81,32 @@ class QuantizedEncoder : public TextEncoder {
   using OverrideHook = std::function<std::vector<std::pair<int, std::vector<float>>>(
       const text::EncodedInput&)>;
 
-  /// Snapshots `encoder`'s weights. `anenc_hook` may be null (TeleBERT).
+  /// Quantizes `encoder`'s dense layers. `anenc_hook` may be null
+  /// (TeleBERT).
   explicit QuantizedEncoder(const TransformerEncoder& encoder,
                             OverrideHook anenc_hook = nullptr);
 
-  /// Runs `inputs` through the embedding + attention front half of the
-  /// forward pass, recording each quantized layer's activation range, then
-  /// freezes the ranges. Call once, before serving, with a representative
-  /// corpus (the serve tier uses the task catalogue).
+  /// Runs `inputs` through the forward, recording each quantized layer's
+  /// input range, then freezes the ranges. Call once, before serving,
+  /// with a representative corpus (the serve tier uses the task
+  /// catalogue).
   void Calibrate(const std::vector<const text::EncodedInput*>& inputs);
 
   std::vector<float> Encode(const text::EncodedInput& input) const override;
-  std::vector<std::vector<float>> EncodeBatch(
-      const std::vector<const text::EncodedInput*>& inputs) const override;
-  int dim() const override { return config_.d_model; }
+  int dim() const override { return encoder_.config().d_model; }
 
-  const EncoderConfig& config() const { return config_; }
+  const EncoderConfig& config() const { return encoder_.config(); }
 
  private:
-  struct Layer {
-    QuantizedLinear query;
-    QuantizedLinear key;
-    QuantizedLinear value;
-    QuantizedLinear output;
-    QuantizedLinear ffn_in;
-    QuantizedLinear ffn_out;
-    std::vector<float> norm1_gain, norm1_bias;
-    std::vector<float> norm2_gain, norm2_bias;
-  };
+  class Linears;
 
-  /// Embedding-layer output for one input: [length, d] row-major.
-  std::vector<float> Embed(const text::EncodedInput& input,
-                           int* length) const;
-  /// Runs the layer stack in place over `h` ([length, d]); `calibrating`
-  /// records activation ranges instead of trusting the frozen clips.
-  void RunLayers(std::vector<float>* h, int length, bool calibrating) const;
+  /// One forward; `calibrating` records the layers' input ranges.
+  std::vector<float> Run(const text::EncodedInput& input,
+                         bool calibrating) const;
 
-  EncoderConfig config_;
-  std::vector<float> token_table_;     // [V, d]
-  std::vector<float> position_table_;  // [max_len, d]
-  std::vector<float> embed_gain_, embed_bias_;
-  std::vector<Layer> layers_;
+  TransformerEncoder encoder_;  // shares the fp32 tensors
+  /// [layer * kProjections + projection]
+  std::vector<QuantizedLinear> linears_;
   OverrideHook anenc_hook_;
 };
 

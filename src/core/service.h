@@ -24,10 +24,7 @@ class TextEncoder {
   /// Service embedding of an encoded input.
   virtual std::vector<float> Encode(const text::EncodedInput& input) const = 0;
 
-  /// Service embeddings of a batch. The default loops over Encode();
-  /// transformer-backed encoders override with the ragged batched forward
-  /// path (whole-batch projection matmuls). Result i agrees with
-  /// Encode(*inputs[i]) within float round-off.
+  /// Service embeddings of a batch: result i is Encode(*inputs[i]).
   virtual std::vector<std::vector<float>> EncodeBatch(
       const std::vector<const text::EncodedInput*>& inputs) const {
     std::vector<std::vector<float>> out;
@@ -138,12 +135,12 @@ class ServiceEncoder {
   /// Service embedding of `name` under `mode`.
   std::vector<float> Encode(const std::string& name, ServiceMode mode) const;
 
-  /// Service embeddings of a whole catalogue of names through the batched
-  /// encoder path (BuildInput per name, one batched forward).
+  /// Service embeddings of a whole catalogue of names (BuildInput per
+  /// name, then the encoder's EncodeBatch).
   std::vector<std::vector<float>> EncodeBatch(
       const std::vector<std::string>& names, ServiceMode mode) const;
 
-  /// Encodes already-built inputs through the batched encoder path.
+  /// Encodes already-built inputs through the encoder's EncodeBatch.
   std::vector<std::vector<float>> EncodeInputs(
       const std::vector<const text::EncodedInput*>& inputs) const {
     return encoder_->EncodeBatch(inputs);

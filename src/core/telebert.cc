@@ -230,36 +230,17 @@ Tensor TeleBert::EncodeCls(const text::EncodedInput& input, Rng& rng,
 
 std::vector<float> TeleBert::ServiceVector(
     const text::EncodedInput& input) const {
-  tensor::NoGradGuard no_grad;
-  Rng rng(0);  // unused in eval mode (no dropout)
-  return EncodeCls(input, rng, /*training=*/false).data();
+  std::vector<float> cls(static_cast<size_t>(encoder_->config().d_model));
+  encoder_->InferCls(input.ids, input.length, {}, cls.data());
+  return cls;
 }
 
 std::vector<std::vector<float>> TeleBert::ServiceVectorBatch(
     const std::vector<const text::EncodedInput*>& inputs) const {
   std::vector<std::vector<float>> out;
-  if (inputs.empty()) return out;
-  tensor::NoGradGuard no_grad;
-  Rng rng(0);  // unused in eval mode (no dropout)
-  std::vector<const std::vector<int>*> ids;
-  std::vector<int> lengths;
-  ids.reserve(inputs.size());
-  lengths.reserve(inputs.size());
-  for (const text::EncodedInput* input : inputs) {
-    ids.push_back(&input->ids);
-    lengths.push_back(input->length);
-  }
-  BatchOffsets offsets;
-  Tensor embedded = encoder_->EmbedBatch(ids, lengths, {}, &offsets, rng,
-                                         /*training=*/false);
-  Tensor hidden = encoder_->EncodeBatch(embedded, offsets, rng,
-                                        /*training=*/false);
-  const int d = encoder_->config().d_model;
   out.reserve(inputs.size());
-  for (size_t i = 0; i + 1 < offsets.size(); ++i) {
-    const float* cls =
-        hidden.data().data() + static_cast<size_t>(offsets[i]) * d;
-    out.emplace_back(cls, cls + d);  // row 0 of each sequence is [CLS]
+  for (const text::EncodedInput* input : inputs) {
+    out.push_back(ServiceVector(*input));
   }
   return out;
 }

@@ -72,14 +72,13 @@ class TeleBert {
   tensor::Tensor EncodeCls(const text::EncodedInput& input, Rng& rng,
                            bool training) const;
 
-  /// Detached [CLS] embedding as a plain vector (the "service vector").
-  /// Runs tape-free (tensor::NoGradGuard); safe to call concurrently from
-  /// many threads once the model is trained.
+  /// Detached [CLS] embedding as a plain vector (the "service vector"):
+  /// the encoder's tape-free InferCls, bit-identical to eval-mode
+  /// EncodeCls. Safe to call concurrently from many threads once the
+  /// model is trained.
   std::vector<float> ServiceVector(const text::EncodedInput& input) const;
 
-  /// Service vectors for a whole batch through the ragged batched forward
-  /// path (one matmul per projection over all sequences). Row i agrees
-  /// with ServiceVector(inputs[i]) within float round-off.
+  /// ServiceVector of each input, in order.
   std::vector<std::vector<float>> ServiceVectorBatch(
       const std::vector<const text::EncodedInput*>& inputs) const;
 

@@ -5,11 +5,49 @@
 
 #include "common/check.h"
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 
 namespace telekit {
 namespace core {
 
 using tensor::Tensor;
+
+// Activation buffers of one InferCls call, carved from a per-thread arena
+// that only grows. It is never keyed by a model: a hot reload swaps models
+// under live threads, and every buffer is written before it is read.
+struct InferBuffers {
+  float* x;       // [len, d]: the hidden rows
+  float* q;       // [len, d]
+  float* k;       // [len, d]
+  float* v;       // [len, d]
+  float* ctx;     // [len, d]: the heads, concatenated
+  float* proj;    // [len, d]: attention or FFN output
+  float* ffn;     // [len, ffn_dim]
+  float* scores;  // [len, len]: one head
+  float* kt;      // [head_dim, len]: one head's K, transposed
+  float* vh;      // [len, head_dim]: one head's V
+  float* head;    // [len, head_dim]: one head's output
+
+  static InferBuffers ForThisThread(const EncoderConfig& config, int len) {
+    thread_local std::vector<float> arena;
+    const size_t rows = static_cast<size_t>(len);
+    const size_t d = static_cast<size_t>(config.d_model);
+    const size_t hd = d / static_cast<size_t>(config.num_heads);
+    const size_t need = rows * (6 * d + static_cast<size_t>(config.ffn_dim) +
+                                rows + 3 * hd);
+    if (arena.size() < need) arena.resize(need);
+    float* next = arena.data();
+    const auto take = [&next](size_t n) {
+      float* out = next;
+      next += n;
+      return out;
+    };
+    return {take(rows * d),    take(rows * d),  take(rows * d),
+            take(rows * d),    take(rows * d),  take(rows * d),
+            take(rows * config.ffn_dim),     take(rows * rows),
+            take(hd * rows),   take(rows * hd), take(rows * hd)};
+  }
+};
 
 void AppendWithPrefix(const std::string& prefix, const NamedParams& params,
                       NamedParams* out) {
@@ -44,6 +82,16 @@ Tensor LinearLayer::Forward(const Tensor& x) const {
   return tensor::Add(tensor::MatMul(x, weight_), bias_);
 }
 
+void LinearLayer::Infer(const float* x, int rows, float* out) const {
+  const int in = in_dim(), n = out_dim();
+  std::fill_n(out, static_cast<size_t>(rows) * n, 0.0f);
+  tensor::MatMulAcc(x, in, weight_.data().data(), out, rows, in, n);
+  for (int r = 0; r < rows; ++r) {
+    float* row = out + static_cast<size_t>(r) * n;
+    tensor::simd::Add(row, bias_.data().data(), row, n);
+  }
+}
+
 NamedParams LinearLayer::Parameters() const {
   return {{"weight", weight_}, {"bias", bias_}};
 }
@@ -55,6 +103,16 @@ LayerNormParams::LayerNormParams(int dim)
 
 Tensor LayerNormParams::Forward(const Tensor& x) const {
   return tensor::LayerNorm(x, gain_, bias_);
+}
+
+void LayerNormParams::InferInPlace(float* x, int rows) const {
+  constexpr float kEps = 1e-5f;  // tensor::LayerNorm's default
+  const int n = gain_.dim(0);
+  for (int r = 0; r < rows; ++r) {
+    float* row = x + static_cast<size_t>(r) * n;
+    tensor::LayerNormRow(row, gain_.data().data(), bias_.data().data(), kEps,
+                         /*xhat=*/nullptr, row, n);
+  }
 }
 
 NamedParams LayerNormParams::Parameters() const {
@@ -94,38 +152,52 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x) const {
   return output_.Forward(tensor::ConcatCols(heads));
 }
 
-Tensor MultiHeadSelfAttention::ForwardBatch(const Tensor& x,
-                                            const BatchOffsets& offsets) const {
-  TELEKIT_CHECK_GE(offsets.size(), 2u);
-  TELEKIT_CHECK_EQ(offsets.back(), x.dim(0));
-  // The projections are the expensive part; run them once over the whole
-  // ragged stack instead of once per sequence.
-  const Tensor q = query_.Forward(x);
-  const Tensor k = key_.Forward(x);
-  const Tensor v = value_.Forward(x);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  std::vector<Tensor> sequences;
-  sequences.reserve(offsets.size() - 1);
-  for (size_t s = 0; s + 1 < offsets.size(); ++s) {
-    const int start = offsets[s];
-    const int len = offsets[s + 1] - start;
-    const Tensor qs = tensor::SliceRows(q, start, len);
-    const Tensor ks = tensor::SliceRows(k, start, len);
-    const Tensor vs = tensor::SliceRows(v, start, len);
-    std::vector<Tensor> heads;
-    heads.reserve(static_cast<size_t>(num_heads_));
-    for (int h = 0; h < num_heads_; ++h) {
-      const int col = h * head_dim_;
-      const Tensor qh = tensor::SliceCols(qs, col, head_dim_);
-      const Tensor kh = tensor::SliceCols(ks, col, head_dim_);
-      const Tensor vh = tensor::SliceCols(vs, col, head_dim_);
-      Tensor scores =
-          tensor::MulScalar(tensor::MatMul(qh, tensor::Transpose(kh)), scale);
-      heads.push_back(tensor::MatMul(tensor::Softmax(scores), vh));
+// Forward's steps per head: QK^T on a transposed copy of K_h (MatMul of
+// the Q_h slice by Transpose(K_h)), the scale, a softmax per row, then
+// P V_h on a contiguous copy of V_h, each head into its columns of ctx.
+void MultiHeadSelfAttention::Infer(const InferenceLinear& linear, int layer,
+                                   const float* x, int len,
+                                   InferBuffers& s, float* out) const {
+  const int hd = head_dim_;
+  const int d = num_heads_ * hd;
+  const size_t rows = static_cast<size_t>(len);
+  linear.Apply(layer, Projection::kQuery, x, len, s.q);
+  linear.Apply(layer, Projection::kKey, x, len, s.k);
+  linear.Apply(layer, Projection::kValue, x, len, s.v);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  for (int h = 0; h < num_heads_; ++h) {
+    const int col = h * hd;
+    for (size_t j = 0; j < rows; ++j) {
+      const float* kj = s.k + j * d + col;
+      for (int c = 0; c < hd; ++c) s.kt[c * rows + j] = kj[c];
+      std::copy_n(s.v + j * d + col, hd, s.vh + j * hd);
     }
-    sequences.push_back(tensor::ConcatCols(heads));
+    std::fill_n(s.scores, rows * rows, 0.0f);
+    tensor::MatMulAcc(s.q + col, d, s.kt, s.scores, len, hd, len);
+    tensor::simd::ScaleTo(s.scores, scale, s.scores, len * len);
+    for (size_t i = 0; i < rows; ++i) {
+      tensor::SoftmaxRow(s.scores + i * rows, s.scores + i * rows, len);
+    }
+    std::fill_n(s.head, rows * hd, 0.0f);
+    tensor::MatMulAcc(s.scores, len, s.vh, s.head, len, len, hd);
+    for (size_t i = 0; i < rows; ++i) {
+      std::copy_n(s.head + i * hd, hd, s.ctx + i * d + col);
+    }
   }
-  return output_.Forward(tensor::ConcatRows(sequences));
+  linear.Apply(layer, Projection::kOutput, s.ctx, len, out);
+}
+
+const LinearLayer& MultiHeadSelfAttention::Linear(Projection p) const {
+  switch (p) {
+    case Projection::kQuery:
+      return query_;
+    case Projection::kKey:
+      return key_;
+    case Projection::kValue:
+      return value_;
+    default:
+      return output_;
+  }
 }
 
 NamedParams MultiHeadSelfAttention::Parameters() const {
@@ -157,16 +229,29 @@ Tensor TransformerLayer::Forward(const Tensor& x, float dropout, Rng& rng,
   return norm2_.Forward(tensor::Add(h, ffn));
 }
 
-Tensor TransformerLayer::ForwardBatch(const Tensor& x,
-                                      const BatchOffsets& offsets,
-                                      float dropout, Rng& rng,
-                                      bool training) const {
-  Tensor attended = tensor::Dropout(attention_.ForwardBatch(x, offsets),
-                                    dropout, rng, training);
-  Tensor h = norm1_.Forward(tensor::Add(x, attended));
-  Tensor ffn = ffn_out_.Forward(tensor::Gelu(ffn_in_.Forward(h)));
-  ffn = tensor::Dropout(ffn, dropout, rng, training);
-  return norm2_.Forward(tensor::Add(h, ffn));
+void TransformerLayer::Infer(const InferenceLinear& linear, int layer,
+                             float* x, int len, InferBuffers& s) const {
+  const int d = ffn_out_.out_dim();
+  const int hidden = ffn_in_.out_dim();
+  attention_.Infer(linear, layer, x, len, s, s.proj);
+  tensor::simd::Add(x, s.proj, x, len * d);
+  norm1_.InferInPlace(x, len);
+  linear.Apply(layer, Projection::kFfnIn, x, len, s.ffn);
+  tensor::simd::Gelu(s.ffn, s.ffn, /*tanh_u=*/nullptr, len * hidden);
+  linear.Apply(layer, Projection::kFfnOut, s.ffn, len, s.proj);
+  tensor::simd::Add(x, s.proj, x, len * d);
+  norm2_.InferInPlace(x, len);
+}
+
+const LinearLayer& TransformerLayer::Linear(Projection p) const {
+  switch (p) {
+    case Projection::kFfnIn:
+      return ffn_in_;
+    case Projection::kFfnOut:
+      return ffn_out_;
+    default:
+      return attention_.Linear(p);
+  }
 }
 
 NamedParams TransformerLayer::Parameters() const {
@@ -242,71 +327,52 @@ Tensor TransformerEncoder::Forward(const std::vector<int>& ids, int length,
   return Encode(Embed(ids, length, {}, rng, training), rng, training);
 }
 
-Tensor TransformerEncoder::EmbedBatch(
-    const std::vector<const std::vector<int>*>& ids,
-    const std::vector<int>& lengths,
-    const std::vector<const std::vector<std::pair<int, Tensor>>*>& overrides,
-    BatchOffsets* offsets, Rng& rng, bool training) const {
-  TELEKIT_CHECK(!ids.empty());
-  TELEKIT_CHECK_EQ(ids.size(), lengths.size());
-  TELEKIT_CHECK(overrides.empty() || overrides.size() == ids.size());
-  TELEKIT_CHECK(offsets != nullptr);
-  offsets->assign(1, 0);
-  std::vector<int> flat_ids;
-  std::vector<int> positions;
-  // (global row, replacement) pairs, naturally sorted by row.
-  std::vector<std::pair<int, const Tensor*>> row_overrides;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const int length = lengths[i];
-    TELEKIT_CHECK_GT(length, 0);
-    TELEKIT_CHECK_LE(length, static_cast<int>(ids[i]->size()));
-    TELEKIT_CHECK_LE(length, config_.max_len);
-    const int base = offsets->back();
-    flat_ids.insert(flat_ids.end(), ids[i]->begin(),
-                    ids[i]->begin() + length);
-    for (int p = 0; p < length; ++p) positions.push_back(p);
-    if (!overrides.empty() && overrides[i] != nullptr) {
-      for (const auto& [pos, t] : *overrides[i]) {
-        TELEKIT_CHECK_LT(pos, length);
-        row_overrides.emplace_back(base + pos, &t);
-      }
-    }
-    offsets->push_back(base + length);
-  }
-  Tensor token_rows = tensor::EmbeddingLookup(token_table_, flat_ids);
-  if (!row_overrides.empty()) {
-    // Splice overridden rows in, keeping unbroken runs as single slices.
-    std::sort(row_overrides.begin(), row_overrides.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<Tensor> parts;
-    int cursor = 0;
-    for (const auto& [row, t] : row_overrides) {
-      if (row > cursor) {
-        parts.push_back(tensor::SliceRows(token_rows, cursor, row - cursor));
-      }
-      parts.push_back(*t);
-      cursor = row + 1;
-    }
-    const int total = offsets->back();
-    if (cursor < total) {
-      parts.push_back(tensor::SliceRows(token_rows, cursor, total - cursor));
-    }
-    token_rows = tensor::ConcatRows(parts);
-  }
-  Tensor position_rows = tensor::GatherRows(position_table_, positions);
-  Tensor embedded =
-      embed_norm_.Forward(tensor::Add(token_rows, position_rows));
-  return tensor::Dropout(embedded, config_.dropout, rng, training);
-}
+namespace {
 
-Tensor TransformerEncoder::EncodeBatch(const Tensor& embedded,
-                                       const BatchOffsets& offsets, Rng& rng,
-                                       bool training) const {
-  Tensor h = embedded;
-  for (const TransformerLayer& layer : layers_) {
-    h = layer.ForwardBatch(h, offsets, config_.dropout, rng, training);
+// The encoder's own fp32 dense layers.
+class Fp32Linears final : public InferenceLinear {
+ public:
+  explicit Fp32Linears(const TransformerEncoder& encoder)
+      : encoder_(encoder) {}
+  void Apply(int layer, Projection p, const float* x, int rows,
+             float* out) const override {
+    encoder_.layer(layer).Linear(p).Infer(x, rows, out);
   }
-  return h;
+
+ private:
+  const TransformerEncoder& encoder_;
+};
+
+}  // namespace
+
+void TransformerEncoder::InferCls(const std::vector<int>& ids, int length,
+                                  const RowOverrides& overrides, float* cls,
+                                  const InferenceLinear* linear) const {
+  TELEKIT_CHECK_GT(length, 0);
+  TELEKIT_CHECK_LE(length, static_cast<int>(ids.size()));
+  TELEKIT_CHECK_LE(length, config_.max_len);
+  const int d = config_.d_model;
+  const size_t row = static_cast<size_t>(d);
+  InferBuffers buffers = InferBuffers::ForThisThread(config_, length);
+  float* x = buffers.x;
+  const float* tokens = token_table_.data().data();
+  const float* positions = position_table_.data().data();
+  for (int i = 0; i < length; ++i) {
+    const int id = ids[static_cast<size_t>(i)];
+    TELEKIT_CHECK(id >= 0 && id < config_.vocab_size) << "token id " << id;
+    const float* token = tokens + static_cast<size_t>(id) * row;
+    for (auto it = overrides.rbegin(); it != overrides.rend(); ++it) {
+      if (it->first == i) token = it->second;
+    }
+    tensor::simd::Add(token, positions + i * row, x + i * row, d);
+  }
+  embed_norm_.InferInPlace(x, length);
+  const Fp32Linears fp32(*this);
+  const InferenceLinear& dense = linear != nullptr ? *linear : fp32;
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    layers_[l].Infer(dense, static_cast<int>(l), x, length, buffers);
+  }
+  std::copy_n(x, row, cls);
 }
 
 Tensor TransformerEncoder::MeanTokenEmbedding(

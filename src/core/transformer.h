@@ -31,10 +31,16 @@ class LinearLayer {
   LinearLayer(int in_dim, int out_dim, Rng& rng);
 
   tensor::Tensor Forward(const tensor::Tensor& x) const;
+  /// Forward on raw row-major buffers, tape-free, with Forward's
+  /// arithmetic: MatMul's tiles into a zeroed out[rows, out_dim], then
+  /// the bias added row by row.
+  void Infer(const float* x, int rows, float* out) const;
   NamedParams Parameters() const;
 
   int in_dim() const { return weight_.dim(0); }
   int out_dim() const { return weight_.dim(1); }
+  const tensor::Tensor& weight() const { return weight_; }  // [in, out]
+  const tensor::Tensor& bias() const { return bias_; }      // [out]
 
  private:
   tensor::Tensor weight_;
@@ -46,6 +52,8 @@ class LayerNormParams {
  public:
   explicit LayerNormParams(int dim);
   tensor::Tensor Forward(const tensor::Tensor& x) const;
+  /// Forward over `rows` rows of x [rows, dim], in place and tape-free.
+  void InferInPlace(float* x, int rows) const;
   NamedParams Parameters() const;
 
  private:
@@ -53,13 +61,24 @@ class LayerNormParams {
   tensor::Tensor bias_;
 };
 
-/// Row offsets of a ragged batch: `offsets[i]` is the first row of
-/// sequence i in the stacked [sum(lengths), d] matrix and
-/// `offsets.back()` is the total row count (size B + 1). Packing ragged
-/// sequences instead of padding wastes no compute on [PAD] positions and
-/// keeps every row-wise op (projections, FFN, layer-norm) a single large
-/// matmul over the whole batch.
-using BatchOffsets = std::vector<int>;
+/// The dense layers of a transformer block, in the order a layer runs
+/// them.
+enum class Projection { kQuery, kKey, kValue, kOutput, kFfnIn, kFfnOut };
+constexpr int kProjections = 6;
+
+/// A dense-layer kernel for TransformerEncoder::InferCls: out[rows,
+/// out_dim] = x[rows, in_dim] W + b for projection `p` of layer `layer`.
+/// The fp32 one runs each LinearLayer::Infer; QuantizedEncoder plugs in
+/// its int8 layers.
+class InferenceLinear {
+ public:
+  virtual ~InferenceLinear() = default;
+  virtual void Apply(int layer, Projection p, const float* x, int rows,
+                     float* out) const = 0;
+};
+
+/// Activation buffers of one InferCls call (defined in transformer.cc).
+struct InferBuffers;
 
 /// Multi-head self-attention over a single (unpadded) sequence [S, d].
 class MultiHeadSelfAttention {
@@ -69,13 +88,13 @@ class MultiHeadSelfAttention {
   /// [S, d] -> [S, d].
   tensor::Tensor Forward(const tensor::Tensor& x) const;
 
-  /// Batched variant over a ragged stack [N, d]: Q/K/V and output
-  /// projections run as one matmul each over all N rows; attention scores
-  /// are computed per sequence (rows never attend across sequence
-  /// boundaries). Bit-identical per row to Forward() on each sequence.
-  tensor::Tensor ForwardBatch(const tensor::Tensor& x,
-                              const BatchOffsets& offsets) const;
+  /// Forward on the raw rows x [len, d] into out [len, d], tape-free and
+  /// with Forward's arithmetic; `linear` runs layer `layer`'s projections.
+  void Infer(const InferenceLinear& linear, int layer, const float* x,
+             int len, InferBuffers& buffers, float* out) const;
 
+  /// The dense layer of attention projection `p` (kQuery ... kOutput).
+  const LinearLayer& Linear(Projection p) const;
   NamedParams Parameters() const;
 
  private:
@@ -95,11 +114,14 @@ class TransformerLayer {
   tensor::Tensor Forward(const tensor::Tensor& x, float dropout, Rng& rng,
                          bool training) const;
 
-  /// Batched variant over a ragged stack (see BatchOffsets).
-  tensor::Tensor ForwardBatch(const tensor::Tensor& x,
-                              const BatchOffsets& offsets, float dropout,
-                              Rng& rng, bool training) const;
+  /// Eval-mode Forward over the raw rows x [len, d], in place, tape-free
+  /// and with Forward's arithmetic; `linear` runs its dense layers as
+  /// layer `layer`.
+  void Infer(const InferenceLinear& linear, int layer, float* x, int len,
+             InferBuffers& buffers) const;
 
+  /// The dense layer that runs projection `p`.
+  const LinearLayer& Linear(Projection p) const;
   NamedParams Parameters() const;
 
  private:
@@ -121,6 +143,10 @@ struct EncoderConfig {
   int max_len = 32;
   float dropout = 0.1f;
 };
+
+/// Embedding rows that replace token rows before the position rows are
+/// added (the ANEnc hook): (sequence position, d floats).
+using RowOverrides = std::vector<std::pair<int, const float*>>;
 
 /// BERT-style transformer encoder: token + position embeddings with
 /// embedding layer-norm, then a stack of TransformerLayers. Sequences are
@@ -147,25 +173,17 @@ class TransformerEncoder {
   tensor::Tensor Forward(const std::vector<int>& ids, int length, Rng& rng,
                          bool training) const;
 
-  /// One embedding-lookup pass for B sequences packed into a ragged stack:
-  /// returns [sum(lengths), d] and fills `offsets` (size B + 1) with the
-  /// row ranges. `overrides[i]`, when non-null, substitutes externally
-  /// computed [1, d] rows at sequence-local positions of sequence i (the
-  /// ANEnc hook); pass {} for none.
-  tensor::Tensor EmbedBatch(
-      const std::vector<const std::vector<int>*>& ids,
-      const std::vector<int>& lengths,
-      const std::vector<const std::vector<std::pair<int, tensor::Tensor>>*>&
-          overrides,
-      BatchOffsets* offsets, Rng& rng, bool training) const;
-
-  /// Runs the layer stack over a ragged embedded batch: [N, d] -> [N, d].
-  /// Row-wise sublayers execute as whole-batch matmuls; only attention
-  /// scores stay per-sequence. Row i of the result is bit-identical to the
-  /// corresponding row of Encode() on that sequence alone.
-  tensor::Tensor EncodeBatch(const tensor::Tensor& embedded,
-                             const BatchOffsets& offsets, Rng& rng,
-                             bool training) const;
+  /// The inference forward (DESIGN.md §3): writes the [CLS] row of the
+  /// first `length` ids, d floats, to `cls`. It runs on raw buffers in a
+  /// per-thread arena, with no tensor op and no allocation per
+  /// step, and gives the bits of row 0 of eval-mode
+  /// Encode(Embed(ids, length, overrides)): the same kernels in the same
+  /// order, on every backend and thread count. Override positions outside
+  /// [0, length) are ignored; the first override of a position wins.
+  /// `linear`, when not null, replaces the fp32 dense layers.
+  void InferCls(const std::vector<int>& ids, int length,
+                const RowOverrides& overrides, float* cls,
+                const InferenceLinear* linear = nullptr) const;
 
   /// Raw (pre-layer-norm) embedding rows for a token id list, mean-pooled:
   /// [d]. Used for the ANEnc tag-name embedding t (Sec. IV-B).
@@ -174,6 +192,9 @@ class TransformerEncoder {
   NamedParams Parameters() const;
   const EncoderConfig& config() const { return config_; }
   const tensor::Tensor& token_table() const { return token_table_; }
+  const TransformerLayer& layer(int l) const {
+    return layers_[static_cast<size_t>(l)];
+  }
 
  private:
   EncoderConfig config_;

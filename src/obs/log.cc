@@ -62,11 +62,6 @@ bool TryParseLogLevel(const std::string& text, LogLevel* level) {
   return false;
 }
 
-LogLevel ParseLogLevel(const std::string& text, LogLevel fallback) {
-  TryParseLogLevel(text, &fallback);
-  return fallback;
-}
-
 const char* LogLevelName(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug:
@@ -94,10 +89,20 @@ std::string LogRecord::Rendered() const {
   return out;
 }
 
-Logger::Logger() : level_(static_cast<int>(LogLevel::kInfo)) {
+LogLevel LogLevelFromEnv() {
   const char* env = std::getenv("TELEKIT_LOG_LEVEL");
-  if (env != nullptr) set_level(ParseLogLevel(env));
+  LogLevel level = LogLevel::kInfo;
+  if (env != nullptr && !TryParseLogLevel(env, &level)) {
+    std::fprintf(stderr,
+                 "bad value for TELEKIT_LOG_LEVEL: '%s' (want "
+                 "debug|info|warn|error|off)\n",
+                 env);
+    std::exit(64);  // EX_USAGE, as for a bad --log-level
+  }
+  return level;
 }
+
+Logger::Logger() : level_(static_cast<int>(LogLevelFromEnv())) {}
 
 Logger& Logger::Global() {
   static Logger* logger = new Logger();  // leaked: outlives static dtors

@@ -24,10 +24,12 @@ enum class LogLevel : int {
 /// "debug"/"info"/"warn"/"error"/"off" (case-insensitive; "warning" and
 /// "none" are aliases). False on unknown input, leaving *level untouched.
 bool TryParseLogLevel(const std::string& text, LogLevel* level);
-/// TryParseLogLevel that falls back to `fallback` on unknown input.
-LogLevel ParseLogLevel(const std::string& text,
-                       LogLevel fallback = LogLevel::kInfo);
 const char* LogLevelName(LogLevel level);
+
+/// The TELEKIT_LOG_LEVEL environment variable's level (info when unset).
+/// Any value TryParseLogLevel rejects exits 64, naming the variable and
+/// the accepted values, as a bad --log-level does.
+LogLevel LogLevelFromEnv();
 
 /// One emitted log record, handed to the active sink. `message` is the
 /// free-text part; `fields` are the structured key=value pairs streamed
@@ -49,8 +51,8 @@ struct LogRecord {
 using LogSink = std::function<void(const LogRecord&)>;
 
 /// Process-wide logger. The level is read from the TELEKIT_LOG_LEVEL
-/// environment variable at first use (default: info) and can be changed
-/// at runtime. The sink defaults to stderr; tests swap it out with
+/// environment variable at first use (LogLevelFromEnv: default info, exit
+/// 64 on an unknown value) and can be changed at runtime. The sink defaults to stderr; tests swap it out with
 /// SetSink() to capture records.
 class Logger {
  public:

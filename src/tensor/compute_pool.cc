@@ -211,15 +211,13 @@ void AddComputeThreadsFlag(FlagSet* flags) {
                 });
 }
 
-void ParallelFor(int n, int grain, const std::function<void(int, int)>& body) {
-  if (n <= 0) return;
-  if (grain < 1) grain = 1;
-  if (n <= grain || ComputeThreads() <= 1) {
-    body(0, n);
-    return;
-  }
+namespace internal {
+
+void RunParallel(int n, int grain, const std::function<void(int, int)>& body) {
   Pool::Global().Run(n, grain, body);
 }
+
+}  // namespace internal
 
 }  // namespace tensor
 }  // namespace telekit

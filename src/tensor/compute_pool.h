@@ -36,13 +36,28 @@ void SetComputeThreads(int n);
 /// SetComputeThreads while parsing.
 void AddComputeThreadsFlag(FlagSet* flags);
 
+namespace internal {
+/// ParallelFor's fan-out path: n > grain >= 1 and compute_threads > 1.
+void RunParallel(int n, int grain, const std::function<void(int, int)>& body);
+}  // namespace internal
+
 /// Runs body(begin, end) over contiguous chunks of [0, n), each `grain`
 /// items (the last may be short). Runs body(0, n) inline on the caller when
 /// n <= grain, compute_threads == 1, or the pool is busy with another
 /// region (concurrent serve workers fall back to serial — bit-identical by
-/// the contract above). Increments tensor/parallel_regions when it
-/// actually fans out. The body must not recursively call ParallelFor.
-void ParallelFor(int n, int grain, const std::function<void(int, int)>& body);
+/// the contract above); the first two cases cost no allocation. Increments
+/// tensor/parallel_regions when it actually fans out. The body must not
+/// recursively call ParallelFor.
+template <typename Body>
+void ParallelFor(int n, int grain, const Body& body) {
+  if (n <= 0) return;
+  if (grain < 1) grain = 1;
+  if (n <= grain || ComputeThreads() <= 1) {
+    body(0, n);
+    return;
+  }
+  internal::RunParallel(n, grain, body);
+}
 
 }  // namespace tensor
 }  // namespace telekit

@@ -86,11 +86,6 @@ void MmAxpyTiles(const float* a, size_t a_row, size_t a_red, const float* b,
               });
 }
 
-// C[m,n] += A[m,k] * B[k,n]
-void MmAcc(const float* a, const float* b, float* c, int m, int k, int n) {
-  MmAxpyTiles(a, k, 1, b, c, m, k, n);
-}
-
 // C[m,k] += A[m,n] * B[k,n]^T  (i.e. C = A * B^T): one Dot per element.
 void MmAccNT(const float* a, const float* b, float* c, int m, int n, int k) {
   constexpr int kTile = simd::kDotTileRows;
@@ -260,7 +255,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   matmul_flops.Increment(2ULL * static_cast<uint64_t>(m) *
                          static_cast<uint64_t>(k) * static_cast<uint64_t>(n));
   NodePtr out = NewNode({m, n}, AnyGrad(a, b));
-  MmAcc(a.data().data(), b.data().data(), out->value.data(), m, k, n);
+  MatMulAcc(a.data().data(), k, b.data().data(), out->value.data(), m, k, n);
   if (out->requires_grad) {
     out->parents = {a.node_ptr(), b.node_ptr()};
     out->backward = [an = a.node_ptr(), bn = b.node_ptr(), m, k,
@@ -634,20 +629,40 @@ Tensor Relu(const Tensor& a) {
 }
 
 Tensor Gelu(const Tensor& a) {
-  // tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  return UnaryOp(
-      a,
-      [](float x) {
-        const float inner = kC * (x + 0.044715f * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(inner));
-      },
-      [](float x, float) {
-        const float inner = kC * (x + 0.044715f * x * x * x);
-        const float t = std::tanh(inner);
-        const float dinner = kC * (1.0f + 3.0f * 0.044715f * x * x);
-        return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
+  // 0.5 x (1 + tanh(u)), u = c (x + 0.044715 x^3), by simd::Gelu. The
+  // backward has the kernel recompute tanh(u) a block at a time (the same
+  // bits: a kernel result depends on its element alone) instead of keeping
+  // a tensor-sized buffer alive on the tape.
+  NodePtr out = NewNode(a.shape(), AnyGrad(a));
+  const int size = static_cast<int>(a.size());
+  const float* x = a.data().data();
+  ParallelFor(size, kElemGrain, [&](int lo, int hi) {
+    simd::Gelu(x + lo, out->value.data() + lo, /*tanh_u=*/nullptr, hi - lo);
+  });
+  if (out->requires_grad) {
+    out->parents = {a.node_ptr()};
+    out->backward = [an = a.node_ptr(), size](Node* self) {
+      constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
+      an->EnsureGrad();
+      ParallelFor(size, kElemGrain, [&](int lo, int hi) {
+        constexpr int kBlock = 256;
+        float y[kBlock], t[kBlock];
+        for (int i0 = lo; i0 < hi; i0 += kBlock) {
+          const int m = std::min(kBlock, hi - i0);
+          simd::Gelu(an->value.data() + i0, y, t, m);
+          for (int j = 0; j < m; ++j) {
+            const int i = i0 + j;
+            const float v = an->value[i];
+            const float dinner = kC * (1.0f + 3.0f * 0.044715f * v * v);
+            an->grad[i] += self->grad[i] *
+                           (0.5f * (1.0f + t[j]) +
+                            0.5f * v * (1.0f - t[j] * t[j]) * dinner);
+          }
+        }
       });
+    };
+  }
+  return Tensor::FromNode(out);
 }
 
 Tensor Tanh(const Tensor& a) {
@@ -789,13 +804,8 @@ Tensor Softmax(const Tensor& a) {
   const int grain = RowGrain(m, 32ull * static_cast<size_t>(n));
   ParallelFor(m, grain, [&](int r0, int r1) {
     for (int i = r0; i < r1; ++i) {
-      const float* row = a.data().data() + static_cast<size_t>(i) * n;
-      float* orow = out->value.data() + static_cast<size_t>(i) * n;
-      const float max_v = simd::ReduceMax(row, n);
-      // exp stays scalar (libm); the max/denominator/scale passes vectorize.
-      for (int j = 0; j < n; ++j) orow[j] = std::exp(row[j] - max_v);
-      const float inv = 1.0f / simd::ReduceSum(orow, n);
-      simd::ScaleTo(orow, inv, orow, n);
+      SoftmaxRow(a.data().data() + static_cast<size_t>(i) * n,
+                 out->value.data() + static_cast<size_t>(i) * n, n);
     }
   });
   if (out->requires_grad) {
@@ -835,16 +845,10 @@ Tensor LayerNorm(const Tensor& a, const Tensor& gain, const Tensor& bias,
   const int grain = RowGrain(m, 8ull * static_cast<size_t>(n));
   ParallelFor(m, grain, [&](int r0, int r1) {
     for (int i = r0; i < r1; ++i) {
-      const float* row = a.data().data() + static_cast<size_t>(i) * n;
-      const float mean = simd::ReduceSum(row, n) / static_cast<float>(n);
-      const float var =
-          simd::ReduceSumSqDiff(row, mean, n) / static_cast<float>(n);
-      const float istd = 1.0f / std::sqrt(var + eps);
-      (*inv_std)[i] = istd;
-      simd::NormalizeAffine(row, mean, istd, gain.data().data(),
-                            bias.data().data(),
-                            xhat->data() + static_cast<size_t>(i) * n,
-                            out->value.data() + static_cast<size_t>(i) * n, n);
+      (*inv_std)[i] = LayerNormRow(
+          a.data().data() + static_cast<size_t>(i) * n, gain.data().data(),
+          bias.data().data(), eps, xhat->data() + static_cast<size_t>(i) * n,
+          out->value.data() + static_cast<size_t>(i) * n, n);
     }
   });
   if (out->requires_grad) {
@@ -960,6 +964,28 @@ Tensor L2NormalizeRows(const Tensor& a, float eps) {
     };
   }
   return Tensor::FromNode(out);
+}
+
+// --- Row kernels on raw buffers --------------------------------------------
+
+void MatMulAcc(const float* a, int lda, const float* b, float* c, int m,
+               int k, int n) {
+  MmAxpyTiles(a, static_cast<size_t>(lda), 1, b, c, m, k, n);
+}
+
+void SoftmaxRow(const float* x, float* out, int n) {
+  simd::AddScalarTo(x, -simd::ReduceMax(x, n), out, n);
+  simd::Exp(out, out, n);
+  simd::ScaleTo(out, 1.0f / simd::ReduceSum(out, n), out, n);
+}
+
+float LayerNormRow(const float* x, const float* gain, const float* bias,
+                   float eps, float* xhat, float* out, int n) {
+  const float mean = simd::ReduceSum(x, n) / static_cast<float>(n);
+  const float var = simd::ReduceSumSqDiff(x, mean, n) / static_cast<float>(n);
+  const float istd = 1.0f / std::sqrt(var + eps);
+  simd::NormalizeAffine(x, mean, istd, gain, bias, xhat, out, n);
+  return istd;
 }
 
 // --- Losses --------------------------------------------------------------------------

@@ -131,6 +131,27 @@ Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids);
 /// Rescales each row to unit L2 norm (eps guards zero rows).
 Tensor L2NormalizeRows(const Tensor& a, float eps = 1e-8f);
 
+// --- Row kernels on raw buffers ---------------------------------------------
+//
+// What MatMul, Softmax and LayerNorm compute, on row-major float buffers,
+// with no node and no tape. The ops above run them too, so the tape-free
+// inference forward (core::TransformerEncoder::InferCls) that calls them
+// gets the ops' bits.
+
+/// c[m, n] += a[m, k] * b[k, n], where row r of a starts at a + r * lda:
+/// MatMul's register tiles and row partition.
+void MatMulAcc(const float* a, int lda, const float* b, float* c, int m,
+               int k, int n);
+
+/// One softmax row: out = exp(x - max x) / sum (out may alias x).
+void SoftmaxRow(const float* x, float* out, int n);
+
+/// One layer-norm row: out = (x - mean) / sqrt(var + eps) * gain + bias.
+/// `xhat` (may be null) receives the normalized row. Returns
+/// 1 / sqrt(var + eps).
+float LayerNormRow(const float* x, const float* gain, const float* bias,
+                   float eps, float* xhat, float* out, int n);
+
 // --- Losses -----------------------------------------------------------------------
 
 /// Mean token cross-entropy over logits [m, C] with integer labels;

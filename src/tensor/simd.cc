@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <type_traits>
 
@@ -100,6 +102,82 @@ int32_t DotI8Scalar(const int8_t* a, const int8_t* b, int n) {
     acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
   }
   return acc;
+}
+
+// --- Exp and GELU, shared steps ----------------------------------------------
+//
+// exp(x): x = k ln2 + r with k = round(x log2 e) and |r| <= ln2/2 (ln2 split
+// in two so k * kLn2Hi is exact), exp(r) by its degree-7 Taylor polynomial,
+// and 2^k added through the exponent bits. x is clamped to [kExpMin,
+// kExpMax] first, so 2^k stays a normal float. GELU is x * sigmoid(2u)
+// with sigmoid(2u) = 1 / (1 + exp(-2u)): the exp argument is capped at
+// kGeluExpCap, which keeps the sigmoid a normal float (no subnormal
+// slow path), and x < kGeluZeroBelow, where |GELU| < 1e-33, returns +0,
+// which also maps -inf to its limit. The vector backends run these steps
+// with fused multiply-adds, the scalar one with a multiply then an add.
+
+constexpr float kLog2e = 1.44269504088896341f;
+constexpr float kLn2Hi = 0.693145751953125f;  // 16 significant bits
+constexpr float kLn2Lo = 1.42860682030941723e-6f;
+// (v + kRoundMagic) - kRoundMagic rounds |v| < 2^22 to the nearest integer,
+// ties to even, in any float arithmetic.
+constexpr float kRoundMagic = 12582912.0f;  // 1.5 * 2^23
+// 1/7!, 1/6!, ..., 1/1!, 1/0!: Horner order.
+constexpr float kExpPoly[] = {1.0f / 5040, 1.0f / 720, 1.0f / 120, 1.0f / 24,
+                              1.0f / 6,    0.5f,       1.0f,       1.0f};
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+constexpr float kGeluA = 0.044715f;
+constexpr float kGeluNeg2C = -2.0f * kGeluC;  // exact: a power-of-two scale
+constexpr float kGeluExpCap = 80.0f;
+constexpr float kGeluZeroBelow = -10.0f;
+
+float ExpScalarOne(float x) {
+  if (x > kExpMax) return std::numeric_limits<float>::infinity();
+  if (x < kExpMin) return 0.0f;
+  if (x != x) return x;
+  const float k = (x * kLog2e + kRoundMagic) - kRoundMagic;
+  float r = x - k * kLn2Hi;
+  r = r - k * kLn2Lo;
+  float p = kExpPoly[0];
+  for (int i = 1; i < 8; ++i) p = p * r + kExpPoly[i];
+  return p * std::bit_cast<float>((static_cast<int32_t>(k) + 127) << 23);
+}
+
+void ExpScalar(const float* x, float* out, int n) {
+  for (int i = 0; i < n; ++i) out[i] = ExpScalarOne(x[i]);
+}
+
+void GeluScalar(const float* x, float* out, float* tanh_u, int n) {
+  for (int i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float inner = v + kGeluA * (v * v * v);
+    const float z = std::min(inner * kGeluNeg2C, kGeluExpCap);
+    const float s = 1.0f / (1.0f + ExpScalarOne(z));
+    out[i] = v < kGeluZeroBelow ? 0.0f : v * s;
+    if (tanh_u != nullptr) tanh_u[i] = (s + s) - 1.0f;
+  }
+}
+
+// lround(v) saturated to [-127, 127]. v is clamped to ±128 first: the
+// same result, and defined where lround would overflow (glibc's lround
+// then returns LONG_MIN, which saturates a huge positive activation past
+// a calibrated clip to -127).
+int8_t QuantizeOne(float v) {
+  const long q = std::lround(std::clamp(v, -128.0f, 128.0f));
+  return static_cast<int8_t>(std::clamp<long>(q, -127, 127));
+}
+
+float QuantizeRowScalar(const float* x, int n, float clip, int8_t* out) {
+  float max_abs = 0.0f;
+  for (int i = 0; i < n; ++i) max_abs = std::max(max_abs, std::fabs(x[i]));
+  if (clip > 0.0f) max_abs = std::min(max_abs, clip);
+  if (max_abs == 0.0f) {
+    for (int i = 0; i < n; ++i) out[i] = 0;
+    return 0.0f;
+  }
+  const float inv = 127.0f / max_abs;
+  for (int i = 0; i < n; ++i) out[i] = QuantizeOne(x[i] * inv);
+  return max_abs / 127.0f;
 }
 
 // --- GEMM tiles, shared shape ------------------------------------------------
@@ -396,6 +474,143 @@ __attribute__((target("avx2"))) int32_t DotI8Avx2(const int8_t* a,
     total += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
   }
   return total;
+}
+
+// Exp and GELU: ExpScalarOne's and GeluScalar's steps on 8 lanes. max/min
+// return their second operand when either is NaN, so the clamps below keep
+// x second and NaN flows through to the result.
+__attribute__((target("avx2,fma"))) __m256 ExpAvx2Lanes(__m256 x) {
+  const __m256 overflow =
+      _mm256_cmp_ps(x, _mm256_set1_ps(kExpMax), _CMP_GT_OQ);
+  const __m256 underflow =
+      _mm256_cmp_ps(x, _mm256_set1_ps(kExpMin), _CMP_LT_OQ);
+  x = _mm256_min_ps(_mm256_set1_ps(kExpMax),
+                    _mm256_max_ps(_mm256_set1_ps(kExpMin), x));
+  const __m256 magic = _mm256_set1_ps(kRoundMagic);
+  const __m256 k = _mm256_sub_ps(
+      _mm256_fmadd_ps(x, _mm256_set1_ps(kLog2e), magic), magic);
+  __m256 r = _mm256_fnmadd_ps(k, _mm256_set1_ps(kLn2Hi), x);
+  r = _mm256_fnmadd_ps(k, _mm256_set1_ps(kLn2Lo), r);
+  __m256 p = _mm256_set1_ps(kExpPoly[0]);
+  for (int i = 1; i < 8; ++i) {
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpPoly[i]));
+  }
+  const __m256i pow2 = _mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvtps_epi32(k), _mm256_set1_epi32(127)), 23);
+  const __m256 e = _mm256_mul_ps(p, _mm256_castsi256_ps(pow2));
+  return _mm256_blendv_ps(
+      _mm256_andnot_ps(underflow, e),
+      _mm256_set1_ps(std::numeric_limits<float>::infinity()), overflow);
+}
+
+__attribute__((target("avx2,fma"))) __m256 GeluAvx2Lanes(__m256 x,
+                                                        __m256* tanh_u) {
+  const __m256 x3 = _mm256_mul_ps(_mm256_mul_ps(x, x), x);
+  const __m256 inner = _mm256_fmadd_ps(_mm256_set1_ps(kGeluA), x3, x);
+  const __m256 z = _mm256_min_ps(_mm256_set1_ps(kGeluExpCap),
+                                 _mm256_mul_ps(inner,
+                                               _mm256_set1_ps(kGeluNeg2C)));
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 s =
+      _mm256_div_ps(one, _mm256_add_ps(one, ExpAvx2Lanes(z)));
+  *tanh_u = _mm256_sub_ps(_mm256_add_ps(s, s), one);
+  const __m256 zero_below =
+      _mm256_cmp_ps(x, _mm256_set1_ps(kGeluZeroBelow), _CMP_LT_OQ);
+  return _mm256_andnot_ps(zero_below, _mm256_mul_ps(x, s));
+}
+
+// One pass of Exp (kGelu false) or GELU (true) lanes over n elements. The
+// last n % 8 go through the same lanes from a padded copy, so no element's
+// result depends on where it sits.
+template <bool kGelu>
+__attribute__((target("avx2,fma"))) __m256 MapLanes(__m256 v, __m256* t) {
+  if constexpr (kGelu) {
+    return GeluAvx2Lanes(v, t);
+  } else {
+    return ExpAvx2Lanes(v);
+  }
+}
+
+template <bool kGelu>
+__attribute__((target("avx2,fma"))) void MapAvx2(const float* x, float* out,
+                                                float* tanh_u, int n) {
+  constexpr auto lanes = MapLanes<kGelu>;
+  __m256 t = _mm256_setzero_ps();
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(out + i, lanes(_mm256_loadu_ps(x + i), &t));
+    if (tanh_u != nullptr) _mm256_storeu_ps(tanh_u + i, t);
+  }
+  if (i == n) return;
+  const size_t rest = sizeof(float) * static_cast<size_t>(n - i);
+  alignas(32) float buf[8] = {};
+  alignas(32) float tbuf[8];
+  std::memcpy(buf, x + i, rest);
+  _mm256_store_ps(buf, lanes(_mm256_load_ps(buf), &t));
+  _mm256_store_ps(tbuf, t);
+  std::memcpy(out + i, buf, rest);
+  if (tanh_u != nullptr) std::memcpy(tanh_u + i, tbuf, rest);
+}
+
+void ExpAvx2(const float* x, float* out, int n) {
+  MapAvx2<false>(x, out, nullptr, n);
+}
+
+void GeluAvx2(const float* x, float* out, float* tanh_u, int n) {
+  MapAvx2<true>(x, out, tanh_u, n);
+}
+
+// QuantizeRowScalar's bytes: the same max (exact, and NaN-skipping with
+// |x| as max's first operand), the same inv and ±128 clamp, then lround as
+// truncate, ±1 when the dropped fraction is >= 0.5, and clamp.
+__attribute__((target("avx2,fma"))) float QuantizeRowAvx2(const float* x,
+                                                          int n, float clip,
+                                                          int8_t* out) {
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  __m256 vmax = _mm256_setzero_ps();
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    vmax = _mm256_max_ps(_mm256_andnot_ps(sign, _mm256_loadu_ps(x + i)), vmax);
+  }
+  __m128 m = _mm_max_ps(_mm256_castps256_ps128(vmax),
+                        _mm256_extractf128_ps(vmax, 1));
+  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
+  float max_abs = _mm_cvtss_f32(m);
+  for (; i < n; ++i) max_abs = std::max(max_abs, std::fabs(x[i]));
+  if (clip > 0.0f) max_abs = std::min(max_abs, clip);
+  if (max_abs == 0.0f) {
+    std::memset(out, 0, static_cast<size_t>(n));
+    return 0.0f;
+  }
+  const float inv = 127.0f / max_abs;
+  const __m256 vinv = _mm256_set1_ps(inv);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 bound = _mm256_set1_ps(128.0f);
+  const __m256 qmax = _mm256_set1_ps(127.0f);
+  for (i = 0; i + 8 <= n; i += 8) {
+    __m256 v = _mm256_mul_ps(_mm256_loadu_ps(x + i), vinv);
+    v = _mm256_min_ps(_mm256_max_ps(v, _mm256_sub_ps(_mm256_setzero_ps(),
+                                                     bound)),
+                      bound);
+    const __m256 t =
+        _mm256_round_ps(v, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    const __m256 frac = _mm256_sub_ps(v, t);
+    const __m256 up =
+        _mm256_and_ps(_mm256_cmp_ps(frac, half, _CMP_GE_OQ), one);
+    const __m256 down = _mm256_and_ps(
+        _mm256_cmp_ps(frac, _mm256_xor_ps(half, sign), _CMP_LE_OQ), one);
+    __m256 q = _mm256_sub_ps(_mm256_add_ps(t, up), down);
+    q = _mm256_min_ps(_mm256_max_ps(q, _mm256_xor_ps(qmax, sign)), qmax);
+    const __m256i qi = _mm256_cvttps_epi32(q);
+    const __m128i q16 = _mm_packs_epi32(_mm256_castsi256_si128(qi),
+                                        _mm256_extracti128_si256(qi, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i),
+                     _mm_packs_epi16(q16, q16));
+  }
+  for (; i < n; ++i) out[i] = QuantizeOne(x[i] * inv);
+  return max_abs / 127.0f;
 }
 
 // GEMM tiles: AxpyAvx2's FMA per element in p order (its scalar tail's
@@ -810,7 +1025,10 @@ struct VTable {
   void (*relu_to)(const float*, float*, int);
   void (*normalize_affine)(const float*, float, float, const float*,
                            const float*, float*, float*, int);
+  void (*exp)(const float*, float*, int);
+  void (*gelu)(const float*, float*, float*, int);
   int32_t (*dot_i8)(const int8_t*, const int8_t*, int);
+  float (*quantize_row)(const float*, int, float, int8_t*);
   GemmKernels gemm;
 };
 
@@ -819,7 +1037,8 @@ constexpr VTable kScalarTable = {
     ReduceSumScalar,    ReduceSumSqDiffScalar,
     AddScalarKernel,    SubScalarKernel,   MulScalarKernel,
     ScaleToScalar,      AddScalarToScalar, ReluToScalar,
-    NormalizeAffineScalar, DotI8Scalar,
+    NormalizeAffineScalar, ExpScalar,    GeluScalar,
+    DotI8Scalar,        QuantizeRowScalar,
     {AxpyTileScalar, DotTileScalar},
 };
 
@@ -829,7 +1048,8 @@ constexpr VTable kAvx2Table = {
     ReduceSumAvx2,    ReduceSumSqDiffAvx2,
     AddAvx2,          SubAvx2,         MulAvx2,
     ScaleToAvx2,      AddScalarToAvx2, ReluToAvx2,
-    NormalizeAffineAvx2, DotI8Avx2,
+    NormalizeAffineAvx2, ExpAvx2,    GeluAvx2,
+    DotI8Avx2,        QuantizeRowAvx2,
     {AxpyTileAvx2, DotTileAvx2},
 };
 #endif
@@ -840,7 +1060,9 @@ constexpr VTable kNeonTable = {
     ReduceSumNeon,    ReduceSumSqDiffNeon,
     AddNeon,          SubNeon,         MulNeon,
     ScaleToNeon,      AddScalarToNeon, ReluToNeon,
-    NormalizeAffineNeon, DotI8Neon,
+    // Exp, GELU and QuantizeRow run the portable scalar forms on NEON.
+    NormalizeAffineNeon, ExpScalar,    GeluScalar,
+    DotI8Neon,        QuantizeRowScalar,
     {AxpyTileNeon, DotTileNeon},
 };
 #endif
@@ -1021,21 +1243,14 @@ int32_t DotI8(const int8_t* a, const int8_t* b, int n) {
   return Active().dot_i8(a, b, n);
 }
 
+void Exp(const float* x, float* out, int n) { Active().exp(x, out, n); }
+
+void Gelu(const float* x, float* out, float* tanh_u, int n) {
+  Active().gelu(x, out, tanh_u, n);
+}
+
 float QuantizeRow(const float* x, int n, float clip, int8_t* out) {
-  float max_abs = 0.0f;
-  for (int i = 0; i < n; ++i) max_abs = std::max(max_abs, std::fabs(x[i]));
-  if (clip > 0.0f) max_abs = std::min(max_abs, clip);
-  if (max_abs == 0.0f) {
-    for (int i = 0; i < n; ++i) out[i] = 0;
-    return 0.0f;
-  }
-  const float scale = max_abs / 127.0f;
-  const float inv = 127.0f / max_abs;
-  for (int i = 0; i < n; ++i) {
-    const long q = std::lround(x[i] * inv);
-    out[i] = static_cast<int8_t>(std::clamp<long>(q, -127, 127));
-  }
-  return scale;
+  return Active().quantize_row(x, n, clip, out);
 }
 
 }  // namespace simd

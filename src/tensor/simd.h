@@ -87,6 +87,35 @@ void NormalizeAffine(const float* x, float mean, float istd,
                      const float* gain, const float* bias, float* xhat,
                      float* out, int n);
 
+// --- Approximate transcendental kernels --------------------------------------
+//
+// They replace per-element libm calls with one polynomial approximation
+// that every backend evaluates in the same steps, so backends differ only
+// where a vector backend fuses a multiply-add. Each result is within a
+// stated bound of the double-precision function (DESIGN.md §3.1), and is a
+// function of its own element alone: never of n or of the element's
+// position, so a row gives the same bits whole or in chunks.
+
+/// out[i] = exp(x[i]), for softmax rows after the max shift. Relative
+/// error <= kExpMaxRelError for x in [kExpMin, kExpMax]; x < kExpMin
+/// gives +0 (the true value is below FLT_MIN), x > kExpMax and +inf give
+/// +inf, NaN stays NaN. out may alias x.
+void Exp(const float* x, float* out, int n);
+constexpr float kExpMin = -87.33654f;  // ln FLT_MIN
+constexpr float kExpMax = 88.37626f;   // 127.5 ln 2
+constexpr double kExpMaxRelError = 1.5e-7;
+
+/// GELU, tanh approximation as in BERT:
+///   out[i] = 0.5 x (1 + tanh(u)),  u = sqrt(2/pi) (x + 0.044715 x^3),
+/// evaluated as x * sigmoid(2u) on Exp's polynomial. Absolute error
+/// <= kGeluMaxAbsError against that formula in double precision, for
+/// every finite x (libm's tanhf gives 4.4e-7); +inf gives +inf, -inf
+/// gives +0 (the limit), NaN stays NaN. `tanh_u`, when not null, receives
+/// tanh(u) as 2 sigmoid(2u) - 1, within the same bound: the term GELU's
+/// backward needs. out may alias x.
+void Gelu(const float* x, float* out, float* tanh_u, int n);
+constexpr double kGeluMaxAbsError = 6e-7;
+
 // --- GEMM tile kernels -------------------------------------------------------
 //
 // The register tiles under MatMul (DESIGN.md §3). Each keeps a block of C
@@ -126,9 +155,11 @@ const GemmKernels& ActiveGemmKernels();
 int32_t DotI8(const int8_t* a, const int8_t* b, int n);
 
 /// Symmetric per-row quantization: scale = min(max_i |x[i]|, clip) / 127
-/// (clip <= 0 disables clipping), out[i] = round(x[i] / scale) saturated
-/// to [-127, 127]. Returns the scale (0 when the row is all zero — the
-/// quantized row is then all zero too).
+/// (clip <= 0 disables clipping), out[i] = lround(x[i] * (127 / that
+/// max)) saturated to [-127, 127]. Returns the scale (0 when the row is
+/// all zero — the quantized row is then all zero too). For finite inputs
+/// every backend gives the scalar lround loop's bytes: the vector forms
+/// truncate, add ±1 when the dropped fraction is >= 0.5, and clamp.
 float QuantizeRow(const float* x, int n, float clip, int8_t* out);
 
 }  // namespace simd

@@ -7,10 +7,12 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.h"
@@ -38,13 +40,77 @@ class SinkCapture {
 };
 
 TEST(LogTest, ParseLogLevel) {
-  EXPECT_EQ(ParseLogLevel("debug"), LogLevel::kDebug);
-  EXPECT_EQ(ParseLogLevel("INFO"), LogLevel::kInfo);
-  EXPECT_EQ(ParseLogLevel("Warn"), LogLevel::kWarn);
-  EXPECT_EQ(ParseLogLevel("warning"), LogLevel::kWarn);
-  EXPECT_EQ(ParseLogLevel("error"), LogLevel::kError);
-  EXPECT_EQ(ParseLogLevel("off"), LogLevel::kOff);
-  EXPECT_EQ(ParseLogLevel("bogus", LogLevel::kWarn), LogLevel::kWarn);
+  const auto parse = [](const char* text) {
+    LogLevel level = LogLevel::kWarn;
+    EXPECT_TRUE(TryParseLogLevel(text, &level)) << text;
+    return level;
+  };
+  EXPECT_EQ(parse("debug"), LogLevel::kDebug);
+  EXPECT_EQ(parse("INFO"), LogLevel::kInfo);
+  EXPECT_EQ(parse("Warn"), LogLevel::kWarn);
+  EXPECT_EQ(parse("warning"), LogLevel::kWarn);
+  EXPECT_EQ(parse("error"), LogLevel::kError);
+  EXPECT_EQ(parse("off"), LogLevel::kOff);
+  // Unknown input is rejected and leaves the level untouched.
+  LogLevel level = LogLevel::kWarn;
+  EXPECT_FALSE(TryParseLogLevel("bogus", &level));
+  EXPECT_EQ(level, LogLevel::kWarn);
+}
+
+// Sets TELEKIT_LOG_LEVEL (or unsets it for null) for one scope.
+class ScopedLogLevelEnv {
+ public:
+  explicit ScopedLogLevelEnv(const char* value) {
+    const char* old = std::getenv("TELEKIT_LOG_LEVEL");
+    had_ = old != nullptr;
+    if (had_) saved_ = old;
+    if (value != nullptr) {
+      setenv("TELEKIT_LOG_LEVEL", value, 1);
+    } else {
+      unsetenv("TELEKIT_LOG_LEVEL");
+    }
+  }
+  ~ScopedLogLevelEnv() {
+    if (had_) {
+      setenv("TELEKIT_LOG_LEVEL", saved_.c_str(), 1);
+    } else {
+      unsetenv("TELEKIT_LOG_LEVEL");
+    }
+  }
+
+ private:
+  bool had_ = false;
+  std::string saved_;
+};
+
+TEST(LogTest, LevelFromEnvTakesEveryNameAndAlias) {
+  {
+    ScopedLogLevelEnv env(nullptr);
+    EXPECT_EQ(LogLevelFromEnv(), LogLevel::kInfo);
+  }
+  const std::pair<const char*, LogLevel> cases[] = {
+      {"debug", LogLevel::kDebug}, {"INFO", LogLevel::kInfo},
+      {"warn", LogLevel::kWarn},   {"warning", LogLevel::kWarn},
+      {"error", LogLevel::kError}, {"off", LogLevel::kOff},
+      {"none", LogLevel::kOff}};
+  for (const auto& [name, level] : cases) {
+    ScopedLogLevelEnv env(name);
+    EXPECT_EQ(LogLevelFromEnv(), level) << name;
+  }
+}
+
+TEST(LogDeathTest, UnknownLevelInEnvExits64NamingTheVariable) {
+  for (const char* bad : {"bogus", "", "infox"}) {
+    EXPECT_EXIT(
+        {
+          setenv("TELEKIT_LOG_LEVEL", bad, 1);
+          LogLevelFromEnv();
+        },
+        ::testing::ExitedWithCode(64),
+        "bad value for TELEKIT_LOG_LEVEL: '.*' .want "
+        "debug.info.warn.error.off")
+        << "value '" << bad << "'";
+  }
 }
 
 TEST(LogTest, LevelFiltering) {

@@ -6,6 +6,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -27,6 +29,7 @@
 #include "serve/protocol.h"
 #include "tasks/scoring.h"
 #include "tensor/compute_pool.h"
+#include "tensor/simd.h"
 
 namespace telekit {
 namespace serve {
@@ -466,8 +469,8 @@ TEST(BatchedForwardTest, TeleBertBatchMatchesSingle) {
   const auto batched = model.ServiceVectorBatch(batch);
   ASSERT_EQ(batched.size(), 5u);
   for (size_t i = 0; i < 5; ++i) {
-    EXPECT_LE(MaxAbsDiff(batched[i], model.ServiceVector(inputs[i])), 1e-5)
-        << "sequence " << i;
+    // Batch and single run the same forward: the same bits.
+    EXPECT_EQ(batched[i], model.ServiceVector(inputs[i])) << "sequence " << i;
   }
 }
 
@@ -486,8 +489,7 @@ TEST(BatchedForwardTest, KTeleBertBatchMatchesSingleWithNumericSlots) {
   const auto batched = model.ServiceVectorBatch(batch);
   ASSERT_EQ(batched.size(), 4u);
   for (size_t i = 0; i < 4; ++i) {
-    EXPECT_LE(MaxAbsDiff(batched[i], model.ServiceVector(logs[i])), 1e-5)
-        << "sequence " << i;
+    EXPECT_EQ(batched[i], model.ServiceVector(logs[i])) << "sequence " << i;
   }
 }
 
@@ -503,7 +505,7 @@ TEST(BatchedForwardTest, ServiceEncoderBatchMatchesSingle) {
     const auto batched = service.EncodeBatch(names, mode);
     ASSERT_EQ(batched.size(), names.size());
     for (size_t i = 0; i < names.size(); ++i) {
-      EXPECT_LE(MaxAbsDiff(batched[i], service.Encode(names[i], mode)), 1e-5);
+      EXPECT_EQ(batched[i], service.Encode(names[i], mode));
     }
   }
 }
@@ -533,11 +535,99 @@ TEST(BatchedForwardTest, EncodeInputsBitIdenticalAcrossComputeThreads) {
     // Determinism contract: the fixed chunk grid makes the parallel batched
     // forward bit-identical to the serial one, not merely close.
     EXPECT_EQ(parallel[i], serial[i]) << "sequence " << i;
-    // And the batched path still agrees with the single-sequence path.
-    EXPECT_LE(MaxAbsDiff(parallel[i], model.ServiceVector(inputs[i])), 1e-5)
-        << "sequence " << i;
+    // And the batched path gives the single-sequence path's bits.
+    EXPECT_EQ(parallel[i], model.ServiceVector(inputs[i])) << "sequence " << i;
   }
   tensor::SetComputeThreads(previous);
+}
+
+// --- The tape-free inference forward ------------------------------------------
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Runs `check` on the scalar and the detected SIMD backend at 1, 2 and 4
+// compute threads, then restores both.
+void ForEachBackendAndThreadCount(
+    const std::function<void(const std::string&)>& check) {
+  const tensor::simd::Backend backend = tensor::simd::ActiveBackend();
+  const int threads = tensor::ComputeThreads();
+  for (tensor::simd::Backend b :
+       {tensor::simd::Backend::kScalar, tensor::simd::DetectBackend()}) {
+    tensor::simd::ForceBackend(b);
+    for (int t : {1, 2, 4}) {
+      tensor::SetComputeThreads(t);
+      check(std::string(tensor::simd::BackendName(b)) +
+            " threads=" + std::to_string(t));
+    }
+  }
+  tensor::simd::ForceBackend(backend);
+  tensor::SetComputeThreads(threads);
+}
+
+// The longest inputs first, so the projections are large enough for the
+// compute pool to split them into several chunks.
+std::vector<const text::EncodedInput*> LongestFirst(
+    const std::vector<text::EncodedInput>& inputs, size_t count) {
+  std::vector<const text::EncodedInput*> out;
+  for (const auto& input : inputs) out.push_back(&input);
+  std::stable_sort(out.begin(), out.end(), [](const auto* a, const auto* b) {
+    return a->length > b->length;
+  });
+  out.resize(std::min(out.size(), count));
+  return out;
+}
+
+TEST(InferenceForwardTest, TeleBertServiceVectorIsTheEvalForwardBitForBit) {
+  const core::TeleBert& model = SharedZoo().telebert();
+  const auto inputs =
+      LongestFirst(SharedZoo().retrain_data().causal_sentences, 6);
+  ASSERT_GE(inputs.front()->length, 16);
+  ForEachBackendAndThreadCount([&](const std::string& where) {
+    for (const text::EncodedInput* input : inputs) {
+      Rng unused(0);
+      const tensor::Tensor cls =
+          model.EncodeCls(*input, unused, /*training=*/false);
+      EXPECT_TRUE(SameBits(model.ServiceVector(*input), cls.data()))
+          << where << " length=" << input->length;
+    }
+  });
+}
+
+TEST(InferenceForwardTest, KTeleBertWithNumericSlotsIsTheEvalForwardBitForBit) {
+  const core::KTeleBert& model =
+      SharedZoo().ktelebert(core::ModelKind::kKTeleBertStl);
+  const auto inputs = LongestFirst(SharedZoo().retrain_data().machine_logs, 6);
+  size_t slots = 0;
+  for (const auto* input : inputs) slots += input->numeric_slots.size();
+  ASSERT_GT(slots, 0u) << "machine logs should carry numeric slots";
+  ForEachBackendAndThreadCount([&](const std::string& where) {
+    for (const text::EncodedInput* input : inputs) {
+      Rng unused(0);
+      const tensor::Tensor cls =
+          model.EncodeCls(*input, unused, /*training=*/false);
+      EXPECT_TRUE(SameBits(model.ServiceVector(*input), cls.data()))
+          << where << " length=" << input->length;
+    }
+  });
+}
+
+TEST(InferenceForwardTest, EncodeInputsDispatchesNoTensorOps) {
+  const core::ModelZoo& zoo = SharedZoo();
+  core::ServiceEncoder service =
+      zoo.MakeServiceEncoder(core::ModelKind::kTeleBert);
+  core::QuantizedEncoder quantized(zoo.telebert().encoder());
+  const auto inputs = LongestFirst(zoo.retrain_data().causal_sentences, 8);
+  quantized.Calibrate(inputs);
+  const obs::Counter& dispatched =
+      obs::MetricsRegistry::Global().GetCounter("tensor/ops_dispatched");
+  const uint64_t before = dispatched.value();
+  EXPECT_EQ(service.EncodeInputs(inputs).size(), inputs.size());
+  EXPECT_EQ(dispatched.value(), before) << "fp32";
+  EXPECT_EQ(quantized.EncodeBatch(inputs).size(), inputs.size());
+  EXPECT_EQ(dispatched.value(), before) << "int8";
 }
 
 TEST(ServeEngineTest, EndToEndMixedOps) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/rng.h"
@@ -779,6 +781,199 @@ TEST(SimdKernelTest, QuantizeRowProperties) {
     if (std::fabs(x[i]) >= clip) {
       EXPECT_EQ(std::abs(static_cast<int>(q[i])), 127) << "i=" << i;
     }
+  }
+}
+
+// The backends a kernel test covers: scalar and the detected one.
+std::vector<simd::Backend> TestedBackends() {
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::DetectBackend() != simd::Backend::kScalar) {
+    backends.push_back(simd::DetectBackend());
+  }
+  return backends;
+}
+
+bool SameFloatBits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+// GELU in double through the sigmoid form, which (unlike 1 + tanh(u))
+// keeps its relative precision where GELU is tiny.
+double GeluRef(double x) {
+  const double u = std::sqrt(2.0 / M_PI) * (x + 0.044715 * x * x * x);
+  return x / (1.0 + std::exp(-2.0 * u));
+}
+
+double GeluTanhRef(double x) {
+  return std::tanh(std::sqrt(2.0 / M_PI) * (x + 0.044715 * x * x * x));
+}
+
+TEST(SimdKernelTest, GeluWithinStatedBoundOfDoubleReference) {
+  BackendGuard guard;
+  std::vector<float> x;
+  for (int i = -120000; i <= 120000; ++i) x.push_back(i * 1e-4f);
+  for (float v : {13.0f, 20.0f, 88.0f, 1e4f, 3e38f, -10.5f, -20.0f, -88.0f,
+                  -1e4f, -3e38f, 1e-30f, -1e-30f, 1e-45f}) {
+    x.push_back(v);
+  }
+  std::vector<float> y(x.size()), t(x.size());
+  for (simd::Backend backend : TestedBackends()) {
+    simd::ForceBackend(backend);
+    simd::Gelu(x.data(), y.data(), t.data(), static_cast<int>(x.size()));
+    for (size_t i = 0; i < x.size(); ++i) {
+      ASSERT_LE(std::fabs(y[i] - GeluRef(x[i])), simd::kGeluMaxAbsError)
+          << simd::BackendName(backend) << " x=" << x[i];
+      ASSERT_LE(std::fabs(t[i] - GeluTanhRef(x[i])), simd::kGeluMaxAbsError)
+          << simd::BackendName(backend) << " x=" << x[i];
+    }
+    const float inf = std::numeric_limits<float>::infinity();
+    const float in[] = {0.0f, -0.0f, inf, -inf, std::nanf("")};
+    float out[5], tanh_u[5];
+    simd::Gelu(in, out, tanh_u, 5);
+    EXPECT_EQ(out[0], 0.0f);
+    EXPECT_EQ(out[1], 0.0f);
+    EXPECT_EQ(tanh_u[0], 0.0f);
+    EXPECT_EQ(out[2], inf);
+    EXPECT_EQ(tanh_u[2], 1.0f);
+    EXPECT_EQ(out[3], 0.0f);  // the limit; the formula itself gives NaN
+    EXPECT_EQ(tanh_u[3], -1.0f);
+    EXPECT_TRUE(std::isnan(out[4]));
+    EXPECT_TRUE(std::isnan(tanh_u[4]));
+  }
+}
+
+TEST(SimdKernelTest, ExpWithinStatedBoundOfDoubleReference) {
+  BackendGuard guard;
+  std::vector<float> x;
+  for (float v = simd::kExpMin; v <= simd::kExpMax; v += 1e-3f) {
+    x.push_back(v);
+  }
+  x.push_back(simd::kExpMax);
+  std::vector<float> y(x.size());
+  for (simd::Backend backend : TestedBackends()) {
+    simd::ForceBackend(backend);
+    simd::Exp(x.data(), y.data(), static_cast<int>(x.size()));
+    for (size_t i = 0; i < x.size(); ++i) {
+      const double ref = std::exp(static_cast<double>(x[i]));
+      ASSERT_LE(std::fabs(y[i] - ref), simd::kExpMaxRelError * ref)
+          << simd::BackendName(backend) << " x=" << x[i];
+    }
+    const float inf = std::numeric_limits<float>::infinity();
+    const float in[] = {0.0f, -0.0f, inf, -inf, std::nanf(""), -87.4f, -1e30f,
+                        88.4f, 1e30f};
+    float out[9];
+    simd::Exp(in, out, 9);
+    EXPECT_EQ(out[0], 1.0f);
+    EXPECT_EQ(out[1], 1.0f);
+    EXPECT_EQ(out[2], inf);
+    EXPECT_EQ(out[3], 0.0f);
+    EXPECT_TRUE(std::isnan(out[4]));
+    EXPECT_EQ(out[5], 0.0f);  // below FLT_MIN
+    EXPECT_EQ(out[6], 0.0f);
+    EXPECT_EQ(out[7], inf);
+    EXPECT_EQ(out[8], inf);
+  }
+}
+
+// An element's result must not depend on n or on where the element sits
+// (a vector lane or the tail), or ParallelFor's chunking and the inference
+// forward's row-wise calls could give other bits than a whole-tensor call.
+TEST(SimdKernelTest, ApproximateKernelsIgnoreElementPosition) {
+  BackendGuard guard;
+  Rng rng(18);
+  std::vector<float> x = RandomVec(37, rng);
+  for (float& v : x) v *= 4.0f;
+  for (simd::Backend backend : TestedBackends()) {
+    simd::ForceBackend(backend);
+    std::vector<float> gelu(x.size()), tanh_u(x.size()), exp(x.size());
+    simd::Gelu(x.data(), gelu.data(), tanh_u.data(), 37);
+    simd::Exp(x.data(), exp.data(), 37);
+    for (int start = 0; start < 37; ++start) {
+      for (int n : {1, 5, 8, 11}) {
+        if (start + n > 37) continue;
+        std::vector<float> g(n), t(n), e(n);
+        simd::Gelu(x.data() + start, g.data(), t.data(), n);
+        simd::Exp(x.data() + start, e.data(), n);
+        for (int i = 0; i < n; ++i) {
+          const size_t at = static_cast<size_t>(start + i);
+          EXPECT_TRUE(SameFloatBits(g[i], gelu[at])) << "gelu at " << at;
+          EXPECT_TRUE(SameFloatBits(t[i], tanh_u[at])) << "tanh at " << at;
+          EXPECT_TRUE(SameFloatBits(e[i], exp[at])) << "exp at " << at;
+        }
+      }
+    }
+    // Without a tanh output, GELU's values are the same bits.
+    std::vector<float> plain(x.size());
+    simd::Gelu(x.data(), plain.data(), nullptr, 37);
+    EXPECT_EQ(std::memcmp(plain.data(), gelu.data(), sizeof(float) * 37), 0);
+  }
+}
+
+// The scalar loop the vector QuantizeRow must reproduce, byte for byte
+// (x * inv clamped to ±128 so lround never overflows).
+float QuantizeRowByLround(const float* x, int n, float clip, int8_t* out) {
+  float max_abs = 0.0f;
+  for (int i = 0; i < n; ++i) max_abs = std::max(max_abs, std::fabs(x[i]));
+  if (clip > 0.0f) max_abs = std::min(max_abs, clip);
+  if (max_abs == 0.0f) {
+    for (int i = 0; i < n; ++i) out[i] = 0;
+    return 0.0f;
+  }
+  const float inv = 127.0f / max_abs;
+  for (int i = 0; i < n; ++i) {
+    const float v = std::clamp(x[i] * inv, -128.0f, 128.0f);
+    out[i] = static_cast<int8_t>(std::clamp<long>(std::lround(v), -127, 127));
+  }
+  return max_abs / 127.0f;
+}
+
+TEST(SimdKernelTest, VectorQuantizeRowMatchesScalarLoopByteForByte) {
+  BackendGuard guard;
+  Rng rng(19);
+  for (simd::Backend backend : TestedBackends()) {
+    simd::ForceBackend(backend);
+    const auto check = [&](const std::vector<float>& x, float clip) {
+      const int n = static_cast<int>(x.size());
+      std::vector<int8_t> want(x.size()), got(x.size());
+      const float want_scale =
+          QuantizeRowByLround(x.data(), n, clip, want.data());
+      const float got_scale = simd::QuantizeRow(x.data(), n, clip, got.data());
+      ASSERT_TRUE(SameFloatBits(got_scale, want_scale))
+          << simd::BackendName(backend) << " n=" << n << " clip=" << clip;
+      ASSERT_EQ(got, want) << simd::BackendName(backend) << " n=" << n
+                           << " clip=" << clip;
+    };
+    for (int row = 0; row < 20000; ++row) {
+      const int n = 1 + static_cast<int>(rng.UniformInt(130));
+      std::vector<float> x = RandomVec(n, rng);
+      float max_abs = 0.0f;
+      for (float v : x) max_abs = std::max(max_abs, std::fabs(v));
+      // Unclipped, clipped (the outliers saturate) and a clip above max.
+      const float clips[] = {0.0f, max_abs * 0.3f, max_abs * 2.0f};
+      check(x, clips[row % 3]);
+    }
+    // Half-way ties k +- 1/2 for k = 0..126: with max |x| = 127 the scale is
+    // exactly 1, so x * inv lands on each tie exactly; lround rounds away
+    // from zero.
+    std::vector<float> ties = {127.0f};
+    for (int k = 0; k <= 126; ++k) {
+      ties.push_back(k + 0.5f);
+      ties.push_back(-(k + 0.5f));
+      ties.push_back(k - 0.5f);
+    }
+    check(ties, 0.0f);
+    std::vector<int8_t> q(ties.size());
+    simd::QuantizeRow(ties.data(), static_cast<int>(ties.size()), 0.0f,
+                      q.data());
+    EXPECT_EQ(q[1], 1);    // 0.5 -> 1
+    EXPECT_EQ(q[2], -1);   // -0.5 -> -1
+    EXPECT_EQ(q[4], 2);    // 1.5 -> 2
+    check(std::vector<float>(19, 0.0f), 0.0f);
+    check({-0.0f, 0.0f, 1e-30f, -3.0f}, 0.0f);
+    // Far past the clip: saturates with the value's own sign.
+    check({1e30f, -1e30f, 0.25f, 7.0f, -7.0f, 1.0f, 2.0f, 3.0f, 4.0f}, 3.0f);
+    simd::QuantizeRow(std::vector<float>{1e30f}.data(), 1, 3.0f, q.data());
+    EXPECT_EQ(q[0], 127);
   }
 }
 

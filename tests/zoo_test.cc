@@ -5,6 +5,7 @@
 
 #include "core/model_zoo.h"
 #include "eval/metrics.h"
+#include "obs/metrics.h"
 
 namespace telekit {
 namespace core {
@@ -95,6 +96,45 @@ TEST(ModelZooTest, CacheRoundTripReproducesEncodings) {
                       .Encode(zoo.retrain_data().causal_sentences[0]);
     EXPECT_EQ(first, second);
   }
+  std::filesystem::remove_all(cache);
+}
+
+// A checkpoint under another numerics version's file name (here the
+// unversioned name of version 1) was trained with other arithmetic: it must
+// miss and retrain, not restore.
+TEST(ModelZooTest, CheckpointOfAnotherNumericsVersionIsNotRestored) {
+  const std::string cache =
+      ::testing::TempDir() + "/zoo_cache_v_" + std::to_string(::getpid());
+  std::filesystem::remove_all(cache);
+  {
+    ModelZoo zoo(TinyConfig(cache));
+    zoo.Build();
+  }
+  const std::string suffix =
+      ".v" + std::to_string(kCheckpointNumericsVersion) + ".tkt";
+  int renamed = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(cache)) {
+    const std::string path = entry.path().string();
+    ASSERT_GT(path.size(), suffix.size());
+    ASSERT_EQ(path.substr(path.size() - suffix.size()), suffix) << path;
+    std::filesystem::rename(
+        path, path.substr(0, path.size() - suffix.size()) + ".tkt");
+    ++renamed;
+  }
+  ASSERT_GT(renamed, 0);
+  obs::Counter& misses =
+      obs::MetricsRegistry::Global().GetCounter("zoo/cache_misses");
+  obs::Counter& hits =
+      obs::MetricsRegistry::Global().GetCounter("zoo/cache_hits");
+  const uint64_t misses_before = misses.value();
+  const uint64_t hits_before = hits.value();
+  {
+    ModelZoo zoo(TinyConfig(cache));
+    zoo.Build();
+    EXPECT_FALSE(zoo.WasCached(ModelKind::kKTeleBertStl));
+  }
+  EXPECT_EQ(misses.value() - misses_before, static_cast<uint64_t>(renamed));
+  EXPECT_EQ(hits.value(), hits_before);
   std::filesystem::remove_all(cache);
 }
 
