@@ -52,6 +52,12 @@
 #      the ejection lands in /metrics, then /reloadz a model swap with
 #      zero failed requests, drain the router via /quitquitquit, and lint
 #      the router's wide-event request log with telekit_jsonlint.
+#  11. ASan+UBSan: build the tensor, autograd, core, pretrain and zoo
+#      suites in build_asan/ with -fsanitize=address,undefined
+#      -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS (TELEKIT_ASAN) and
+#      run them, so an out-of-bounds access in a raw-pointer kernel (the
+#      GEMM tiles, the fused tape nodes' per-head offsets) or undefined
+#      behaviour fails.
 #
 # Optional: TELEKIT_TSAN=1 scripts/check_tier1.sh additionally builds the
 # concurrency-heavy tests (serve engine, stream pipeline, embedding cache,
@@ -66,14 +72,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== [1/10] configure + build =="
+echo "== [1/11] configure + build =="
 cmake -B build -S .
 cmake --build build -j
 
-echo "== [2/10] ctest =="
+echo "== [2/11] ctest =="
 ctest --test-dir build --output-on-failure -j
 
-echo "== [3/10] TELEKIT_SIMD=off scalar-backend parity =="
+echo "== [3/11] TELEKIT_SIMD=off scalar-backend parity =="
 # The full suites must stay green with the vector backend disabled; the
 # off-vs-on numeric agreement is asserted in-process by SimdKernelTest
 # (which forces scalar and the detected backend against each other).
@@ -81,7 +87,7 @@ TELEKIT_SIMD=off ./build/tests/tensor_test --gtest_brief=1
 TELEKIT_SIMD=off ./build/tests/core_test --gtest_brief=1
 TELEKIT_SIMD=off ./build/tests/serve_test --gtest_brief=1
 
-echo "== [4/10] int8 accuracy gate (quant_eval --fast) =="
+echo "== [4/11] int8 accuracy gate (quant_eval --fast) =="
 # The int8 twin runs the shared inference forward with its own dense
 # layers: gate its RCA/EAP/FCT deltas end to end (--fast doubles the 5 pp
 # budget for its tiny corpus). The report goes to a temporary file, so
@@ -90,7 +96,7 @@ QUANT_REPORT=$(mktemp)
 ./build/bench/quant_eval --fast --out="${QUANT_REPORT}" --log-level=warn
 rm -f "${QUANT_REPORT}"
 
-echo "== [5/10] -Werror build of every target =="
+echo "== [5/11] -Werror build of every target =="
 cmake -B build_strict -S . -DCMAKE_CXX_FLAGS="-Wall -Wextra -Werror"
 cmake --build build_strict -j
 ./build_strict/tests/obs_test --gtest_brief=1
@@ -101,7 +107,7 @@ cmake --build build_strict -j
 ./build_strict/tests/tensor_test --gtest_brief=1
 ./build_strict/tests/index_test --gtest_brief=1
 
-echo "== [6/10] flag contract (64 on a usage error, 0 on --help) =="
+echo "== [6/11] flag contract (64 on a usage error, 0 on --help) =="
 SERVE=./build/src/serve/telekit_serve
 ROUTER=./build/src/route/telekit_router
 STREAMD=./build/src/stream/telekit_streamd
@@ -152,7 +158,7 @@ for row in "${FLAG_ROWS[@]}"; do
 done
 echo "flag contract: OK (${#FLAG_ROWS[@]} rows)"
 
-echo "== [7/10] admin endpoint smoke =="
+echo "== [7/11] admin endpoint smoke =="
 SERVE_PORT=18473
 ADMIN_PORT=18474
 SERVE_LOG=$(mktemp)
@@ -313,7 +319,7 @@ rm -f "${SERVE_LOG}" "${REQUEST_LOG}"
 echo "admin smoke: OK (/healthz + /readyz + /statusz + /timeseriesz + /alertz live," \
   "exemplar -> /requestz loop closed, request log lints)"
 
-echo "== [8/10] retrieval smoke (retrieve + troubleshoot + snapshot warm start) =="
+echo "== [8/11] retrieval smoke (retrieve + troubleshoot + snapshot warm start) =="
 RETR_PORT=18482
 RETR_ADMIN_PORT=18483
 RETR_LOG=$(mktemp)
@@ -460,7 +466,7 @@ rm -f "${RETR_LOG}" "${INDEX_SNAPSHOT}"
 echo "retrieval smoke: OK (retrieve + ef_search override + troubleshoot," \
   "span chain visible, snapshot warm start build_ms=${WARM_BUILD_MS})"
 
-echo "== [9/10] streamd replay smoke =="
+echo "== [9/11] streamd replay smoke =="
 STREAMD_ADMIN_PORT=18475
 STREAMD_LOG=$(mktemp)
 # Unpaced deterministic replay of a small seeded stream; --linger keeps the
@@ -520,7 +526,7 @@ trap - EXIT
 rm -f "${STREAMD_LOG}"
 echo "streamd smoke: OK (${EPISODES} episodes, 0 late drops, per-op serve metrics live)"
 
-echo "== [10/10] router fleet smoke =="
+echo "== [10/11] router fleet smoke =="
 REP1_PORT=18476; REP1_ADMIN=18477
 REP2_PORT=18478; REP2_ADMIN=18479
 ROUTER_PORT=18480; ROUTER_ADMIN=18481
@@ -789,6 +795,14 @@ rm -f "${REP1_LOG}" "${REP2_LOG}" "${ROUTER_LOG}" "${ROUTER_REQLOG}"
 echo "router smoke: OK (fleet healthy + probe telemetry, fleet metrics sum," \
   "kill survived, retry trace assembled via /tracezd, ejection exported," \
   "hot reload zero-failure, drain clean, request log lints)"
+
+echo "== [11/11] ASan+UBSan (tensor + autograd + core + pretrain + zoo) =="
+cmake -B build_asan -S . -DTELEKIT_ASAN=ON
+cmake --build build_asan -j --target \
+  tensor_test autograd_test core_test pretrain_test zoo_test
+for suite in tensor_test autograd_test core_test pretrain_test zoo_test; do
+  TELEKIT_COMPUTE_THREADS=4 "./build_asan/tests/${suite}" --gtest_brief=1
+done
 
 if [[ "${TELEKIT_TSAN:-0}" == "1" ]]; then
   echo "== [tsan] ThreadSanitizer pass (tensor + serve + stream + route + index + obs + admin) =="

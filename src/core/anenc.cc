@@ -60,7 +60,7 @@ Tensor AnEnc::Layer::Forward(const Tensor& tag_embedding, const Tensor& x,
   Tensor ffn = ffn_out.Forward(tensor::Gelu(ffn_in.Forward(h_hat)));
   Tensor lora = tensor::MulScalar(
       tensor::MatMul(tensor::MatMul(x, lora_down), lora_up), lora_alpha);
-  return norm.Forward(tensor::Add(ffn, lora));
+  return norm.ForwardSum(ffn, lora);
 }
 
 NamedParams AnEnc::Layer::Parameters() const {

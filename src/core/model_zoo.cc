@@ -1,9 +1,12 @@
 #include "core/model_zoo.h"
 
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -44,6 +47,89 @@ std::vector<ModelKind> AllModelKinds() {
           ModelKind::kKTeleBertPmtl,   ModelKind::kKTeleBertImtl};
 }
 
+namespace {
+
+// FNV-1a over typed config fields: integers and booleans as 64-bit
+// values, floats as their double's bits, and a string's length before its
+// bytes, so no two field lists fold the same byte sequence.
+class Digest {
+ public:
+  Digest& Add(uint64_t v) {
+    h_ = Fnv1aU64(v, h_);
+    return *this;
+  }
+  Digest& Add(int v) {
+    return Add(static_cast<uint64_t>(static_cast<int64_t>(v)));
+  }
+  Digest& Add(bool v) { return Add(static_cast<uint64_t>(v)); }
+  Digest& Add(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return Add(bits);
+  }
+  Digest& Add(float v) { return Add(static_cast<double>(v)); }
+  Digest& Add(const std::string& s) {
+    Add(static_cast<uint64_t>(s.size()));
+    h_ = Fnv1aStr(s, h_);
+    return *this;
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = kFnv1aOffset;
+};
+
+void AddMasking(const text::MaskingOptions& m, Digest& h) {
+  h.Add(m.mask_rate).Add(static_cast<int>(m.strategy)).Add(m.mask_token_prob)
+      .Add(m.random_token_prob);
+}
+
+}  // namespace
+
+std::string CheckpointDigest(const ZooConfig& c, const text::Vocab& vocab) {
+  Digest h;
+  h.Add(kCheckpointNumericsVersion).Add(c.seed);
+  const synth::WorldConfig& w = c.world;
+  h.Add(w.seed).Add(w.num_network_elements).Add(w.num_alarm_types)
+      .Add(w.num_kpi_types).Add(w.topology_extra_edges_per_node)
+      .Add(w.trigger_density).Add(w.cross_service_trigger_scale)
+      .Add(w.num_service_levels).Add(w.upward_trigger_scale)
+      .Add(w.max_affected_kpis);
+  h.Add(c.corpus.num_tele_sentences).Add(c.corpus.num_general_sentences)
+      .Add(c.corpus.min_causal_words).Add(c.corpus.causal_noise);
+  h.Add(c.log.baseline_noise).Add(c.log.normal_readings_per_episode)
+      .Add(c.log.hop_delay);
+  h.Add(c.num_episodes).Add(c.max_machine_logs).Add(c.max_triple_sentences)
+      .Add(c.max_ke_triples).Add(c.include_signaling_flows)
+      .Add(c.max_signaling_records);
+  h.Add(c.tokenizer.max_len).Add(c.tokenizer.min_word_count)
+      .Add(c.num_tele_tokens);
+  const EncoderConfig& e = c.encoder;
+  h.Add(e.vocab_size).Add(e.d_model).Add(e.num_heads).Add(e.num_layers)
+      .Add(e.ffn_dim).Add(e.max_len).Add(e.dropout);
+  const PretrainOptions& p = c.pretrain;
+  h.Add(p.steps).Add(p.batch_size).Add(p.learning_rate);
+  AddMasking(p.masking, h);
+  h.Add(static_cast<int>(p.objective)).Add(p.rtd_weight).Add(p.simcse_weight)
+      .Add(p.simcse_temperature).Add(p.clip_norm);
+  const ReTrainOptions& r = c.retrain;
+  h.Add(static_cast<int>(r.strategy)).Add(r.total_steps).Add(r.batch_size)
+      .Add(r.ke_batch_size).Add(r.learning_rate);
+  AddMasking(r.masking, h);
+  h.Add(r.ke_loss_weight).Add(r.use_regression).Add(r.use_tag_classification)
+      .Add(r.use_numeric_contrastive).Add(r.use_auto_weighting)
+      .Add(r.clip_norm);
+  const AnEncConfig& a = c.anenc;
+  h.Add(a.d_model).Add(a.num_meta).Add(a.num_layers).Add(a.lora_rank)
+      .Add(a.lora_alpha).Add(a.ffn_dim);
+  h.Add(vocab.size());
+  for (int id = 0; id < vocab.size(); ++id) h.Add(vocab.Token(id));
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(h.value()));
+  return hex;
+}
+
 ModelZoo::ModelZoo(const ZooConfig& config) : config_(config) {
   const char* env_cache = std::getenv("TELEKIT_CACHE");
   if (env_cache != nullptr) config_.cache_dir = env_cache;
@@ -51,7 +137,8 @@ ModelZoo::ModelZoo(const ZooConfig& config) : config_(config) {
 
 std::string ModelZoo::CachePath(const std::string& name) const {
   if (config_.cache_dir.empty()) return "";
-  return config_.cache_dir + "/" + name + ".v" +
+  TELEKIT_CHECK(!checkpoint_digest_.empty()) << "CachePath before BuildData";
+  return config_.cache_dir + "/" + name + "." + checkpoint_digest_ + ".v" +
          std::to_string(kCheckpointNumericsVersion) + ".tkt";
 }
 
@@ -167,6 +254,7 @@ void ModelZoo::BuildDataStack() {
   config_.encoder.vocab_size = tokenizer_->vocab().size();
   config_.encoder.max_len = config_.tokenizer.max_len;
   config_.anenc.d_model = config_.encoder.d_model;
+  checkpoint_digest_ = CheckpointDigest(config_, tokenizer_->vocab());
 }
 
 void ModelZoo::BuildPretrainedModels() {

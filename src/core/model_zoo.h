@@ -75,11 +75,22 @@ struct ZooConfig {
 };
 
 /// The training arithmetic's version, part of every checkpoint's file name
-/// (`<cache_dir>/<model>.v<N>.tkt`). A restore checks only names and
-/// shapes, so bump it whenever training arithmetic changes: checkpoints of
-/// older arithmetic then miss and retrain instead of restoring silently.
+/// (`<cache_dir>/<model>.<digest>.v<N>.tkt`). A restore checks only names
+/// and shapes, so bump it whenever training arithmetic changes: checkpoints
+/// of older arithmetic then miss and retrain instead of restoring silently.
 /// 2: the polynomial GELU and softmax exp (v1 files had no version).
 constexpr int kCheckpointNumericsVersion = 2;
+
+/// The `<digest>` of a checkpoint name: 16 hex digits of an FNV-1a hash
+/// over everything that decides a model's weights: every ZooConfig field
+/// a build reads (seeds, world, corpora, logs, data caps, tokenizer,
+/// encoder, ANEnc, pre- and re-training options), the tokenizer's
+/// vocabulary in id order, and kCheckpointNumericsVersion. Two zoos that
+/// differ in any of them never restore each other's checkpoints: the other
+/// zoo's file is simply not there, a plain cache miss. `cache_dir` is not
+/// part of it.
+std::string CheckpointDigest(const ZooConfig& config,
+                             const text::Vocab& vocab);
 
 /// Builds and owns the full experimental stack: the synthetic world, the
 /// corpora, one shared tokenizer/normalizer, the Tele-KG, and all model
@@ -161,6 +172,7 @@ class ModelZoo {
   std::vector<std::string> tele_corpus_;
   std::vector<std::string> general_corpus_;
   std::vector<std::string> tag_vocab_;  // TGC label space
+  std::string checkpoint_digest_;       // set once the tokenizer exists
   ReTrainData retrain_data_;
 
   std::unique_ptr<TeleBert> telebert_;

@@ -79,17 +79,12 @@ LinearLayer::LinearLayer(int in_dim, int out_dim, Rng& rng)
       bias_(Tensor::Zeros({out_dim}, true)) {}
 
 Tensor LinearLayer::Forward(const Tensor& x) const {
-  return tensor::Add(tensor::MatMul(x, weight_), bias_);
+  return tensor::Linear(x, weight_, bias_);
 }
 
 void LinearLayer::Infer(const float* x, int rows, float* out) const {
-  const int in = in_dim(), n = out_dim();
-  std::fill_n(out, static_cast<size_t>(rows) * n, 0.0f);
-  tensor::MatMulAcc(x, in, weight_.data().data(), out, rows, in, n);
-  for (int r = 0; r < rows; ++r) {
-    float* row = out + static_cast<size_t>(r) * n;
-    tensor::simd::Add(row, bias_.data().data(), row, n);
-  }
+  tensor::LinearRows(x, rows, in_dim(), weight_.data().data(),
+                     bias_.data().data(), out_dim(), out);
 }
 
 NamedParams LinearLayer::Parameters() const {
@@ -103,6 +98,10 @@ LayerNormParams::LayerNormParams(int dim)
 
 Tensor LayerNormParams::Forward(const Tensor& x) const {
   return tensor::LayerNorm(x, gain_, bias_);
+}
+
+Tensor LayerNormParams::ForwardSum(const Tensor& x, const Tensor& y) const {
+  return tensor::AddLayerNorm(x, y, gain_, bias_);
 }
 
 void LayerNormParams::InferInPlace(float* x, int rows) const {
@@ -134,55 +133,25 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int d_model, int num_heads,
 }
 
 Tensor MultiHeadSelfAttention::Forward(const Tensor& x) const {
-  const Tensor q = query_.Forward(x);
-  const Tensor k = key_.Forward(x);
-  const Tensor v = value_.Forward(x);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  std::vector<Tensor> heads;
-  heads.reserve(static_cast<size_t>(num_heads_));
-  for (int h = 0; h < num_heads_; ++h) {
-    const int start = h * head_dim_;
-    const Tensor qh = tensor::SliceCols(q, start, head_dim_);
-    const Tensor kh = tensor::SliceCols(k, start, head_dim_);
-    const Tensor vh = tensor::SliceCols(v, start, head_dim_);
-    Tensor scores =
-        tensor::MulScalar(tensor::MatMul(qh, tensor::Transpose(kh)), scale);
-    heads.push_back(tensor::MatMul(tensor::Softmax(scores), vh));
-  }
-  return output_.Forward(tensor::ConcatCols(heads));
+  return output_.Forward(tensor::Attention(
+      query_.Forward(x), key_.Forward(x), value_.Forward(x), num_heads_));
 }
 
-// Forward's steps per head: QK^T on a transposed copy of K_h (MatMul of
-// the Q_h slice by Transpose(K_h)), the scale, a softmax per row, then
-// P V_h on a contiguous copy of V_h, each head into its columns of ctx.
+// Forward's steps: each head through tensor::AttentionHead, the kernel
+// tensor::Attention runs, into its columns of ctx.
 void MultiHeadSelfAttention::Infer(const InferenceLinear& linear, int layer,
                                    const float* x, int len,
                                    InferBuffers& s, float* out) const {
   const int hd = head_dim_;
   const int d = num_heads_ * hd;
-  const size_t rows = static_cast<size_t>(len);
   linear.Apply(layer, Projection::kQuery, x, len, s.q);
   linear.Apply(layer, Projection::kKey, x, len, s.k);
   linear.Apply(layer, Projection::kValue, x, len, s.v);
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
   for (int h = 0; h < num_heads_; ++h) {
     const int col = h * hd;
-    for (size_t j = 0; j < rows; ++j) {
-      const float* kj = s.k + j * d + col;
-      for (int c = 0; c < hd; ++c) s.kt[c * rows + j] = kj[c];
-      std::copy_n(s.v + j * d + col, hd, s.vh + j * hd);
-    }
-    std::fill_n(s.scores, rows * rows, 0.0f);
-    tensor::MatMulAcc(s.q + col, d, s.kt, s.scores, len, hd, len);
-    tensor::simd::ScaleTo(s.scores, scale, s.scores, len * len);
-    for (size_t i = 0; i < rows; ++i) {
-      tensor::SoftmaxRow(s.scores + i * rows, s.scores + i * rows, len);
-    }
-    std::fill_n(s.head, rows * hd, 0.0f);
-    tensor::MatMulAcc(s.scores, len, s.vh, s.head, len, len, hd);
-    for (size_t i = 0; i < rows; ++i) {
-      std::copy_n(s.head + i * hd, hd, s.ctx + i * d + col);
-    }
+    tensor::AttentionHead(s.q + col, s.k + col, s.v + col, d, len, hd, scale,
+                          s.kt, s.vh, s.scores, s.head, s.ctx + col);
   }
   linear.Apply(layer, Projection::kOutput, s.ctx, len, out);
 }
@@ -223,10 +192,10 @@ Tensor TransformerLayer::Forward(const Tensor& x, float dropout, Rng& rng,
                                  bool training) const {
   Tensor attended =
       tensor::Dropout(attention_.Forward(x), dropout, rng, training);
-  Tensor h = norm1_.Forward(tensor::Add(x, attended));
+  Tensor h = norm1_.ForwardSum(x, attended);
   Tensor ffn = ffn_out_.Forward(tensor::Gelu(ffn_in_.Forward(h)));
   ffn = tensor::Dropout(ffn, dropout, rng, training);
-  return norm2_.Forward(tensor::Add(h, ffn));
+  return norm2_.ForwardSum(h, ffn);
 }
 
 void TransformerLayer::Infer(const InferenceLinear& linear, int layer,

@@ -31,9 +31,8 @@ class LinearLayer {
   LinearLayer(int in_dim, int out_dim, Rng& rng);
 
   tensor::Tensor Forward(const tensor::Tensor& x) const;
-  /// Forward on raw row-major buffers, tape-free, with Forward's
-  /// arithmetic: MatMul's tiles into a zeroed out[rows, out_dim], then
-  /// the bias added row by row.
+  /// Forward on raw row-major buffers, tape-free: tensor::LinearRows,
+  /// the kernel of Forward's tensor::Linear node.
   void Infer(const float* x, int rows, float* out) const;
   NamedParams Parameters() const;
 
@@ -52,6 +51,10 @@ class LayerNormParams {
  public:
   explicit LayerNormParams(int dim);
   tensor::Tensor Forward(const tensor::Tensor& x) const;
+  /// Forward(Add(x, y)) as one tape node (tensor::AddLayerNorm): the
+  /// post-LN residual.
+  tensor::Tensor ForwardSum(const tensor::Tensor& x,
+                            const tensor::Tensor& y) const;
   /// Forward over `rows` rows of x [rows, dim], in place and tape-free.
   void InferInPlace(float* x, int rows) const;
   NamedParams Parameters() const;

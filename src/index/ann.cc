@@ -10,6 +10,7 @@
 #include <type_traits>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "tensor/simd.h"
 
 namespace telekit {
@@ -41,14 +42,6 @@ struct BetterThan {
 constexpr uint64_t kSnapshotMagic = 0x54454C4B49445831ULL;  // "TELKIDX1"
 constexpr uint32_t kSnapshotVersion = 1;
 constexpr int kMaxLevelCap = 32;
-
-uint64_t Fnv1a(const char* data, size_t n, uint64_t h = 0xcbf29ce484222325ULL) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 /// Append-only binary writer used by Save (payload is checksummed whole).
 struct PayloadWriter {

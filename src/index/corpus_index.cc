@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 
@@ -18,22 +19,6 @@ using Clock = std::chrono::steady_clock;
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-uint64_t Fnv1aStr(const std::string& s, uint64_t h) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-uint64_t Fnv1aU64(uint64_t v, uint64_t h) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 void ExportGauges(const CorpusIndexStats& stats) {
@@ -51,7 +36,7 @@ void ExportGauges(const CorpusIndexStats& stats) {
 uint64_t CorpusIndex::ComputeFingerprint(
     const std::vector<synth::RetrievalDoc>& docs, int dim,
     const std::string& model_tag, const HnswOptions& options) {
-  uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t h = kFnv1aOffset;
   h = Fnv1aU64(static_cast<uint64_t>(dim), h);
   h = Fnv1aStr(model_tag, h);
   h = Fnv1aU64(static_cast<uint64_t>(options.M), h);

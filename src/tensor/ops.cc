@@ -106,6 +106,18 @@ void MmAccTN(const float* a, const float* b, float* c, int m, int k, int n) {
   MmAxpyTiles(a, 1, k, b, c, k, m, n);
 }
 
+// One [m, k] x [k, n] product in tensor/matmul_calls and
+// tensor/matmul_flops.
+void CountMatMul(int m, int k, int n) {
+  static obs::Counter& calls =
+      obs::MetricsRegistry::Global().GetCounter("tensor/matmul_calls");
+  static obs::Counter& flops =
+      obs::MetricsRegistry::Global().GetCounter("tensor/matmul_flops");
+  calls.Increment();
+  flops.Increment(2ULL * static_cast<uint64_t>(m) * static_cast<uint64_t>(k) *
+                  static_cast<uint64_t>(n));
+}
+
 // Broadcasting classification for binary elementwise ops.
 enum class Broadcast { kSame, kRow, kScalar };
 
@@ -133,17 +145,13 @@ size_t BIndex(Broadcast bc, size_t a_index, int a_cols) {
   return 0;
 }
 
-// Generic binary elementwise op with broadcasting. fwd(x, y) computes the
-// value; dfa/dfb give d(out)/dx and d(out)/dy as functions of (x, y).
-// `vsame(a, b, out, n)` / `vscalar(a, c, out, n)` are optional simd
-// forward kernels: vsame covers kSame directly and kRow by splitting each
-// chunk at row boundaries; vscalar covers kScalar. Backward is untouched.
-template <typename Fwd, typename Dfa, typename Dfb,
-          typename VSame = std::nullptr_t, typename VScalar = std::nullptr_t>
-Tensor BinaryOp(const Tensor& a, const Tensor& b, Fwd fwd, Dfa dfa, Dfb dfb,
-                VSame vsame = nullptr, VScalar vscalar = nullptr) {
-  const Broadcast bc = ClassifyBroadcast(a, b);
-  const int a_cols = a.rank() == 2 ? a.dim(1) : static_cast<int>(a.size());
+// Forward of a binary elementwise op with broadcasting: fwd(x, y) per
+// element, or the optional simd kernels `vsame(a, b, out, n)` (kSame
+// directly, kRow by splitting each chunk at row boundaries) and
+// `vscalar(a, c, out, n)` (kScalar).
+template <typename Fwd, typename VSame, typename VScalar>
+NodePtr BinaryForward(const Tensor& a, const Tensor& b, Broadcast bc,
+                      int a_cols, Fwd fwd, VSame vsame, VScalar vscalar) {
   NodePtr out = NewNode(a.shape(), AnyGrad(a, b));
   const auto& av = a.data();
   const auto& bv = b.data();
@@ -175,6 +183,22 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, Fwd fwd, Dfa dfa, Dfb dfb,
       out->value[i] = fwd(av[i], bv[BIndex(bc, i, a_cols)]);
     }
   });
+  return out;
+}
+
+int ColsOf(const Tensor& a) {
+  return a.rank() == 2 ? a.dim(1) : static_cast<int>(a.size());
+}
+
+// Generic binary elementwise op (Mul, Div): BinaryForward, and a backward
+// where dfa/dfb give d(out)/dx and d(out)/dy as functions of (x, y).
+template <typename Fwd, typename Dfa, typename Dfb,
+          typename VSame = std::nullptr_t, typename VScalar = std::nullptr_t>
+Tensor BinaryOp(const Tensor& a, const Tensor& b, Fwd fwd, Dfa dfa, Dfb dfb,
+                VSame vsame = nullptr, VScalar vscalar = nullptr) {
+  const Broadcast bc = ClassifyBroadcast(a, b);
+  const int a_cols = ColsOf(a);
+  NodePtr out = BinaryForward(a, b, bc, a_cols, fwd, vsame, vscalar);
   if (out->requires_grad) {
     out->parents = {a.node_ptr(), b.node_ptr()};
     out->backward = [an = a.node_ptr(), bn = b.node_ptr(), bc, a_cols, dfa,
@@ -200,6 +224,64 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, Fwd fwd, Dfa dfa, Dfb dfb,
         // kRow/kScalar reduce many indices into one bn->grad slot; keep the
         // serial ascending order so the float sum is reproducible.
         range(0, size);
+      }
+    };
+  }
+  return Tensor::FromNode(out);
+}
+
+// simd::Add or simd::Sub: out[i] = a[i] +/- b[i].
+using ElementwiseKernel = void (*)(const float*, const float*, float*, int);
+
+// acc[i] = kernel(acc[i], g[i]) over n elements, in ComputePool chunks:
+// each slot is its own, so any chunking gives the same bits.
+void AccumulateInto(float* acc, const float* g, int n,
+                    ElementwiseKernel kernel = simd::Add) {
+  ParallelFor(n, kElemGrain, [=](int lo, int hi) {
+    kernel(acc + lo, g + lo, acc + lo, hi - lo);
+  });
+}
+
+// Add, or Sub when `subtract`: BinaryForward on the simd kernels, and a
+// backward that adds (b of Sub: subtracts) whole rows of the output
+// gradient. A row-broadcast b sums the rows in ascending order and a scalar
+// b its elements one by one, so each slot's float sum keeps the order of
+// the per-element loop.
+Tensor AddOrSub(const Tensor& a, const Tensor& b, bool subtract) {
+  const Broadcast bc = ClassifyBroadcast(a, b);
+  const int a_cols = ColsOf(a);
+  const ElementwiseKernel kernel = subtract ? simd::Sub : simd::Add;
+  NodePtr out = BinaryForward(
+      a, b, bc, a_cols,
+      [subtract](float x, float y) { return subtract ? x - y : x + y; },
+      kernel,
+      [subtract](const float* x, float c, float* o, int n) {
+        // x - c and x + (-c) are the same IEEE operation.
+        simd::AddScalarTo(x, subtract ? -c : c, o, n);
+      });
+  if (out->requires_grad) {
+    out->parents = {a.node_ptr(), b.node_ptr()};
+    out->backward = [an = a.node_ptr(), bn = b.node_ptr(), bc, a_cols,
+                     kernel](Node* self) {
+      const float* g = self->grad.data();
+      const int size = static_cast<int>(self->grad.size());
+      if (an->requires_grad) {
+        an->EnsureGrad();
+        AccumulateInto(an->grad.data(), g, size);
+      }
+      if (!bn->requires_grad) return;
+      bn->EnsureGrad();
+      float* gb = bn->grad.data();
+      switch (bc) {
+        case Broadcast::kSame:
+          AccumulateInto(gb, g, size, kernel);
+          break;
+        case Broadcast::kRow:
+          for (int i = 0; i < size; i += a_cols) kernel(gb, g + i, gb, a_cols);
+          break;
+        case Broadcast::kScalar:
+          for (int i = 0; i < size; ++i) kernel(gb, g + i, gb, 1);
+          break;
       }
     };
   }
@@ -247,13 +329,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   TELEKIT_CHECK_EQ(k, b.dim(0))
       << "MatMul " << ShapeToString(a.shape()) << " x "
       << ShapeToString(b.shape());
-  static obs::Counter& matmul_calls =
-      obs::MetricsRegistry::Global().GetCounter("tensor/matmul_calls");
-  static obs::Counter& matmul_flops =
-      obs::MetricsRegistry::Global().GetCounter("tensor/matmul_flops");
-  matmul_calls.Increment();
-  matmul_flops.Increment(2ULL * static_cast<uint64_t>(m) *
-                         static_cast<uint64_t>(k) * static_cast<uint64_t>(n));
+  CountMatMul(m, k, n);
   NodePtr out = NewNode({m, n}, AnyGrad(a, b));
   MatMulAcc(a.data().data(), k, b.data().data(), out->value.data(), m, k, n);
   if (out->requires_grad) {
@@ -562,28 +638,11 @@ Tensor Row(const Tensor& a, int row) {
 // --- Elementwise arithmetic ---------------------------------------------------
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  return BinaryOp(
-      a, b, [](float x, float y) { return x + y; },
-      [](float, float) { return 1.0f; }, [](float, float) { return 1.0f; },
-      [](const float* x, const float* y, float* o, int n) {
-        simd::Add(x, y, o, n);
-      },
-      [](const float* x, float c, float* o, int n) {
-        simd::AddScalarTo(x, c, o, n);
-      });
+  return AddOrSub(a, b, /*subtract=*/false);
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  return BinaryOp(
-      a, b, [](float x, float y) { return x - y; },
-      [](float, float) { return 1.0f; }, [](float, float) { return -1.0f; },
-      [](const float* x, const float* y, float* o, int n) {
-        simd::Sub(x, y, o, n);
-      },
-      [](const float* x, float c, float* o, int n) {
-        // x - c and x + (-c) are the same IEEE operation.
-        simd::AddScalarTo(x, -c, o, n);
-      });
+  return AddOrSub(a, b, /*subtract=*/true);
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
@@ -826,76 +885,309 @@ Tensor Softmax(const Tensor& a) {
   return Tensor::FromNode(out);
 }
 
-Tensor LayerNorm(const Tensor& a, const Tensor& gain, const Tensor& bias,
-                 float eps) {
+namespace {
+
+// Rows and columns of a rank <= 2 tensor normalized over its last dim.
+void LayerNormShape(const Tensor& a, const Tensor& gain, const Tensor& bias,
+                    int* m, int* n) {
   TELEKIT_CHECK(a.rank() <= 2)
       << "LayerNorm expects rank <= 2, got " << ShapeToString(a.shape());
-  const int m = a.rank() == 2 ? a.dim(0) : 1;
-  const int n = a.rank() == 2 ? a.dim(1) : a.dim(0);
+  *m = a.rank() == 2 ? a.dim(0) : 1;
+  *n = a.rank() == 2 ? a.dim(1) : a.dim(0);
   TELEKIT_CHECK_EQ(gain.rank(), 1);
-  TELEKIT_CHECK_EQ(gain.dim(0), n);
+  TELEKIT_CHECK_EQ(gain.dim(0), *n);
   TELEKIT_CHECK_EQ(bias.rank(), 1);
-  TELEKIT_CHECK_EQ(bias.dim(0), n);
+  TELEKIT_CHECK_EQ(bias.dim(0), *n);
+}
+
+// What LayerNorm caches for its backward: the normalized rows and each
+// row's inverse stddev.
+struct LayerNormCache {
+  std::vector<float> xhat;
+  std::vector<float> inv_std;
+};
+
+// LayerNorm's backward from the output gradient dy [m, n]: the gain and
+// bias gradients, then dx += d(out)/d(in) when dx is not null.
+void LayerNormBackward(const float* dy, const LayerNormCache& cache,
+                       Node* gn, Node* bn, float* dx, int m, int n,
+                       int grain) {
+  if (gn->requires_grad) gn->EnsureGrad();
+  if (bn->requires_grad) bn->EnsureGrad();
+  // Gain/bias gradients reduce over rows into shared [n] slots: keep the
+  // serial ascending-row order so the float sums are reproducible.
+  if (gn->requires_grad || bn->requires_grad) {
+    for (int i = 0; i < m; ++i) {
+      const float* dyr = dy + static_cast<size_t>(i) * n;
+      const float* xh = cache.xhat.data() + static_cast<size_t>(i) * n;
+      for (int j = 0; j < n; ++j) {
+        if (gn->requires_grad) gn->grad[j] += dyr[j] * xh[j];
+        if (bn->requires_grad) bn->grad[j] += dyr[j];
+      }
+    }
+  }
+  if (dx == nullptr) return;
+  // dx touches only row i — safe to fan out.
+  ParallelFor(m, grain, [&](int r0, int r1) {
+    for (int i = r0; i < r1; ++i) {
+      const float* dyr = dy + static_cast<size_t>(i) * n;
+      const float* xh = cache.xhat.data() + static_cast<size_t>(i) * n;
+      // dxhat = dy * gain; dx = istd * (dxhat - mean(dxhat)
+      //                                 - xhat * mean(dxhat * xhat))
+      float mean_dxhat = 0.0f;
+      float mean_dxhat_xhat = 0.0f;
+      for (int j = 0; j < n; ++j) {
+        const float dxh = dyr[j] * gn->value[j];
+        mean_dxhat += dxh;
+        mean_dxhat_xhat += dxh * xh[j];
+      }
+      mean_dxhat /= static_cast<float>(n);
+      mean_dxhat_xhat /= static_cast<float>(n);
+      float* dxr = dx + static_cast<size_t>(i) * n;
+      const float istd = cache.inv_std[i];
+      for (int j = 0; j < n; ++j) {
+        const float dxh = dyr[j] * gn->value[j];
+        dxr[j] += istd * (dxh - mean_dxhat - xh[j] * mean_dxhat_xhat);
+      }
+    }
+  });
+}
+
+}  // namespace
+
+Tensor LayerNorm(const Tensor& a, const Tensor& gain, const Tensor& bias,
+                 float eps) {
+  int m = 0, n = 0;
+  LayerNormShape(a, gain, bias, &m, &n);
   const bool grad = a.requires_grad() || gain.requires_grad() ||
                     bias.requires_grad();
   NodePtr out = NewNode(a.shape(), grad);
-  // Cache normalized activations and per-row inverse stddev for backward.
-  auto xhat = std::make_shared<std::vector<float>>(a.data().size());
-  auto inv_std = std::make_shared<std::vector<float>>(m);
+  auto cache = std::make_shared<LayerNormCache>();
+  cache->xhat.resize(a.data().size());
+  cache->inv_std.resize(static_cast<size_t>(m));
   const int grain = RowGrain(m, 8ull * static_cast<size_t>(n));
   ParallelFor(m, grain, [&](int r0, int r1) {
     for (int i = r0; i < r1; ++i) {
-      (*inv_std)[i] = LayerNormRow(
-          a.data().data() + static_cast<size_t>(i) * n, gain.data().data(),
-          bias.data().data(), eps, xhat->data() + static_cast<size_t>(i) * n,
-          out->value.data() + static_cast<size_t>(i) * n, n);
+      const size_t row = static_cast<size_t>(i) * n;
+      cache->inv_std[i] = LayerNormRow(
+          a.data().data() + row, gain.data().data(), bias.data().data(), eps,
+          cache->xhat.data() + row, out->value.data() + row, n);
     }
   });
   if (out->requires_grad) {
     out->parents = {a.node_ptr(), gain.node_ptr(), bias.node_ptr()};
     out->backward = [an = a.node_ptr(), gn = gain.node_ptr(),
-                     bn = bias.node_ptr(), xhat, inv_std, m, n,
-                     grain](Node* self) {
-      if (gn->requires_grad) gn->EnsureGrad();
-      if (bn->requires_grad) bn->EnsureGrad();
-      if (an->requires_grad) an->EnsureGrad();
-      // Gain/bias gradients reduce over rows into shared [n] slots: keep the
-      // serial ascending-row order so the float sums are reproducible.
-      if (gn->requires_grad || bn->requires_grad) {
+                     bn = bias.node_ptr(), cache, m, n, grain](Node* self) {
+      float* dx = nullptr;
+      if (an->requires_grad) {
+        an->EnsureGrad();
+        dx = an->grad.data();
+      }
+      LayerNormBackward(self->grad.data(), *cache, gn.get(), bn.get(), dx, m,
+                        n, grain);
+    };
+  }
+  return Tensor::FromNode(out);
+}
+
+// --- Fused nodes ---------------------------------------------------------------
+//
+// Each replaces a chain of the nodes above (ops.h, "Fused nodes") and
+// replays its kernel calls: the same GEMM tiles on the same operand
+// layouts, the same row loops, and zeroed scratch where the chain's inner
+// node accumulated into a fresh gradient buffer (0.0f + g is not g for
+// g = -0).
+
+Tensor Linear(const Tensor& x, const Tensor& w, const Tensor& bias) {
+  TELEKIT_CHECK_EQ(x.rank(), 2);
+  TELEKIT_CHECK_EQ(w.rank(), 2);
+  const int m = x.dim(0), k = x.dim(1), n = w.dim(1);
+  TELEKIT_CHECK_EQ(k, w.dim(0))
+      << "Linear " << ShapeToString(x.shape()) << " x "
+      << ShapeToString(w.shape());
+  TELEKIT_CHECK(bias.rank() == 1 && bias.dim(0) == n)
+      << "Linear bias " << ShapeToString(bias.shape()) << " for " << n
+      << " outputs";
+  CountMatMul(m, k, n);
+  NodePtr out = NewNode(
+      {m, n}, x.requires_grad() || w.requires_grad() || bias.requires_grad());
+  LinearRows(x.data().data(), m, k, w.data().data(), bias.data().data(), n,
+             out->value.data());
+  if (out->requires_grad) {
+    out->parents = {x.node_ptr(), w.node_ptr(), bias.node_ptr()};
+    out->backward = [xn = x.node_ptr(), wn = w.node_ptr(),
+                     bn = bias.node_ptr(), m, k, n](Node* self) {
+      // The node's own gradient is the product's: it was accumulated from
+      // zero, so it holds no -0 for a zeroed copy to turn into +0.
+      const float* g = self->grad.data();
+      if (bn->requires_grad) {
+        bn->EnsureGrad();
         for (int i = 0; i < m; ++i) {
-          const float* dy = self->grad.data() + static_cast<size_t>(i) * n;
-          const float* xh = xhat->data() + static_cast<size_t>(i) * n;
-          for (int j = 0; j < n; ++j) {
-            if (gn->requires_grad) gn->grad[j] += dy[j] * xh[j];
-            if (bn->requires_grad) bn->grad[j] += dy[j];
+          simd::Add(bn->grad.data(), g + static_cast<size_t>(i) * n,
+                    bn->grad.data(), n);
+        }
+      }
+      if (xn->requires_grad) {
+        xn->EnsureGrad();
+        MmAccNT(g, wn->value.data(), xn->grad.data(), m, n, k);
+      }
+      if (wn->requires_grad) {
+        wn->EnsureGrad();
+        MmAccTN(xn->value.data(), g, wn->grad.data(), m, k, n);
+      }
+    };
+  }
+  return Tensor::FromNode(out);
+}
+
+Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 int num_heads) {
+  TELEKIT_CHECK_EQ(q.rank(), 2);
+  TELEKIT_CHECK(k.shape() == q.shape() && v.shape() == q.shape())
+      << "Attention q " << ShapeToString(q.shape()) << ", k "
+      << ShapeToString(k.shape()) << ", v " << ShapeToString(v.shape());
+  const int len = q.dim(0), d = q.dim(1);
+  TELEKIT_CHECK(num_heads > 0 && d % num_heads == 0)
+      << d << " columns in " << num_heads << " heads";
+  const int hd = d / num_heads;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  const size_t rows = static_cast<size_t>(len);
+  const size_t head_size = rows * hd;
+  // Per head, what its backward reads: Q_h [L, hd], K_h^T [hd, L],
+  // V_h [L, hd] and P [L, L].
+  const size_t per_head = 3 * head_size + rows * rows;
+  auto saved = std::make_shared<std::vector<float>>(per_head * num_heads);
+  std::vector<float> head(head_size);
+  NodePtr out = NewNode({len, d}, q.requires_grad() || k.requires_grad() ||
+                                      v.requires_grad());
+  for (int h = 0; h < num_heads; ++h) {
+    const int col = h * hd;
+    float* qh = saved->data() + h * per_head;
+    float* kt = qh + head_size;
+    float* vh = kt + head_size;
+    float* p = vh + head_size;
+    CountMatMul(len, hd, len);
+    CountMatMul(len, len, hd);
+    AttentionHead(q.data().data() + col, k.data().data() + col,
+                  v.data().data() + col, d, len, hd, scale, kt, vh, p,
+                  head.data(), out->value.data() + col);
+    for (size_t i = 0; i < rows; ++i) {
+      std::copy_n(q.data().data() + i * d + col, hd, qh + i * hd);
+    }
+  }
+  if (out->requires_grad) {
+    out->parents = {q.node_ptr(), k.node_ptr(), v.node_ptr()};
+    out->backward = [qn = q.node_ptr(), kn = k.node_ptr(), vn = v.node_ptr(),
+                     saved, len, d, hd, num_heads, scale](Node* self) {
+      const size_t rows = static_cast<size_t>(len);
+      const size_t head_size = rows * hd;
+      const size_t per_head = 3 * head_size + rows * rows;
+      const bool scores_grad = qn->requires_grad || kn->requires_grad;
+      if (qn->requires_grad) qn->EnsureGrad();
+      if (kn->requires_grad) kn->EnsureGrad();
+      if (vn->requires_grad) vn->EnsureGrad();
+      // dH_h, then the zeroed buffers the composite's fresh gradients
+      // were: dP (then dS, in place), dV_h, dQ_h, dK_h^T.
+      std::vector<float> scratch(4 * head_size + rows * rows);
+      float* dh = scratch.data();
+      float* dp = dh + head_size;
+      float* dv = dp + rows * rows;
+      float* dq = dv + head_size;
+      float* dkt = dq + head_size;
+      for (int h = 0; h < num_heads; ++h) {
+        const int col = h * hd;
+        const float* qh = saved->data() + h * per_head;
+        const float* kt = qh + head_size;
+        const float* vh = kt + head_size;
+        const float* p = vh + head_size;
+        for (size_t i = 0; i < rows; ++i) {
+          std::copy_n(self->grad.data() + i * d + col, hd, dh + i * hd);
+        }
+        if (vn->requires_grad) {
+          std::fill_n(dv, head_size, 0.0f);
+          MmAccTN(p, dh, dv, len, len, hd);
+          for (size_t i = 0; i < rows; ++i) {
+            float* gv = vn->grad.data() + i * d + col;
+            simd::Add(gv, dv + i * hd, gv, hd);
+          }
+        }
+        if (!scores_grad) continue;
+        std::fill_n(dp, rows * rows, 0.0f);
+        MmAccNT(dh, vh, dp, len, hd, len);
+        // Softmax's row backward into a zeroed gradient, then MulScalar's.
+        for (size_t i = 0; i < rows; ++i) {
+          const float* y = p + i * rows;
+          float* dy = dp + i * rows;
+          const float dot = simd::Dot(dy, y, len);
+          for (int j = 0; j < len; ++j) {
+            dy[j] = 0.0f + (0.0f + y[j] * (dy[j] - dot)) * scale;
+          }
+        }
+        if (qn->requires_grad) {
+          std::fill_n(dq, head_size, 0.0f);
+          MmAccNT(dp, kt, dq, len, len, hd);
+          for (size_t i = 0; i < rows; ++i) {
+            float* gq = qn->grad.data() + i * d + col;
+            simd::Add(gq, dq + i * hd, gq, hd);
+          }
+        }
+        if (kn->requires_grad) {
+          std::fill_n(dkt, head_size, 0.0f);
+          MmAccTN(qh, dp, dkt, len, hd, len);
+          for (size_t i = 0; i < rows; ++i) {
+            float* gk = kn->grad.data() + i * d + col;
+            for (int c = 0; c < hd; ++c) gk[c] += dkt[c * rows + i];
           }
         }
       }
-      // dx touches only row i — safe to fan out.
-      if (an->requires_grad) {
-        ParallelFor(m, grain, [&](int r0, int r1) {
-          for (int i = r0; i < r1; ++i) {
-            const float* dy = self->grad.data() + static_cast<size_t>(i) * n;
-            const float* xh = xhat->data() + static_cast<size_t>(i) * n;
-            // dxhat = dy * gain; dx = istd * (dxhat - mean(dxhat)
-            //                                 - xhat * mean(dxhat * xhat))
-            float mean_dxhat = 0.0f;
-            float mean_dxhat_xhat = 0.0f;
-            for (int j = 0; j < n; ++j) {
-              const float dxh = dy[j] * gn->value[j];
-              mean_dxhat += dxh;
-              mean_dxhat_xhat += dxh * xh[j];
-            }
-            mean_dxhat /= static_cast<float>(n);
-            mean_dxhat_xhat /= static_cast<float>(n);
-            float* dx = an->grad.data() + static_cast<size_t>(i) * n;
-            const float istd = (*inv_std)[i];
-            for (int j = 0; j < n; ++j) {
-              const float dxh = dy[j] * gn->value[j];
-              dx[j] += istd * (dxh - mean_dxhat - xh[j] * mean_dxhat_xhat);
-            }
-          }
-        });
+    };
+  }
+  return Tensor::FromNode(out);
+}
+
+Tensor AddLayerNorm(const Tensor& x, const Tensor& y, const Tensor& gain,
+                    const Tensor& bias, float eps) {
+  TELEKIT_CHECK(x.shape() == y.shape())
+      << "AddLayerNorm " << ShapeToString(x.shape()) << " + "
+      << ShapeToString(y.shape());
+  int m = 0, n = 0;
+  LayerNormShape(x, gain, bias, &m, &n);
+  const bool grad = x.requires_grad() || y.requires_grad() ||
+                    gain.requires_grad() || bias.requires_grad();
+  NodePtr out = NewNode(x.shape(), grad);
+  auto cache = std::make_shared<LayerNormCache>();
+  cache->xhat.resize(x.data().size());
+  cache->inv_std.resize(static_cast<size_t>(m));
+  const int grain = RowGrain(m, 8ull * static_cast<size_t>(n));
+  ParallelFor(m, grain, [&](int r0, int r1) {
+    for (int i = r0; i < r1; ++i) {
+      const size_t row = static_cast<size_t>(i) * n;
+      float* sum = out->value.data() + row;
+      simd::Add(x.data().data() + row, y.data().data() + row, sum, n);
+      cache->inv_std[i] =
+          LayerNormRow(sum, gain.data().data(), bias.data().data(), eps,
+                       cache->xhat.data() + row, sum, n);
+    }
+  });
+  if (out->requires_grad) {
+    out->parents = {x.node_ptr(), y.node_ptr(), gain.node_ptr(),
+                    bias.node_ptr()};
+    out->backward = [xn = x.node_ptr(), yn = y.node_ptr(),
+                     gn = gain.node_ptr(), bn = bias.node_ptr(), cache, m, n,
+                     grain](Node* self) {
+      const bool sum_grad = xn->requires_grad || yn->requires_grad;
+      // The sum's gradient, in zeroed scratch as the Add node's was.
+      std::vector<float> dsum(sum_grad ? self->grad.size() : 0, 0.0f);
+      LayerNormBackward(self->grad.data(), *cache, gn.get(), bn.get(),
+                        sum_grad ? dsum.data() : nullptr, m, n, grain);
+      const int size = static_cast<int>(dsum.size());
+      if (xn->requires_grad) {
+        xn->EnsureGrad();
+        AccumulateInto(xn->grad.data(), dsum.data(), size);
+      }
+      if (yn->requires_grad) {
+        yn->EnsureGrad();
+        AccumulateInto(yn->grad.data(), dsum.data(), size);
       }
     };
   }
@@ -973,10 +1265,42 @@ void MatMulAcc(const float* a, int lda, const float* b, float* c, int m,
   MmAxpyTiles(a, static_cast<size_t>(lda), 1, b, c, m, k, n);
 }
 
+void LinearRows(const float* x, int rows, int k, const float* w,
+                const float* bias, int n, float* out) {
+  std::fill_n(out, static_cast<size_t>(rows) * n, 0.0f);
+  MatMulAcc(x, k, w, out, rows, k, n);
+  for (int r = 0; r < rows; ++r) {
+    float* row = out + static_cast<size_t>(r) * n;
+    simd::Add(row, bias, row, n);
+  }
+}
+
 void SoftmaxRow(const float* x, float* out, int n) {
   simd::AddScalarTo(x, -simd::ReduceMax(x, n), out, n);
   simd::Exp(out, out, n);
   simd::ScaleTo(out, 1.0f / simd::ReduceSum(out, n), out, n);
+}
+
+// The composite's steps: MatMul of the Q_h slice by Transpose(K_h), the
+// MulScalar, Softmax by rows, then MatMul by the V_h slice.
+void AttentionHead(const float* q, const float* k, const float* v, int ld,
+                   int len, int hd, float scale, float* kt, float* vh,
+                   float* p, float* head, float* ctx) {
+  const size_t rows = static_cast<size_t>(len);
+  for (size_t j = 0; j < rows; ++j) {
+    const float* kj = k + j * ld;
+    for (int c = 0; c < hd; ++c) kt[c * rows + j] = kj[c];
+    std::copy_n(v + j * ld, hd, vh + j * hd);
+  }
+  std::fill_n(p, rows * rows, 0.0f);
+  MatMulAcc(q, ld, kt, p, len, hd, len);
+  simd::ScaleTo(p, scale, p, len * len);
+  for (size_t i = 0; i < rows; ++i) SoftmaxRow(p + i * rows, p + i * rows, len);
+  std::fill_n(head, rows * hd, 0.0f);
+  MatMulAcc(p, len, vh, head, len, len, hd);
+  for (size_t i = 0; i < rows; ++i) {
+    std::copy_n(head + i * hd, hd, ctx + i * ld);
+  }
 }
 
 float LayerNormRow(const float* x, const float* gain, const float* bias,

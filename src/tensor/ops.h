@@ -121,6 +121,29 @@ Tensor Softmax(const Tensor& a);
 Tensor LayerNorm(const Tensor& a, const Tensor& gain, const Tensor& bias,
                  float eps = 1e-5f);
 
+// --- Fused nodes ------------------------------------------------------------------
+//
+// Each is one tape node for a chain of the ops above whose inner results
+// have no other consumer. Forward and backward make exactly the kernel
+// calls of that chain, on the same operand layouts and, where the chain
+// accumulated into a freshly zeroed gradient, into zeroed scratch: values
+// and gradients keep the chain's bits (DESIGN.md §3, "Training tape").
+
+/// Add(MatMul(x, w), bias): x [m, k], w [k, n], bias [n] -> [m, n].
+Tensor Linear(const Tensor& x, const Tensor& w, const Tensor& bias);
+
+/// Multi-head self-attention of one unpadded sequence on projected rows
+/// q, k, v [L, d]: head h (columns [h*d/H, (h+1)*d/H)) is
+/// MatMul(Softmax(MulScalar(MatMul(Q_h, Transpose(K_h)), 1/sqrt(d/H))),
+/// V_h), and the heads are concatenated by columns -> [L, d].
+Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 int num_heads);
+
+/// LayerNorm(Add(x, y), gain, bias) for same-shaped x, y: a post-LN
+/// residual.
+Tensor AddLayerNorm(const Tensor& x, const Tensor& y, const Tensor& gain,
+                    const Tensor& bias, float eps = 1e-5f);
+
 /// Inverted dropout: keeps each unit with prob. 1-p and rescales by 1/(1-p).
 /// Identity when `training` is false or p == 0.
 Tensor Dropout(const Tensor& a, float p, Rng& rng, bool training);
@@ -143,8 +166,23 @@ Tensor L2NormalizeRows(const Tensor& a, float eps = 1e-8f);
 void MatMulAcc(const float* a, int lda, const float* b, float* c, int m,
                int k, int n);
 
+/// out[rows, n] = x[rows, k] w[k, n] + bias[n], row r of x at x + r * k:
+/// MatMulAcc into a zeroed out, then the bias added row by row (Linear's
+/// forward).
+void LinearRows(const float* x, int rows, int k, const float* w,
+                const float* bias, int n, float* out);
+
 /// One softmax row: out = exp(x - max x) / sum (out may alias x).
 void SoftmaxRow(const float* x, float* out, int n);
+
+/// One attention head (Attention's forward per head): q, k, v and ctx
+/// point at the head's first column of [len, *] rows `ld` floats apart.
+/// Writes kt [hd, len] (K_h transposed), vh [len, hd] (V_h), p [len, len]
+/// (the softmax of Q_h kt * scale, by rows) and head [len, hd] = p vh,
+/// then copies head into ctx's hd columns.
+void AttentionHead(const float* q, const float* k, const float* v, int ld,
+                   int len, int hd, float scale, float* kt, float* vh,
+                   float* p, float* head, float* ctx);
 
 /// One layer-norm row: out = (x - mean) / sqrt(var + eps) * gain + bias.
 /// `xhat` (may be null) receives the normalized row. Returns

@@ -1,8 +1,8 @@
 #include "tensor/tensor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/string_util.h"
 
@@ -133,21 +133,26 @@ void Tensor::Backward() {
       << "Backward() must start from a scalar loss";
   TELEKIT_CHECK(root->requires_grad) << "Backward() on non-grad tensor";
 
-  // Iterative DFS producing a reverse topological order of the tape.
+  // Iterative DFS producing a reverse topological order of the tape. A
+  // node is visited once per pass: it carries the id of the last pass that
+  // reached it (ids are unique across threads; concurrent passes never
+  // share a node that requires grad, or their gradients would race too).
+  static std::atomic<uint64_t> last_pass{0};
+  const uint64_t pass = last_pass.fetch_add(1, std::memory_order_relaxed) + 1;
   std::vector<internal::Node*> order;
-  std::unordered_set<internal::Node*> visited;
   struct Frame {
     internal::Node* node;
     size_t next_parent;
   };
   std::vector<Frame> stack;
   stack.push_back({root, 0});
-  visited.insert(root);
+  root->visited_pass = pass;
   while (!stack.empty()) {
     Frame& frame = stack.back();
     if (frame.next_parent < frame.node->parents.size()) {
       internal::Node* parent = frame.node->parents[frame.next_parent++].get();
-      if (parent->requires_grad && visited.insert(parent).second) {
+      if (parent->requires_grad && parent->visited_pass != pass) {
+        parent->visited_pass = pass;
         stack.push_back({parent, 0});
       }
     } else {

@@ -36,6 +36,8 @@ struct Node {
   bool requires_grad = false;
   std::vector<std::shared_ptr<Node>> parents;
   std::function<void(Node*)> backward;
+  /// The last Tensor::Backward pass whose graph walk reached this node.
+  uint64_t visited_pass = 0;
 
   /// Allocates (zero-filled) the gradient buffer if not present.
   void EnsureGrad() {

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
 
 #include "common/rng.h"
+#include "tensor/compute_pool.h"
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 #include "tensor/tensor.h"
 
 namespace telekit {
@@ -292,6 +297,219 @@ TEST(GradCheckTest, DropoutWithFixedSeedMask) {
     return Sum(Square(Dropout(in[0], 0.5f, rng, /*training=*/true)));
   };
   auto result = CheckGradients(fn, {Leaf({4, 4}, 41)});
+  EXPECT_TRUE(result.passed) << result.detail;
+}
+
+// --- Fused nodes against the composite graphs they replace -------------------
+
+// The composite graphs, from the ops each fused node replaces.
+Tensor CompositeLinear(const Tensor& x, const Tensor& w, const Tensor& b) {
+  return Add(MatMul(x, w), b);
+}
+
+Tensor CompositeAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                          int num_heads) {
+  const int hd = q.dim(1) / num_heads;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  std::vector<Tensor> heads;
+  for (int h = 0; h < num_heads; ++h) {
+    const Tensor qh = SliceCols(q, h * hd, hd);
+    const Tensor kh = SliceCols(k, h * hd, hd);
+    const Tensor vh = SliceCols(v, h * hd, hd);
+    heads.push_back(MatMul(
+        Softmax(MulScalar(MatMul(qh, Transpose(kh)), scale)), vh));
+  }
+  return ConcatCols(heads);
+}
+
+Tensor CompositeAddLayerNorm(const Tensor& x, const Tensor& y,
+                             const Tensor& gain, const Tensor& bias) {
+  return LayerNorm(Add(x, y), gain, bias);
+}
+
+// Forward values, then every input's gradient after two Backward passes
+// (the second accumulates into gradients the first left non-zero). The
+// loss weights each output element by its own random factor.
+using Graph = std::function<Tensor(const std::vector<Tensor>&)>;
+
+std::vector<std::vector<float>> RunGraph(const Graph& graph,
+                                         const std::vector<Shape>& shapes,
+                                         uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Tensor> inputs;
+  for (const Shape& shape : shapes) {
+    inputs.push_back(Tensor::Randn(shape, rng, 1.0f, /*requires_grad=*/true));
+  }
+  std::vector<std::vector<float>> out;
+  for (int pass = 0; pass < 2; ++pass) {
+    const Tensor y = graph(inputs);
+    const Tensor weights = Tensor::Randn(y.shape(), rng);
+    Sum(Mul(y, weights)).Backward();
+    if (pass == 0) out.push_back(y.data());
+  }
+  for (const Tensor& input : inputs) out.push_back(input.grad());
+  return out;
+}
+
+// Runs `fused` and `composite` on the same inputs, on the scalar and the
+// detected backend at 1, 2 and 4 compute threads, and requires the
+// composite's forward values and gradients bit for bit.
+void ExpectSameBits(const Graph& fused, const Graph& composite,
+                    const std::vector<Shape>& shapes, const std::string& what) {
+  const simd::Backend previous_backend = simd::ActiveBackend();
+  const int previous_threads = ComputeThreads();
+  for (simd::Backend backend :
+       {simd::Backend::kScalar, simd::DetectBackend()}) {
+    simd::ForceBackend(backend);
+    SetComputeThreads(1);
+    const auto want = RunGraph(composite, shapes, 7);
+    for (int threads : {1, 2, 4}) {
+      SetComputeThreads(threads);
+      const auto got = RunGraph(fused, shapes, 7);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].size(), want[i].size());
+        EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                              got[i].size() * sizeof(float)),
+                  0)
+            << what << ": " << (i == 0 ? "value" : "gradient of input ")
+            << (i == 0 ? "" : std::to_string(i - 1)) << " on "
+            << simd::BackendName(backend) << " at " << threads
+            << " threads";
+      }
+    }
+  }
+  simd::ForceBackend(previous_backend);
+  SetComputeThreads(previous_threads);
+}
+
+TEST(FusedNodeTest, LinearIsMatMulThenAddBitForBit) {
+  // n = 1 takes Add's scalar broadcast of the bias; 13 and 37 leave SIMD
+  // lane and register-tile tails.
+  for (int len : {1, 5, 24}) {
+    for (auto [k, n] : {std::pair{64, 64}, std::pair{37, 13},
+                        std::pair{64, 1}}) {
+      ExpectSameBits(
+          [](const std::vector<Tensor>& in) {
+            return Linear(in[0], in[1], in[2]);
+          },
+          [](const std::vector<Tensor>& in) {
+            return CompositeLinear(in[0], in[1], in[2]);
+          },
+          {{len, k}, {k, n}, {n}},
+          "Linear L=" + std::to_string(len) + " " + std::to_string(k) + "x" +
+              std::to_string(n));
+    }
+  }
+}
+
+TEST(FusedNodeTest, AttentionIsTheHeadByHeadGraphBitForBit) {
+  for (int len : {1, 5, 24}) {
+    for (int heads : {2, 4}) {
+      for (int d : {64, 24}) {
+        ExpectSameBits(
+            [heads](const std::vector<Tensor>& in) {
+              return Attention(in[0], in[1], in[2], heads);
+            },
+            [heads](const std::vector<Tensor>& in) {
+              return CompositeAttention(in[0], in[1], in[2], heads);
+            },
+            {{len, d}, {len, d}, {len, d}},
+            "Attention L=" + std::to_string(len) + " d=" +
+                std::to_string(d) + " heads=" + std::to_string(heads));
+      }
+    }
+  }
+}
+
+TEST(FusedNodeTest, AddLayerNormIsAddThenLayerNormBitForBit) {
+  for (int len : {1, 5, 24}) {
+    for (int d : {64, 13}) {
+      ExpectSameBits(
+          [](const std::vector<Tensor>& in) {
+            return AddLayerNorm(in[0], in[1], in[2], in[3]);
+          },
+          [](const std::vector<Tensor>& in) {
+            return CompositeAddLayerNorm(in[0], in[1], in[2], in[3]);
+          },
+          {{len, d}, {len, d}, {d}, {d}},
+          "AddLayerNorm L=" + std::to_string(len) + " d=" +
+              std::to_string(d));
+    }
+  }
+}
+
+// Add and Sub accumulate whole rows of the output gradient with the simd
+// kernels. Against the per-element loop they replaced (flat index
+// ascending, so a broadcast b sums its rows in order; a zero gradient
+// skipped), for each broadcast of b, over two accumulating passes.
+TEST(FusedNodeTest, AddAndSubBackwardMatchThePerElementLoop) {
+  const simd::Backend previous = simd::ActiveBackend();
+  for (simd::Backend backend :
+       {simd::Backend::kScalar, simd::DetectBackend()}) {
+    simd::ForceBackend(backend);
+    for (const Shape& b_shape : {Shape{5, 7}, Shape{7}, Shape{1}}) {
+      Rng rng(9);
+      Tensor a = Tensor::Randn({5, 7}, rng, 1.0f, true);
+      Tensor b = Tensor::Randn(b_shape, rng, 1.0f, true);
+      Tensor c = Tensor::Randn(b_shape, rng, 1.0f, true);
+      std::vector<float> ga(35, 0.0f), gb(b.size(), 0.0f), gc(c.size(), 0.0f);
+      for (int pass = 0; pass < 2; ++pass) {
+        const Tensor w = Tensor::Randn({5, 7}, rng);
+        Sum(Mul(Sub(Add(a, b), c), w)).Backward();
+        for (int i = 0; i < 35; ++i) {
+          const int bi = b.size() == 35 ? i : b.size() == 7 ? i % 7 : 0;
+          const float g = w.data()[i];  // Mul's gradient, 0 + 1 * w
+          if (g == 0.0f) continue;
+          ga[i] += g * 1.0f;
+          gb[bi] += g * 1.0f;
+          gc[bi] += g * -1.0f;
+        }
+      }
+      const std::string where = ShapeToString(b_shape) + " on " +
+                                simd::BackendName(backend);
+      EXPECT_EQ(std::memcmp(a.grad().data(), ga.data(), 35 * sizeof(float)),
+                0)
+          << where;
+      EXPECT_EQ(std::memcmp(b.grad().data(), gb.data(),
+                            gb.size() * sizeof(float)),
+                0)
+          << where;
+      EXPECT_EQ(std::memcmp(c.grad().data(), gc.data(),
+                            gc.size() * sizeof(float)),
+                0)
+          << where;
+    }
+  }
+  simd::ForceBackend(previous);
+}
+
+TEST(GradCheckTest, Linear) {
+  auto fn = [](const std::vector<Tensor>& in) {
+    return Sum(Square(Linear(in[0], in[1], in[2])));
+  };
+  auto result = CheckGradients(
+      fn, {Leaf({3, 4}, 42), Leaf({4, 5}, 43), Leaf({5}, 44)});
+  EXPECT_TRUE(result.passed) << result.detail;
+}
+
+TEST(GradCheckTest, Attention) {
+  auto fn = [](const std::vector<Tensor>& in) {
+    return Sum(Square(Attention(in[0], in[1], in[2], /*num_heads=*/2)));
+  };
+  auto result = CheckGradients(
+      fn, {Leaf({3, 4}, 45), Leaf({3, 4}, 46), Leaf({3, 4}, 47)});
+  EXPECT_TRUE(result.passed) << result.detail;
+}
+
+TEST(GradCheckTest, AddLayerNorm) {
+  auto fn = [](const std::vector<Tensor>& in) {
+    return Sum(Mul(AddLayerNorm(in[0], in[1], in[2], in[3]),
+                   Tensor::FromData({2, 4}, {1, -2, 3, 0.5f, -1, 2, 0.25f,
+                                             4})));
+  };
+  auto result = CheckGradients(fn, {Leaf({2, 4}, 48), Leaf({2, 4}, 49),
+                                    Leaf({4}, 50), Leaf({4}, 51)});
   EXPECT_TRUE(result.passed) << result.detail;
 }
 

@@ -7,6 +7,7 @@
 #include "core/anenc.h"
 #include "core/qencode.h"
 #include "core/transformer.h"
+#include "obs/metrics.h"
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
@@ -163,6 +164,32 @@ TEST(EncoderTest, OverrideGradientFlowsToExternalTensor) {
   float total = 0;
   for (float g : external.grad()) total += std::fabs(g);
   EXPECT_GT(total, 0.0f);
+}
+
+// A training forward of the paper's 2-layer encoder (dropout on): the
+// embedding's 5 nodes (lookup, position rows, add, layer norm, dropout),
+// then per layer the q/k/v Linear nodes, Attention, the output Linear,
+// dropout, AddLayerNorm, the FFN's Linear-Gelu-Linear, dropout and
+// AddLayerNorm: 12 nodes. Unfused, a layer was 52 nodes (109 in all).
+TEST(EncoderTest, TrainingForwardDispatchesTheFusedNodeCount) {
+  EncoderConfig config;
+  config.vocab_size = 50;
+  config.max_len = 24;
+  ASSERT_EQ(config.num_layers, 2);
+  ASSERT_GT(config.dropout, 0.0f);
+  Rng rng(13);
+  TransformerEncoder encoder(config, rng);
+  std::vector<int> ids(24);
+  for (int i = 0; i < 24; ++i) ids[static_cast<size_t>(i)] = 2 + i;
+  const obs::Counter& ops =
+      obs::MetricsRegistry::Global().GetCounter("tensor/ops_dispatched");
+  const uint64_t before = ops.value();
+  Tensor h = encoder.Forward(ids, 24, rng, /*training=*/true);
+  EXPECT_LE(ops.value() - before, 5u + 2u * 12u);
+  tensor::Sum(h).Backward();
+  for (const auto& [name, p] : encoder.Parameters()) {
+    EXPECT_FALSE(p.grad().empty()) << name;
+  }
 }
 
 TEST(EncoderTest, MeanTokenEmbeddingShape) {

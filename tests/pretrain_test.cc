@@ -1,18 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "common/rng.h"
 #include "core/ktelebert.h"
 #include "core/service.h"
 #include "core/telebert.h"
+#include "tensor/simd.h"
 #include "text/prompt.h"
 #include "text/tokenizer.h"
 
 namespace telekit {
 namespace core {
 namespace {
+
+namespace simd = tensor::simd;
 
 // Tiny fixture: a toy corpus and tokenizer shared by the tests.
 struct Fixture {
@@ -340,6 +344,75 @@ TEST(KTeleBertTest, CheckpointRoundTrip) {
   ASSERT_TRUE(b.Restore(a.Checkpoint()).ok());
   EXPECT_EQ(a.ServiceVector(NumericInput(0.4f)),
             b.ServiceVector(NumericInput(0.4f)));
+}
+
+// --- Training arithmetic ----------------------------------------------------------------
+
+// Every step's total loss of a short seeded run: a 2-layer TeleBERT
+// pre-train (ELECTRA + SimCSE, dropout on), then a PMTL re-train of a
+// KTeleBERT initialized from it (mask, numeric and KE losses every step).
+std::vector<float> PretrainThenPmtlLosses() {
+  EncoderConfig encoder = F().Config();
+  encoder.num_layers = 2;
+  Rng rng(41);
+  TeleBert telebert(encoder, rng);
+  PretrainOptions pretrain;
+  pretrain.steps = 4;
+  pretrain.batch_size = 4;
+  Rng pretrain_rng(42);
+  std::vector<float> losses;
+  for (const PretrainStats& s : telebert.Pretrain(
+           F().encoded, F().tokenizer.vocab(), pretrain, pretrain_rng)) {
+    losses.push_back(s.total_loss);
+  }
+  KTeleBertConfig config = KtbConfig();
+  config.encoder = encoder;
+  Rng ktb_rng(43);
+  KTeleBert model(config, ktb_rng);
+  EXPECT_TRUE(model.InitializeFromTeleBert(telebert).ok());
+  ReTrainOptions retrain;
+  retrain.strategy = TrainingStrategy::kPmtl;
+  retrain.total_steps = 4;
+  retrain.batch_size = 4;
+  retrain.ke_batch_size = 2;
+  ReTrainer trainer(model, retrain);
+  Rng retrain_rng(44);
+  for (const ReTrainStats& s : trainer.Train(SmallReTrainData(), retrain_rng)) {
+    losses.push_back(s.total_loss);
+  }
+  return losses;
+}
+
+void ExpectLossBits(const std::vector<float>& expected) {
+  const std::vector<float> actual = PretrainThenPmtlLosses();
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&actual[i], &expected[i], sizeof(float)), 0)
+        << "step " << i << ": " << std::hexfloat << actual[i] << " != "
+        << expected[i];
+  }
+}
+
+// The losses' bits, recorded before the encoder's training graph was fused
+// into Linear / Attention / AddLayerNorm nodes (GCC 12, the Release
+// build's -O2). A change to the training arithmetic (an op's kernel, a
+// sum's order, the tape's backward order) fails here. The approximate GELU
+// and exp kernels differ by backend, so each backend has its own record;
+// NEON has none (its GEMM tiles are its own). The AVX2 record also needs
+// -O2 or above: at -O1 GCC leaves the Axpy tail unfused (DESIGN.md §3).
+TEST(TrainingArithmeticTest, PretrainThenPmtlLossBitsUnchanged) {
+  const simd::Backend previous = simd::ActiveBackend();
+  simd::ForceBackend(simd::Backend::kScalar);
+  ExpectLossBits({0x1.a4494ep+2f, 0x1.7eec48p+2f, 0x1.55e332p+2f,
+                  0x1.5b29d4p+2f, 0x1.5820dcp+3f, 0x1.5a22aap+3f,
+                  0x1.0a9a9cp+3f, 0x1.60c71p+3f});
+  if (simd::DetectBackend() == simd::Backend::kAvx2) {
+    simd::ForceBackend(simd::Backend::kAvx2);
+    ExpectLossBits({0x1.a4494ep+2f, 0x1.7eec48p+2f, 0x1.55e334p+2f,
+                    0x1.5b29d2p+2f, 0x1.5820dap+3f, 0x1.5a2386p+3f,
+                    0x1.0a9a98p+3f, 0x1.60c74p+3f});
+  }
+  simd::ForceBackend(previous);
 }
 
 // --- Service encoders -----------------------------------------------------------------

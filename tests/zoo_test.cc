@@ -138,6 +138,74 @@ TEST(ModelZooTest, CheckpointOfAnotherNumericsVersionIsNotRestored) {
   std::filesystem::remove_all(cache);
 }
 
+// Checkpoint names carry a digest of what decides the weights: zoos of
+// two seeds sharing one directory each train their own six models, and
+// the same seed built again restores all six. Seed 102's vocabulary has
+// seed 99's size, so every tensor shape matches: a name without the digest
+// would restore the other seed's models.
+TEST(ModelZooTest, CheckpointsOfAnotherSeedAreNotRestored) {
+  const std::string cache =
+      ::testing::TempDir() + "/zoo_cache_seed_" + std::to_string(::getpid());
+  std::filesystem::remove_all(cache);
+  obs::Counter& misses =
+      obs::MetricsRegistry::Global().GetCounter("zoo/cache_misses");
+  obs::Counter& hits =
+      obs::MetricsRegistry::Global().GetCounter("zoo/cache_hits");
+  ZooConfig other = TinyConfig(cache);
+  other.seed = 102;
+  std::vector<float> first;
+  for (const ZooConfig& config : {TinyConfig(cache), other}) {
+    const uint64_t misses_before = misses.value();
+    const uint64_t hits_before = hits.value();
+    ModelZoo zoo(config);
+    zoo.Build();
+    EXPECT_EQ(misses.value() - misses_before, 6u) << "seed " << config.seed;
+    EXPECT_EQ(hits.value(), hits_before) << "seed " << config.seed;
+    if (first.empty()) {
+      first = zoo.Encoder(ModelKind::kKTeleBertStl)
+                  .Encode(zoo.retrain_data().causal_sentences[0]);
+    }
+  }
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(cache),
+                          std::filesystem::directory_iterator()),
+            12);
+  const uint64_t misses_before = misses.value();
+  const uint64_t hits_before = hits.value();
+  {
+    ModelZoo zoo(TinyConfig(cache));
+    zoo.Build();
+    EXPECT_TRUE(zoo.WasCached(ModelKind::kKTeleBertStl));
+    EXPECT_EQ(zoo.Encoder(ModelKind::kKTeleBertStl)
+                  .Encode(zoo.retrain_data().causal_sentences[0]),
+              first);
+  }
+  EXPECT_EQ(hits.value() - hits_before, 6u);
+  EXPECT_EQ(misses.value(), misses_before);
+  std::filesystem::remove_all(cache);
+}
+
+TEST(ModelZooTest, CheckpointDigestCoversConfigAndVocabulary) {
+  text::Vocab vocab;
+  vocab.AddToken("ospf");
+  const ZooConfig base = TinyConfig("a");
+  const std::string digest = CheckpointDigest(base, vocab);
+  EXPECT_EQ(digest.size(), 16u);
+  EXPECT_EQ(CheckpointDigest(TinyConfig("b"), vocab), digest)
+      << "the cache directory is not part of the digest";
+  ZooConfig steps = base;
+  steps.retrain.total_steps += 1;
+  EXPECT_NE(CheckpointDigest(steps, vocab), digest);
+  ZooConfig world = base;
+  world.world.trigger_density += 0.01;
+  EXPECT_NE(CheckpointDigest(world, vocab), digest);
+  ZooConfig dropout = base;
+  dropout.encoder.dropout = 0.2f;
+  EXPECT_NE(CheckpointDigest(dropout, vocab), digest);
+  text::Vocab other = vocab;
+  other.AddToken("bgp");
+  EXPECT_NE(CheckpointDigest(base, other), digest);
+}
+
 TEST(ModelZooTest, ServiceEncoderModesDiffer) {
   ModelZoo zoo(TinyConfig(""));
   zoo.Build();
