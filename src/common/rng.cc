@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <bit>
 #include <cmath>
 
 namespace telekit {
@@ -79,6 +80,49 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
 }
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
+
+void Rng::DropoutMask(double p, float keep, float* mask, size_t n) {
+  // Bernoulli's test is Uniform() < p with Uniform() = u * 2^-53 for the
+  // top 53 bits u of a draw. Scaling by 2^53 is exact, so the test is
+  // u < p * 2^53, which for an integer u is u < ceil(p * 2^53).
+  const uint64_t threshold = static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+  const uint32_t keep_bits = std::bit_cast<uint32_t>(keep);
+  uint64_t s0 = state_[0], s1 = state_[1], s2 = state_[2], s3 = state_[3];
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t result = Rotl(s1 * 5, 7) * 9;
+    const uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = Rotl(s3, 45);
+    // keep where the unit survives, +0 where it drops, without a branch.
+    const uint32_t kept = 0u - static_cast<uint32_t>(result >> 11 >= threshold);
+    mask[i] = std::bit_cast<float>(keep_bits & kept);
+  }
+  state_[0] = s0;
+  state_[1] = s1;
+  state_[2] = s2;
+  state_[3] = s3;
+}
+
+void Rng::Discard(size_t n) {
+  uint64_t s0 = state_[0], s1 = state_[1], s2 = state_[2], s3 = state_[3];
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = Rotl(s3, 45);
+  }
+  state_[0] = s0;
+  state_[1] = s1;
+  state_[2] = s2;
+  state_[3] = s3;
+}
 
 size_t Rng::Categorical(const std::vector<double>& weights) {
   double total = 0.0;

@@ -43,6 +43,14 @@ class Rng {
   /// True with probability p.
   bool Bernoulli(double p);
 
+  /// Dropout's mask: mask[i] = Bernoulli(p) ? 0 : keep for i = 0..n-1 in
+  /// turn (keep > 0). The same draws and the same stream afterwards as
+  /// that loop, with the generator state kept in registers.
+  void DropoutMask(double p, float keep, float* mask, size_t n);
+
+  /// Advances the stream past n draws, as n calls of NextU64 would.
+  void Discard(size_t n);
+
   /// Index sampled from (unnormalized, non-negative) weights.
   /// Requires at least one strictly positive weight.
   size_t Categorical(const std::vector<double>& weights);

@@ -57,21 +57,34 @@ std::vector<std::pair<int, Tensor>> KTeleBert::NumericRows(
   return rows;
 }
 
-Tensor KTeleBert::Hidden(const text::EncodedInput& input, Rng& rng,
-                         bool training,
-                         std::vector<Tensor>* anenc_outputs) const {
+Tensor KTeleBert::Embedded(const text::EncodedInput& input, Rng& rng,
+                           bool training,
+                           std::vector<Tensor>* anenc_outputs) const {
   const std::vector<std::pair<int, Tensor>> overrides = NumericRows(input);
   if (anenc_outputs != nullptr) {
     for (const auto& [position, row] : overrides) anenc_outputs->push_back(row);
   }
-  Tensor embedded =
-      encoder_->Embed(input.ids, input.length, overrides, rng, training);
-  return encoder_->Encode(embedded, rng, training);
+  return encoder_->Embed(input.ids, input.length, overrides, rng, training);
+}
+
+Tensor KTeleBert::Hidden(const text::EncodedInput& input, Rng& rng,
+                         bool training,
+                         std::vector<Tensor>* anenc_outputs) const {
+  return encoder_->Encode(Embedded(input, rng, training, anenc_outputs), rng,
+                          training);
+}
+
+Tensor KTeleBert::HiddenRows(const text::EncodedInput& input,
+                             const std::vector<int>& rows, Rng& rng,
+                             bool training,
+                             std::vector<Tensor>* anenc_outputs) const {
+  return encoder_->EncodeRows(Embedded(input, rng, training, anenc_outputs),
+                              rows, rng, training);
 }
 
 Tensor KTeleBert::EncodeCls(const text::EncodedInput& input, Rng& rng,
                             bool training) const {
-  return tensor::SliceRows(Hidden(input, rng, training), 0, 1);
+  return HiddenRows(input, {0}, rng, training);
 }
 
 std::vector<float> KTeleBert::ServiceVector(
@@ -175,14 +188,8 @@ Tensor ReTrainer::MaskNumericLoss(const ReTrainData& data, Rng& rng,
     text::MaskedExample masked = text::ApplyMasking(
         input, m.config_.encoder.vocab_size, options_.masking, rng);
 
-    std::vector<Tensor> anenc_outputs;
-    // Forward over the *masked* ids but the original numeric slots.
-    text::EncodedInput corrupted = input;
-    corrupted.ids = masked.ids;
-    Tensor hidden = m.Hidden(corrupted, rng, /*training=*/true,
-                             &anenc_outputs);
-
-    // Mask-reconstruction loss at the supervised positions.
+    // The rows the losses read: the supervised positions (mask
+    // reconstruction) and, for the regression, the numeric slots' rows.
     std::vector<int> positions;
     std::vector<int> labels;
     for (int i = 0; i < input.length; ++i) {
@@ -191,19 +198,48 @@ Tensor ReTrainer::MaskNumericLoss(const ReTrainData& data, Rng& rng,
         labels.push_back(masked.labels[static_cast<size_t>(i)]);
       }
     }
+    const bool numeric = m.config_.use_anenc && !input.numeric_slots.empty();
+    std::vector<int> rows = positions;
+    if (numeric && options_.use_regression) {
+      for (const text::NumericSlot& slot : input.numeric_slots) {
+        if (slot.position < input.length) rows.push_back(slot.position);
+      }
+      std::sort(rows.begin(), rows.end());
+      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    }
+    // A hidden position's row in `hidden`.
+    auto row_of = [&rows](int position) {
+      return static_cast<int>(
+          std::lower_bound(rows.begin(), rows.end(), position) - rows.begin());
+    };
+
+    std::vector<Tensor> anenc_outputs;
+    // Forward over the *masked* ids but the original numeric slots. With
+    // no row read, the whole forward still runs for its random draws.
+    text::EncodedInput corrupted = input;
+    corrupted.ids = masked.ids;
+    Tensor hidden =
+        rows.empty()
+            ? m.Hidden(corrupted, rng, /*training=*/true, &anenc_outputs)
+            : m.HiddenRows(corrupted, rows, rng, /*training=*/true,
+                           &anenc_outputs);
+
+    // Mask-reconstruction loss at the supervised positions.
     if (!positions.empty()) {
+      std::vector<int> position_rows;
+      for (int position : positions) position_rows.push_back(row_of(position));
       Tensor logits =
-          m.mlm_head_->Forward(tensor::GatherRows(hidden, positions));
+          m.mlm_head_->Forward(tensor::GatherRows(hidden, position_rows));
       mask_losses.push_back(tensor::CrossEntropyWithLogits(logits, labels));
     }
 
     // Numeric objectives per slot.
-    if (m.config_.use_anenc && !input.numeric_slots.empty()) {
+    if (numeric) {
       for (size_t s = 0; s < anenc_outputs.size(); ++s) {
         const text::NumericSlot& slot = input.numeric_slots[s];
         if (options_.use_regression) {
           Tensor final_at_slot =
-              tensor::SliceRows(hidden, slot.position, 1);
+              tensor::SliceRows(hidden, row_of(slot.position), 1);
           Tensor predicted = m.ndec_->Forward(final_at_slot);
           Tensor target = Tensor::FromData({1}, {slot.value});
           reg_losses.push_back(tensor::MseLoss(predicted, target));

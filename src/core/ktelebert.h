@@ -122,6 +122,13 @@ class KTeleBert {
                         std::vector<tensor::Tensor>* anenc_outputs = nullptr)
       const;
 
+  /// Rows `rows` (strictly ascending) of Hidden, bit for bit, by the
+  /// encoder's EncodeRows: the last layer runs only what those rows read.
+  tensor::Tensor HiddenRows(
+      const text::EncodedInput& input, const std::vector<int>& rows,
+      Rng& rng, bool training,
+      std::vector<tensor::Tensor>* anenc_outputs = nullptr) const;
+
   /// [CLS] output embedding [1, d].
   tensor::Tensor EncodeCls(const text::EncodedInput& input, Rng& rng,
                            bool training) const;
@@ -160,6 +167,10 @@ class KTeleBert {
   /// their positions, in slot order (none without ANEnc).
   std::vector<std::pair<int, tensor::Tensor>> NumericRows(
       const text::EncodedInput& input) const;
+  /// The encoder's embedding of `input` with the ANEnc rows in place.
+  tensor::Tensor Embedded(const text::EncodedInput& input, Rng& rng,
+                          bool training,
+                          std::vector<tensor::Tensor>* anenc_outputs) const;
 
   KTeleBertConfig config_;
   std::unique_ptr<TransformerEncoder> encoder_;

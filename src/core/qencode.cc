@@ -83,6 +83,8 @@ class QuantizedEncoder::Linears final : public InferenceLinear {
     if (calibrating_) linear.Observe(x, rows);
     linear.Forward(x, rows, out);
   }
+  // Calibration observes every row; serving runs [CLS]'s alone.
+  bool ObservesEveryRow() const override { return calibrating_; }
 
  private:
   const std::vector<QuantizedLinear>& linears_;
@@ -125,6 +127,12 @@ void QuantizedEncoder::Calibrate(
     Run(*input, /*calibrating=*/true);
   }
   for (QuantizedLinear& linear : linears_) linear.FreezeCalibration();
+}
+
+const QuantizedLinear& QuantizedEncoder::linear(int layer,
+                                                Projection p) const {
+  return linears_[static_cast<size_t>(layer * kProjections +
+                                      static_cast<int>(p))];
 }
 
 std::vector<float> QuantizedEncoder::Encode(

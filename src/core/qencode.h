@@ -87,10 +87,14 @@ class QuantizedEncoder : public TextEncoder {
                             OverrideHook anenc_hook = nullptr);
 
   /// Runs `inputs` through the forward, recording each quantized layer's
-  /// input range, then freezes the ranges. Call once, before serving,
+  /// input range over every row (the last layer too, which serving runs
+  /// for [CLS] alone), then freezes the ranges. Call once, before serving,
   /// with a representative corpus (the serve tier uses the task
   /// catalogue).
   void Calibrate(const std::vector<const text::EncodedInput*>& inputs);
+
+  /// The int8 layer that runs projection `p` of layer `layer`.
+  const QuantizedLinear& linear(int layer, Projection p) const;
 
   std::vector<float> Encode(const text::EncodedInput& input) const override;
   int dim() const override { return encoder_.config().d_model; }

@@ -32,24 +32,49 @@ TeleBert::TeleBert(const EncoderConfig& config, Rng& rng) {
       std::make_unique<LinearLayer>(config.d_model, config.vocab_size, rng);
 }
 
+namespace {
+
+// The supervised (masked) positions of the first `length` ids, ascending,
+// and their labels.
+void MaskedPositions(const text::MaskedExample& masked, int length,
+                     std::vector<int>* positions, std::vector<int>* labels) {
+  for (int i = 0; i < length; ++i) {
+    if (masked.labels[static_cast<size_t>(i)] >= 0) {
+      positions->push_back(i);
+      labels->push_back(masked.labels[static_cast<size_t>(i)]);
+    }
+  }
+}
+
+// The hidden rows at `positions` of `encoder`'s training forward over the
+// first `length` ids: EncodeRows, which computes only the work those rows
+// read. With no position it runs the whole forward, for its random draws,
+// and returns an undefined tensor.
+Tensor TrainingRows(const TransformerEncoder& encoder,
+                    const std::vector<int>& ids, int length,
+                    const std::vector<int>& positions, Rng& rng) {
+  Tensor embedded = encoder.Embed(ids, length, {}, rng, /*training=*/true);
+  if (positions.empty()) {
+    encoder.Encode(embedded, rng, /*training=*/true);
+    return Tensor();
+  }
+  return encoder.EncodeRows(embedded, positions, rng, /*training=*/true);
+}
+
+}  // namespace
+
 Tensor TeleBert::GeneratorMlmLoss(const text::MaskedExample& masked,
                                   int length, std::vector<int>* corrupted_ids,
                                   Rng& rng) const {
-  Tensor hidden = generator_->Forward(masked.ids, length, rng,
-                                      /*training=*/true);
-  // Gather the masked positions only — the vocab projection dominates MLM
-  // cost, so restricting it to supervised rows is a large saving.
+  // The masked positions only — the vocab projection dominates MLM cost,
+  // and the generator's layer runs only the rows it reads.
   std::vector<int> positions;
   std::vector<int> labels;
-  for (int i = 0; i < length; ++i) {
-    if (masked.labels[static_cast<size_t>(i)] >= 0) {
-      positions.push_back(i);
-      labels.push_back(masked.labels[static_cast<size_t>(i)]);
-    }
-  }
+  MaskedPositions(masked, length, &positions, &labels);
+  Tensor hidden = TrainingRows(*generator_, masked.ids, length, positions, rng);
   *corrupted_ids = masked.ids;
   if (positions.empty()) return Tensor();
-  Tensor logits = mlm_head_->Forward(tensor::GatherRows(hidden, positions));
+  Tensor logits = mlm_head_->Forward(hidden);
   // Sample replacements from the generator distribution (ELECTRA).
   const int vocab = logits.dim(1);
   for (size_t row = 0; row < positions.size(); ++row) {
@@ -109,18 +134,12 @@ std::vector<PretrainStats> TeleBert::Pretrain(
           text::ApplyMasking(example, vocab, options.masking, rng);
       if (options.objective == PretrainObjective::kMlmOnly) {
         // Plain MLM on the main encoder (ablation of the ELECTRA choice).
-        Tensor hidden = encoder_->Forward(masked.ids, example.length, rng,
-                                          /*training=*/true);
         std::vector<int> positions, labels;
-        for (int i = 0; i < example.length; ++i) {
-          if (masked.labels[static_cast<size_t>(i)] >= 0) {
-            positions.push_back(i);
-            labels.push_back(masked.labels[static_cast<size_t>(i)]);
-          }
-        }
+        MaskedPositions(masked, example.length, &positions, &labels);
+        Tensor hidden = TrainingRows(*encoder_, masked.ids, example.length,
+                                     positions, rng);
         if (!positions.empty()) {
-          Tensor logits = encoder_mlm_head_->Forward(
-              tensor::GatherRows(hidden, positions));
+          Tensor logits = encoder_mlm_head_->Forward(hidden);
           Tensor mlm = tensor::CrossEntropyWithLogits(logits, labels);
           losses.push_back(mlm);
           mlm_total += mlm.item();
@@ -225,7 +244,9 @@ Tensor TeleBert::Hidden(const text::EncodedInput& input, Rng& rng,
 
 Tensor TeleBert::EncodeCls(const text::EncodedInput& input, Rng& rng,
                            bool training) const {
-  return tensor::SliceRows(Hidden(input, rng, training), 0, 1);
+  return encoder_->EncodeRows(
+      encoder_->Embed(input.ids, input.length, {}, rng, training), {0}, rng,
+      training);
 }
 
 std::vector<float> TeleBert::ServiceVector(

@@ -23,7 +23,7 @@ struct InferBuffers {
   float* ctx;     // [len, d]: the heads, concatenated
   float* proj;    // [len, d]: attention or FFN output
   float* ffn;     // [len, ffn_dim]
-  float* scores;  // [len, len]: one head
+  float* scores;  // [len, len]: one head (query rows by key rows)
   float* kt;      // [head_dim, len]: one head's K, transposed
   float* vh;      // [len, head_dim]: one head's V
   float* head;    // [len, head_dim]: one head's output
@@ -137,23 +137,35 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x) const {
       query_.Forward(x), key_.Forward(x), value_.Forward(x), num_heads_));
 }
 
+// Forward with the query rows gathered before their projection: a GEMM row
+// depends on its own input row alone, and the weight and bias gradients
+// sum the same rows in the same ascending order, less the rows whose
+// gradient is zero.
+Tensor MultiHeadSelfAttention::ForwardRows(const Tensor& x,
+                                           const std::vector<int>& rows) const {
+  return output_.Forward(
+      tensor::Attention(query_.Forward(tensor::GatherRows(x, rows)),
+                        key_.Forward(x), value_.Forward(x), num_heads_));
+}
+
 // Forward's steps: each head through tensor::AttentionHead, the kernel
 // tensor::Attention runs, into its columns of ctx.
 void MultiHeadSelfAttention::Infer(const InferenceLinear& linear, int layer,
-                                   const float* x, int len,
+                                   const float* x, int len, int out_rows,
                                    InferBuffers& s, float* out) const {
   const int hd = head_dim_;
   const int d = num_heads_ * hd;
-  linear.Apply(layer, Projection::kQuery, x, len, s.q);
+  linear.Apply(layer, Projection::kQuery, x, out_rows, s.q);
   linear.Apply(layer, Projection::kKey, x, len, s.k);
   linear.Apply(layer, Projection::kValue, x, len, s.v);
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
   for (int h = 0; h < num_heads_; ++h) {
     const int col = h * hd;
-    tensor::AttentionHead(s.q + col, s.k + col, s.v + col, d, len, hd, scale,
-                          s.kt, s.vh, s.scores, s.head, s.ctx + col);
+    tensor::AttentionHead(s.q + col, s.k + col, s.v + col, d, out_rows, len,
+                          hd, scale, s.kt, s.vh, s.scores, s.head,
+                          s.ctx + col);
   }
-  linear.Apply(layer, Projection::kOutput, s.ctx, len, out);
+  linear.Apply(layer, Projection::kOutput, s.ctx, out_rows, out);
 }
 
 const LinearLayer& MultiHeadSelfAttention::Linear(Projection p) const {
@@ -198,18 +210,36 @@ Tensor TransformerLayer::Forward(const Tensor& x, float dropout, Rng& rng,
   return norm2_.ForwardSum(h, ffn);
 }
 
+// Forward's nodes on the read rows. The residual's row gather is the first
+// AddLayerNorm's second parent: the backward then reaches it before the
+// attention branch, so x's gradient still sums the residual's share first,
+// then v's, k's and q's.
+Tensor TransformerLayer::ForwardRows(const Tensor& x,
+                                     const std::vector<int>& rows,
+                                     float dropout, Rng& rng,
+                                     bool training) const {
+  const int len = x.dim(0);
+  Tensor attended = tensor::DropoutRows(attention_.ForwardRows(x, rows), rows,
+                                        len, dropout, rng, training);
+  Tensor h = norm1_.ForwardSum(attended, tensor::GatherRows(x, rows));
+  Tensor ffn = ffn_out_.Forward(tensor::Gelu(ffn_in_.Forward(h)));
+  ffn = tensor::DropoutRows(ffn, rows, len, dropout, rng, training);
+  return norm2_.ForwardSum(h, ffn);
+}
+
 void TransformerLayer::Infer(const InferenceLinear& linear, int layer,
-                             float* x, int len, InferBuffers& s) const {
+                             float* x, int len, int out_rows,
+                             InferBuffers& s) const {
   const int d = ffn_out_.out_dim();
   const int hidden = ffn_in_.out_dim();
-  attention_.Infer(linear, layer, x, len, s, s.proj);
-  tensor::simd::Add(x, s.proj, x, len * d);
-  norm1_.InferInPlace(x, len);
-  linear.Apply(layer, Projection::kFfnIn, x, len, s.ffn);
-  tensor::simd::Gelu(s.ffn, s.ffn, /*tanh_u=*/nullptr, len * hidden);
-  linear.Apply(layer, Projection::kFfnOut, s.ffn, len, s.proj);
-  tensor::simd::Add(x, s.proj, x, len * d);
-  norm2_.InferInPlace(x, len);
+  attention_.Infer(linear, layer, x, len, out_rows, s, s.proj);
+  tensor::simd::Add(x, s.proj, x, out_rows * d);
+  norm1_.InferInPlace(x, out_rows);
+  linear.Apply(layer, Projection::kFfnIn, x, out_rows, s.ffn);
+  tensor::simd::Gelu(s.ffn, s.ffn, /*tanh_u=*/nullptr, out_rows * hidden);
+  linear.Apply(layer, Projection::kFfnOut, s.ffn, out_rows, s.proj);
+  tensor::simd::Add(x, s.proj, x, out_rows * d);
+  norm2_.InferInPlace(x, out_rows);
 }
 
 const LinearLayer& TransformerLayer::Linear(Projection p) const {
@@ -291,6 +321,23 @@ Tensor TransformerEncoder::Encode(const Tensor& embedded, Rng& rng,
   return h;
 }
 
+Tensor TransformerEncoder::EncodeRows(const Tensor& embedded,
+                                      const std::vector<int>& rows, Rng& rng,
+                                      bool training) const {
+  TELEKIT_CHECK(!layers_.empty() && !rows.empty());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    TELEKIT_CHECK(rows[i] >= 0 && rows[i] < embedded.dim(0) &&
+                  (i == 0 || rows[i - 1] < rows[i]))
+        << "EncodeRows needs strictly ascending rows within [0, "
+        << embedded.dim(0) << "), got " << rows[i] << " at " << i;
+  }
+  Tensor h = embedded;
+  for (size_t l = 0; l + 1 < layers_.size(); ++l) {
+    h = layers_[l].Forward(h, config_.dropout, rng, training);
+  }
+  return layers_.back().ForwardRows(h, rows, config_.dropout, rng, training);
+}
+
 Tensor TransformerEncoder::Forward(const std::vector<int>& ids, int length,
                                    Rng& rng, bool training) const {
   return Encode(Embed(ids, length, {}, rng, training), rng, training);
@@ -338,8 +385,12 @@ void TransformerEncoder::InferCls(const std::vector<int>& ids, int length,
   embed_norm_.InferInPlace(x, length);
   const Fp32Linears fp32(*this);
   const InferenceLinear& dense = linear != nullptr ? *linear : fp32;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    layers_[l].Infer(dense, static_cast<int>(l), x, length, buffers);
+  const int last = static_cast<int>(layers_.size()) - 1;
+  for (int l = 0; l <= last; ++l) {
+    const int out_rows =
+        l < last || dense.ObservesEveryRow() ? length : 1;  // [CLS] is row 0
+    layers_[static_cast<size_t>(l)].Infer(dense, l, x, length, out_rows,
+                                          buffers);
   }
   std::copy_n(x, row, cls);
 }

@@ -78,6 +78,10 @@ class InferenceLinear {
   virtual ~InferenceLinear() = default;
   virtual void Apply(int layer, Projection p, const float* x, int rows,
                      float* out) const = 0;
+  /// True when every row of every layer must pass through Apply (int8
+  /// calibration observes them all): InferCls then runs its last layer
+  /// over every row instead of [CLS] alone.
+  virtual bool ObservesEveryRow() const { return false; }
 };
 
 /// Activation buffers of one InferCls call (defined in transformer.cc).
@@ -91,10 +95,16 @@ class MultiHeadSelfAttention {
   /// [S, d] -> [S, d].
   tensor::Tensor Forward(const tensor::Tensor& x) const;
 
-  /// Forward on the raw rows x [len, d] into out [len, d], tape-free and
-  /// with Forward's arithmetic; `linear` runs layer `layer`'s projections.
+  /// Rows `rows` (ascending) of Forward(x): K and V over every row of x,
+  /// Q and the output projection over `rows` only -> [rows.size(), d].
+  tensor::Tensor ForwardRows(const tensor::Tensor& x,
+                             const std::vector<int>& rows) const;
+
+  /// The first `out_rows` rows of Forward on the raw rows x [len, d], into
+  /// out [out_rows, d], tape-free and with Forward's arithmetic; `linear`
+  /// runs layer `layer`'s projections.
   void Infer(const InferenceLinear& linear, int layer, const float* x,
-             int len, InferBuffers& buffers, float* out) const;
+             int len, int out_rows, InferBuffers& buffers, float* out) const;
 
   /// The dense layer of attention projection `p` (kQuery ... kOutput).
   const LinearLayer& Linear(Projection p) const;
@@ -117,11 +127,22 @@ class TransformerLayer {
   tensor::Tensor Forward(const tensor::Tensor& x, float dropout, Rng& rng,
                          bool training) const;
 
-  /// Eval-mode Forward over the raw rows x [len, d], in place, tape-free
-  /// and with Forward's arithmetic; `linear` runs its dense layers as
-  /// layer `layer`.
+  /// Rows `rows` (ascending) of Forward(x, ...) -> [rows.size(), d], with
+  /// Forward's values, gradients and random draws (DESIGN.md §3, "Training
+  /// tape", rule 4): K and V run over every row; Q, attention's query rows,
+  /// the output projection, both residual layer norms, the FFN and both
+  /// dropouts run over `rows` only, each dropout still drawing its whole
+  /// [L, d] mask.
+  tensor::Tensor ForwardRows(const tensor::Tensor& x,
+                             const std::vector<int>& rows, float dropout,
+                             Rng& rng, bool training) const;
+
+  /// Eval-mode Forward over the raw rows x [len, d], tape-free and with
+  /// Forward's arithmetic, updating the first `out_rows` rows in place
+  /// (all of them when out_rows == len; the rest keep the layer's input);
+  /// `linear` runs its dense layers as layer `layer`.
   void Infer(const InferenceLinear& linear, int layer, float* x, int len,
-             InferBuffers& buffers) const;
+             int out_rows, InferBuffers& buffers) const;
 
   /// The dense layer that runs projection `p`.
   const LinearLayer& Linear(Projection p) const;
@@ -172,6 +193,14 @@ class TransformerEncoder {
   tensor::Tensor Encode(const tensor::Tensor& embedded, Rng& rng,
                         bool training) const;
 
+  /// GatherRows(Encode(embedded, ...), rows) for strictly ascending `rows`,
+  /// with its values, parameter gradients and random draws bit for bit,
+  /// but the last layer runs only the work those rows read
+  /// (TransformerLayer::ForwardRows) -> [rows.size(), d].
+  tensor::Tensor EncodeRows(const tensor::Tensor& embedded,
+                            const std::vector<int>& rows, Rng& rng,
+                            bool training) const;
+
   /// Convenience: Embed + Encode without overrides.
   tensor::Tensor Forward(const std::vector<int>& ids, int length, Rng& rng,
                          bool training) const;
@@ -181,9 +210,11 @@ class TransformerEncoder {
   /// per-thread arena, with no tensor op and no allocation per
   /// step, and gives the bits of row 0 of eval-mode
   /// Encode(Embed(ids, length, overrides)): the same kernels in the same
-  /// order, on every backend and thread count. Override positions outside
-  /// [0, length) are ignored; the first override of a position wins.
-  /// `linear`, when not null, replaces the fp32 dense layers.
+  /// order, on every backend and thread count. The last layer computes
+  /// K and V for every row but the rest for [CLS] alone, unless `linear`
+  /// ObservesEveryRow. Override positions outside [0, length) are ignored;
+  /// the first override of a position wins. `linear`, when not null,
+  /// replaces the fp32 dense layers.
   void InferCls(const std::vector<int>& ids, int length,
                 const RowOverrides& overrides, float* cls,
                 const InferenceLinear* linear = nullptr) const;

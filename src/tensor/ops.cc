@@ -701,7 +701,6 @@ Tensor Gelu(const Tensor& a) {
   if (out->requires_grad) {
     out->parents = {a.node_ptr()};
     out->backward = [an = a.node_ptr(), size](Node* self) {
-      constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
       an->EnsureGrad();
       ParallelFor(size, kElemGrain, [&](int lo, int hi) {
         constexpr int kBlock = 256;
@@ -709,14 +708,8 @@ Tensor Gelu(const Tensor& a) {
         for (int i0 = lo; i0 < hi; i0 += kBlock) {
           const int m = std::min(kBlock, hi - i0);
           simd::Gelu(an->value.data() + i0, y, t, m);
-          for (int j = 0; j < m; ++j) {
-            const int i = i0 + j;
-            const float v = an->value[i];
-            const float dinner = kC * (1.0f + 3.0f * 0.044715f * v * v);
-            an->grad[i] += self->grad[i] *
-                           (0.5f * (1.0f + t[j]) +
-                            0.5f * v * (1.0f - t[j] * t[j]) * dinner);
-          }
+          simd::GeluBackward(an->value.data() + i0, t,
+                             self->grad.data() + i0, an->grad.data() + i0, m);
         }
       });
     };
@@ -914,41 +907,40 @@ void LayerNormBackward(const float* dy, const LayerNormCache& cache,
                        int grain) {
   if (gn->requires_grad) gn->EnsureGrad();
   if (bn->requires_grad) bn->EnsureGrad();
-  // Gain/bias gradients reduce over rows into shared [n] slots: keep the
-  // serial ascending-row order so the float sums are reproducible.
+  // Gain/bias gradients reduce over rows into shared [n] slots: rows in
+  // ascending order, so each slot's float sum is reproducible (the column
+  // kernels keep each slot's own order).
   if (gn->requires_grad || bn->requires_grad) {
     for (int i = 0; i < m; ++i) {
       const float* dyr = dy + static_cast<size_t>(i) * n;
       const float* xh = cache.xhat.data() + static_cast<size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        if (gn->requires_grad) gn->grad[j] += dyr[j] * xh[j];
-        if (bn->requires_grad) bn->grad[j] += dyr[j];
+      if (gn->requires_grad) simd::MulAcc(dyr, xh, gn->grad.data(), n);
+      if (bn->requires_grad) {
+        simd::Add(bn->grad.data(), dyr, bn->grad.data(), n);
       }
     }
   }
   if (dx == nullptr) return;
   // dx touches only row i — safe to fan out.
+  const float* gain = gn->value.data();
   ParallelFor(m, grain, [&](int r0, int r1) {
     for (int i = r0; i < r1; ++i) {
       const float* dyr = dy + static_cast<size_t>(i) * n;
       const float* xh = cache.xhat.data() + static_cast<size_t>(i) * n;
       // dxhat = dy * gain; dx = istd * (dxhat - mean(dxhat)
-      //                                 - xhat * mean(dxhat * xhat))
+      //                                 - xhat * mean(dxhat * xhat)).
+      // The two means are serial sums; the update is per element.
       float mean_dxhat = 0.0f;
       float mean_dxhat_xhat = 0.0f;
       for (int j = 0; j < n; ++j) {
-        const float dxh = dyr[j] * gn->value[j];
+        const float dxh = dyr[j] * gain[j];
         mean_dxhat += dxh;
         mean_dxhat_xhat += dxh * xh[j];
       }
       mean_dxhat /= static_cast<float>(n);
       mean_dxhat_xhat /= static_cast<float>(n);
-      float* dxr = dx + static_cast<size_t>(i) * n;
-      const float istd = cache.inv_std[i];
-      for (int j = 0; j < n; ++j) {
-        const float dxh = dyr[j] * gn->value[j];
-        dxr[j] += istd * (dxh - mean_dxhat - xh[j] * mean_dxhat_xhat);
-      }
+      simd::LayerNormDx(dyr, gain, xh, mean_dxhat, mean_dxhat_xhat,
+                        cache.inv_std[i], dx + static_cast<size_t>(i) * n, n);
     }
   });
 }
@@ -1042,80 +1034,80 @@ Tensor Linear(const Tensor& x, const Tensor& w, const Tensor& bias) {
 
 Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
                  int num_heads) {
-  TELEKIT_CHECK_EQ(q.rank(), 2);
-  TELEKIT_CHECK(k.shape() == q.shape() && v.shape() == q.shape())
+  TELEKIT_CHECK(q.rank() == 2 && k.rank() == 2 && k.shape() == v.shape() &&
+                q.dim(1) == k.dim(1))
       << "Attention q " << ShapeToString(q.shape()) << ", k "
       << ShapeToString(k.shape()) << ", v " << ShapeToString(v.shape());
-  const int len = q.dim(0), d = q.dim(1);
+  const int lq = q.dim(0), len = k.dim(0), d = q.dim(1);
   TELEKIT_CHECK(num_heads > 0 && d % num_heads == 0)
       << d << " columns in " << num_heads << " heads";
   const int hd = d / num_heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  const size_t qrows = static_cast<size_t>(lq);
   const size_t rows = static_cast<size_t>(len);
-  const size_t head_size = rows * hd;
-  // Per head, what its backward reads: Q_h [L, hd], K_h^T [hd, L],
-  // V_h [L, hd] and P [L, L].
-  const size_t per_head = 3 * head_size + rows * rows;
+  // Per head, what its backward reads: Q_h [Lq, hd], K_h^T [hd, L],
+  // V_h [L, hd] and P [Lq, L].
+  const size_t per_head = (qrows + 2 * rows) * hd + qrows * rows;
   auto saved = std::make_shared<std::vector<float>>(per_head * num_heads);
-  std::vector<float> head(head_size);
-  NodePtr out = NewNode({len, d}, q.requires_grad() || k.requires_grad() ||
-                                      v.requires_grad());
+  std::vector<float> head(qrows * hd);
+  NodePtr out = NewNode({lq, d}, q.requires_grad() || k.requires_grad() ||
+                                     v.requires_grad());
   for (int h = 0; h < num_heads; ++h) {
     const int col = h * hd;
     float* qh = saved->data() + h * per_head;
-    float* kt = qh + head_size;
-    float* vh = kt + head_size;
-    float* p = vh + head_size;
-    CountMatMul(len, hd, len);
-    CountMatMul(len, len, hd);
+    float* kt = qh + qrows * hd;
+    float* vh = kt + rows * hd;
+    float* p = vh + rows * hd;
+    CountMatMul(lq, hd, len);
+    CountMatMul(lq, len, hd);
     AttentionHead(q.data().data() + col, k.data().data() + col,
-                  v.data().data() + col, d, len, hd, scale, kt, vh, p,
+                  v.data().data() + col, d, lq, len, hd, scale, kt, vh, p,
                   head.data(), out->value.data() + col);
-    for (size_t i = 0; i < rows; ++i) {
+    for (size_t i = 0; i < qrows; ++i) {
       std::copy_n(q.data().data() + i * d + col, hd, qh + i * hd);
     }
   }
   if (out->requires_grad) {
     out->parents = {q.node_ptr(), k.node_ptr(), v.node_ptr()};
     out->backward = [qn = q.node_ptr(), kn = k.node_ptr(), vn = v.node_ptr(),
-                     saved, len, d, hd, num_heads, scale](Node* self) {
+                     saved, lq, len, d, hd, num_heads, scale](Node* self) {
+      const size_t qrows = static_cast<size_t>(lq);
       const size_t rows = static_cast<size_t>(len);
-      const size_t head_size = rows * hd;
-      const size_t per_head = 3 * head_size + rows * rows;
+      const size_t per_head = (qrows + 2 * rows) * hd + qrows * rows;
       const bool scores_grad = qn->requires_grad || kn->requires_grad;
       if (qn->requires_grad) qn->EnsureGrad();
       if (kn->requires_grad) kn->EnsureGrad();
       if (vn->requires_grad) vn->EnsureGrad();
       // dH_h, then the zeroed buffers the composite's fresh gradients
       // were: dP (then dS, in place), dV_h, dQ_h, dK_h^T.
-      std::vector<float> scratch(4 * head_size + rows * rows);
+      std::vector<float> scratch((2 * qrows + 2 * rows) * hd + qrows * rows);
       float* dh = scratch.data();
-      float* dp = dh + head_size;
-      float* dv = dp + rows * rows;
-      float* dq = dv + head_size;
-      float* dkt = dq + head_size;
+      float* dp = dh + qrows * hd;
+      float* dv = dp + qrows * rows;
+      float* dq = dv + rows * hd;
+      float* dkt = dq + qrows * hd;
       for (int h = 0; h < num_heads; ++h) {
         const int col = h * hd;
         const float* qh = saved->data() + h * per_head;
-        const float* kt = qh + head_size;
-        const float* vh = kt + head_size;
-        const float* p = vh + head_size;
-        for (size_t i = 0; i < rows; ++i) {
+        const float* kt = qh + qrows * hd;
+        const float* vh = kt + rows * hd;
+        const float* p = vh + rows * hd;
+        for (size_t i = 0; i < qrows; ++i) {
           std::copy_n(self->grad.data() + i * d + col, hd, dh + i * hd);
         }
         if (vn->requires_grad) {
-          std::fill_n(dv, head_size, 0.0f);
-          MmAccTN(p, dh, dv, len, len, hd);
+          std::fill_n(dv, rows * hd, 0.0f);
+          MmAccTN(p, dh, dv, lq, len, hd);
           for (size_t i = 0; i < rows; ++i) {
             float* gv = vn->grad.data() + i * d + col;
             simd::Add(gv, dv + i * hd, gv, hd);
           }
         }
         if (!scores_grad) continue;
-        std::fill_n(dp, rows * rows, 0.0f);
-        MmAccNT(dh, vh, dp, len, hd, len);
+        std::fill_n(dp, qrows * rows, 0.0f);
+        MmAccNT(dh, vh, dp, lq, hd, len);
         // Softmax's row backward into a zeroed gradient, then MulScalar's.
-        for (size_t i = 0; i < rows; ++i) {
+        for (size_t i = 0; i < qrows; ++i) {
           const float* y = p + i * rows;
           float* dy = dp + i * rows;
           const float dot = simd::Dot(dy, y, len);
@@ -1124,16 +1116,16 @@ Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
           }
         }
         if (qn->requires_grad) {
-          std::fill_n(dq, head_size, 0.0f);
-          MmAccNT(dp, kt, dq, len, len, hd);
-          for (size_t i = 0; i < rows; ++i) {
+          std::fill_n(dq, qrows * hd, 0.0f);
+          MmAccNT(dp, kt, dq, lq, len, hd);
+          for (size_t i = 0; i < qrows; ++i) {
             float* gq = qn->grad.data() + i * d + col;
             simd::Add(gq, dq + i * hd, gq, hd);
           }
         }
         if (kn->requires_grad) {
-          std::fill_n(dkt, head_size, 0.0f);
-          MmAccTN(qh, dp, dkt, len, hd, len);
+          std::fill_n(dkt, rows * hd, 0.0f);
+          MmAccTN(qh, dp, dkt, lq, hd, len);
           for (size_t i = 0; i < rows; ++i) {
             float* gk = kn->grad.data() + i * d + col;
             for (int c = 0; c < hd; ++c) gk[c] += dkt[c * rows + i];
@@ -1194,26 +1186,57 @@ Tensor AddLayerNorm(const Tensor& x, const Tensor& y, const Tensor& gain,
   return Tensor::FromNode(out);
 }
 
-Tensor Dropout(const Tensor& a, float p, Rng& rng, bool training) {
-  TELEKIT_CHECK(p >= 0.0f && p < 1.0f);
-  if (!training || p == 0.0f) return a;
-  const float scale = 1.0f / (1.0f - p);
-  auto mask = std::make_shared<std::vector<float>>(a.data().size());
-  for (float& mv : *mask) mv = rng.Bernoulli(p) ? 0.0f : scale;
+namespace {
+
+// a * mask as one node; its backward adds grad * mask.
+Tensor ApplyDropoutMask(const Tensor& a,
+                        std::shared_ptr<std::vector<float>> mask) {
   NodePtr out = NewNode(a.shape(), AnyGrad(a));
-  for (size_t i = 0; i < a.data().size(); ++i) {
-    out->value[i] = a.data()[i] * (*mask)[i];
-  }
+  const int size = static_cast<int>(mask->size());
+  simd::Mul(a.data().data(), mask->data(), out->value.data(), size);
   if (out->requires_grad) {
     out->parents = {a.node_ptr()};
-    out->backward = [an = a.node_ptr(), mask](Node* self) {
+    out->backward = [an = a.node_ptr(), mask, size](Node* self) {
       an->EnsureGrad();
-      for (size_t i = 0; i < self->grad.size(); ++i) {
-        an->grad[i] += self->grad[i] * (*mask)[i];
-      }
+      simd::MulAcc(self->grad.data(), mask->data(), an->grad.data(), size);
     };
   }
   return Tensor::FromNode(out);
+}
+
+}  // namespace
+
+Tensor Dropout(const Tensor& a, float p, Rng& rng, bool training) {
+  TELEKIT_CHECK(p >= 0.0f && p < 1.0f);
+  if (!training || p == 0.0f) return a;
+  auto mask = std::make_shared<std::vector<float>>(a.data().size());
+  rng.DropoutMask(p, 1.0f / (1.0f - p), mask->data(), mask->size());
+  return ApplyDropoutMask(a, std::move(mask));
+}
+
+Tensor DropoutRows(const Tensor& a, const std::vector<int>& rows,
+                   int total_rows, float p, Rng& rng, bool training) {
+  TELEKIT_CHECK(p >= 0.0f && p < 1.0f);
+  TELEKIT_CHECK(a.rank() == 2 && a.dim(0) == static_cast<int>(rows.size()))
+      << "DropoutRows " << ShapeToString(a.shape()) << " for " << rows.size()
+      << " rows";
+  if (!training || p == 0.0f) return a;
+  // The whole mask's draws, row by row: the selected rows' into the mask,
+  // the others only advance the stream.
+  const size_t n = static_cast<size_t>(a.dim(1));
+  const float keep = 1.0f / (1.0f - p);
+  auto mask = std::make_shared<std::vector<float>>(a.data().size());
+  int next = 0;  // the first row whose draws are still ahead
+  for (size_t r = 0; r < rows.size(); ++r) {
+    TELEKIT_CHECK(rows[r] >= next && rows[r] < total_rows)
+        << "DropoutRows needs strictly ascending rows in [0, " << total_rows
+        << "), got " << rows[r];
+    rng.Discard(static_cast<size_t>(rows[r] - next) * n);
+    rng.DropoutMask(p, keep, mask->data() + r * n, n);
+    next = rows[r] + 1;
+  }
+  rng.Discard(static_cast<size_t>(total_rows - next) * n);
+  return ApplyDropoutMask(a, std::move(mask));
 }
 
 Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids) {
@@ -1282,23 +1305,27 @@ void SoftmaxRow(const float* x, float* out, int n) {
 }
 
 // The composite's steps: MatMul of the Q_h slice by Transpose(K_h), the
-// MulScalar, Softmax by rows, then MatMul by the V_h slice.
+// MulScalar, Softmax by rows, then MatMul by the V_h slice. Each query
+// row's result depends on that row and on K and V alone.
 void AttentionHead(const float* q, const float* k, const float* v, int ld,
-                   int len, int hd, float scale, float* kt, float* vh,
-                   float* p, float* head, float* ctx) {
+                   int q_len, int len, int hd, float scale, float* kt,
+                   float* vh, float* p, float* head, float* ctx) {
+  const size_t qrows = static_cast<size_t>(q_len);
   const size_t rows = static_cast<size_t>(len);
   for (size_t j = 0; j < rows; ++j) {
     const float* kj = k + j * ld;
     for (int c = 0; c < hd; ++c) kt[c * rows + j] = kj[c];
     std::copy_n(v + j * ld, hd, vh + j * hd);
   }
-  std::fill_n(p, rows * rows, 0.0f);
-  MatMulAcc(q, ld, kt, p, len, hd, len);
-  simd::ScaleTo(p, scale, p, len * len);
-  for (size_t i = 0; i < rows; ++i) SoftmaxRow(p + i * rows, p + i * rows, len);
-  std::fill_n(head, rows * hd, 0.0f);
-  MatMulAcc(p, len, vh, head, len, len, hd);
-  for (size_t i = 0; i < rows; ++i) {
+  std::fill_n(p, qrows * rows, 0.0f);
+  MatMulAcc(q, ld, kt, p, q_len, hd, len);
+  simd::ScaleTo(p, scale, p, q_len * len);
+  for (size_t i = 0; i < qrows; ++i) {
+    SoftmaxRow(p + i * rows, p + i * rows, len);
+  }
+  std::fill_n(head, qrows * hd, 0.0f);
+  MatMulAcc(p, len, vh, head, q_len, len, hd);
+  for (size_t i = 0; i < qrows; ++i) {
     std::copy_n(head + i * hd, hd, ctx + i * ld);
   }
 }

@@ -133,9 +133,13 @@ Tensor LayerNorm(const Tensor& a, const Tensor& gain, const Tensor& bias,
 Tensor Linear(const Tensor& x, const Tensor& w, const Tensor& bias);
 
 /// Multi-head self-attention of one unpadded sequence on projected rows
-/// q, k, v [L, d]: head h (columns [h*d/H, (h+1)*d/H)) is
+/// q [Lq, d] and k, v [L, d]: head h (columns [h*d/H, (h+1)*d/H)) is
 /// MatMul(Softmax(MulScalar(MatMul(Q_h, Transpose(K_h)), 1/sqrt(d/H))),
-/// V_h), and the heads are concatenated by columns -> [L, d].
+/// V_h), and the heads are concatenated by columns -> [Lq, d]. An output
+/// row depends on its own query row and on k and v, so q may hold any
+/// subset of a sequence's query rows (Lq < L); with those rows in
+/// ascending order, values and gradients are the full node's rows and
+/// gradients bit for bit (DESIGN.md §3, "Training tape", rule 4).
 Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
                  int num_heads);
 
@@ -147,6 +151,14 @@ Tensor AddLayerNorm(const Tensor& x, const Tensor& y, const Tensor& gain,
 /// Inverted dropout: keeps each unit with prob. 1-p and rescales by 1/(1-p).
 /// Identity when `training` is false or p == 0.
 Tensor Dropout(const Tensor& a, float p, Rng& rng, bool training);
+
+/// Dropout of rows `rows` (strictly ascending) of a [total_rows, n]
+/// tensor, given only those rows: a [rows.size(), n]. It makes the draws
+/// of the whole [total_rows, n] mask, as Dropout of the whole tensor would,
+/// and applies the rows' part, so values, gradients and the stream
+/// afterwards are that Dropout's rows.
+Tensor DropoutRows(const Tensor& a, const std::vector<int>& rows,
+                   int total_rows, float p, Rng& rng, bool training);
 
 /// Embedding lookup: table [V, d], ids in [0, V) -> [len(ids), d].
 Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids);
@@ -175,14 +187,14 @@ void LinearRows(const float* x, int rows, int k, const float* w,
 /// One softmax row: out = exp(x - max x) / sum (out may alias x).
 void SoftmaxRow(const float* x, float* out, int n);
 
-/// One attention head (Attention's forward per head): q, k, v and ctx
-/// point at the head's first column of [len, *] rows `ld` floats apart.
-/// Writes kt [hd, len] (K_h transposed), vh [len, hd] (V_h), p [len, len]
-/// (the softmax of Q_h kt * scale, by rows) and head [len, hd] = p vh,
-/// then copies head into ctx's hd columns.
+/// One attention head (Attention's forward per head): q and ctx point at
+/// the head's first column of q_len rows, k and v at that of len rows, all
+/// rows `ld` floats apart. Writes kt [hd, len] (K_h transposed), vh
+/// [len, hd] (V_h), p [q_len, len] (the softmax of Q_h kt * scale, by rows)
+/// and head [q_len, hd] = p vh, then copies head into ctx's hd columns.
 void AttentionHead(const float* q, const float* k, const float* v, int ld,
-                   int len, int hd, float scale, float* kt, float* vh,
-                   float* p, float* head, float* ctx);
+                   int q_len, int len, int hd, float scale, float* kt,
+                   float* vh, float* p, float* head, float* ctx);
 
 /// One layer-norm row: out = (x - mean) / sqrt(var + eps) * gain + bias.
 /// `xhat` (may be null) receives the normalized row. Returns

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "tensor/simd.h"
+
 namespace telekit {
 namespace tensor {
 
@@ -28,8 +30,9 @@ float Optimizer::ClipGradNorm(float max_norm) {
   if (norm > max_norm && norm > 0.0f) {
     const float scale = max_norm / norm;
     for (Tensor& p : params_) {
-      auto* node = p.node();
-      for (float& g : node->grad) g *= scale;
+      std::vector<float>& grad = p.node()->grad;
+      simd::ScaleTo(grad.data(), scale, grad.data(),
+                    static_cast<int>(grad.size()));
     }
   }
   return norm;
@@ -60,28 +63,23 @@ void Adam::OnParameterAdded(const Tensor& param) {
 
 void Adam::Step() {
   ++step_;
-  const float bias1 = 1.0f - std::pow(options_.beta1, static_cast<float>(step_));
-  const float bias2 = 1.0f - std::pow(options_.beta2, static_cast<float>(step_));
+  simd::AdamStep step;
+  step.beta1 = options_.beta1;
+  step.beta2 = options_.beta2;
+  step.bias1 = 1.0f - std::pow(options_.beta1, static_cast<float>(step_));
+  step.bias2 = 1.0f - std::pow(options_.beta2, static_cast<float>(step_));
+  step.lr = options_.lr;
+  step.eps = options_.eps;
+  const bool decay = options_.weight_decay != 0.0f;
+  step.coupled_decay = decay && !options_.decoupled_weight_decay;
+  step.l2 = options_.weight_decay;
+  step.decoupled_decay = decay && options_.decoupled_weight_decay;
+  step.lr_decay = options_.lr * options_.weight_decay;
   for (size_t pi = 0; pi < params_.size(); ++pi) {
     auto* node = params_[pi].node();
     if (node->grad.empty()) continue;
-    std::vector<float>& m = m_[pi];
-    std::vector<float>& v = v_[pi];
-    for (size_t i = 0; i < node->value.size(); ++i) {
-      float g = node->grad[i];
-      if (options_.weight_decay != 0.0f && !options_.decoupled_weight_decay) {
-        g += options_.weight_decay * node->value[i];
-      }
-      m[i] = options_.beta1 * m[i] + (1.0f - options_.beta1) * g;
-      v[i] = options_.beta2 * v[i] + (1.0f - options_.beta2) * g * g;
-      const float m_hat = m[i] / bias1;
-      const float v_hat = v[i] / bias2;
-      float update = options_.lr * m_hat / (std::sqrt(v_hat) + options_.eps);
-      if (options_.weight_decay != 0.0f && options_.decoupled_weight_decay) {
-        update += options_.lr * options_.weight_decay * node->value[i];
-      }
-      node->value[i] -= update;
-    }
+    simd::AdamUpdate(step, node->grad.data(), m_[pi].data(), v_[pi].data(),
+                     node->value.data(), static_cast<int>(node->value.size()));
   }
 }
 

@@ -96,6 +96,50 @@ void NormalizeAffineScalar(const float* x, float mean, float istd,
   }
 }
 
+void MulAccScalar(const float* a, const float* b, float* acc, int n) {
+  for (int i = 0; i < n; ++i) acc[i] += a[i] * b[i];
+}
+
+void LayerNormDxScalar(const float* dy, const float* gain, const float* xhat,
+                       float mean_dxhat, float mean_dxhat_xhat, float istd,
+                       float* dx, int n) {
+  for (int i = 0; i < n; ++i) {
+    const float dxh = dy[i] * gain[i];
+    dx[i] += istd * (dxh - mean_dxhat - xhat[i] * mean_dxhat_xhat);
+  }
+}
+
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+constexpr float kGeluA = 0.044715f;
+constexpr float kGelu3A = 3.0f * kGeluA;
+
+void GeluBackwardScalar(const float* x, const float* tanh_u, const float* dy,
+                        float* dx, int n) {
+  for (int i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float t = tanh_u[i];
+    const float dinner = kGeluC * (1.0f + kGelu3A * v * v);
+    dx[i] += dy[i] * (0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dinner);
+  }
+}
+
+void AdamUpdateScalar(const AdamStep& s, const float* grad, float* m,
+                      float* v, float* value, int n) {
+  const float one_minus_beta1 = 1.0f - s.beta1;
+  const float one_minus_beta2 = 1.0f - s.beta2;
+  for (int i = 0; i < n; ++i) {
+    float g = grad[i];
+    if (s.coupled_decay) g += s.l2 * value[i];
+    m[i] = s.beta1 * m[i] + one_minus_beta1 * g;
+    v[i] = s.beta2 * v[i] + one_minus_beta2 * g * g;
+    const float m_hat = m[i] / s.bias1;
+    const float v_hat = v[i] / s.bias2;
+    float update = s.lr * m_hat / (std::sqrt(v_hat) + s.eps);
+    if (s.decoupled_decay) update += s.lr_decay * value[i];
+    value[i] -= update;
+  }
+}
+
 int32_t DotI8Scalar(const int8_t* a, const int8_t* b, int n) {
   int32_t acc = 0;
   for (int i = 0; i < n; ++i) {
@@ -125,8 +169,6 @@ constexpr float kRoundMagic = 12582912.0f;  // 1.5 * 2^23
 // 1/7!, 1/6!, ..., 1/1!, 1/0!: Horner order.
 constexpr float kExpPoly[] = {1.0f / 5040, 1.0f / 720, 1.0f / 120, 1.0f / 24,
                               1.0f / 6,    0.5f,       1.0f,       1.0f};
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
 constexpr float kGeluNeg2C = -2.0f * kGeluC;  // exact: a power-of-two scale
 constexpr float kGeluExpCap = 80.0f;
 constexpr float kGeluZeroBelow = -10.0f;
@@ -289,6 +331,9 @@ void DotTileScalar(int rows, int cols, int n, const float* a, const float* b,
 //
 // Compiled with per-function target attributes so the baseline build stays
 // generic x86-64; these bodies only execute after cpuid confirms support.
+// A scalar tail's multiply-add is written as std::fma: GCC contracts
+// `y += a * x` to an FMA under target("fma") at -O2 but not at -O1, and the
+// explicit form gives the -O2 bits at every optimisation level.
 
 #if defined(TELEKIT_SIMD_X86)
 
@@ -301,7 +346,7 @@ __attribute__((target("avx2,fma"))) void AxpyAvx2(float alpha, const float* x,
     const __m256 vy = _mm256_loadu_ps(y + i);
     _mm256_storeu_ps(y + i, _mm256_fmadd_ps(va, vx, vy));
   }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+  for (; i < n; ++i) y[i] = std::fma(alpha, x[i], y[i]);
 }
 
 __attribute__((target("avx2,fma"))) float HSum(__m256 v) {
@@ -321,7 +366,7 @@ __attribute__((target("avx2,fma"))) float DotAvx2(const float* a,
     acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), acc);
   }
   float sum = HSum(acc);
-  for (; i < n; ++i) sum += a[i] * b[i];
+  for (; i < n; ++i) sum = std::fma(a[i], b[i], sum);
   return sum;
 }
 
@@ -364,7 +409,10 @@ __attribute__((target("avx2,fma"))) float ReduceSumSqDiffAvx2(const float* x,
     acc = _mm256_fmadd_ps(d, d, acc);
   }
   float sum = HSum(acc);
-  for (; i < n; ++i) sum += (x[i] - mean) * (x[i] - mean);
+  for (; i < n; ++i) {
+    const float d = x[i] - mean;
+    sum = std::fma(d, d, sum);
+  }
   return sum;
 }
 
@@ -449,8 +497,110 @@ __attribute__((target("avx2,fma"))) void NormalizeAffineAvx2(
   for (; i < n; ++i) {
     const float xh = (x[i] - mean) * istd;
     if (xhat != nullptr) xhat[i] = xh;
-    out[i] = xh * gain[i] + bias[i];
+    out[i] = std::fma(xh, gain[i], bias[i]);
   }
+}
+
+// The training loops (simd.h) on 8 lanes, the last n % 8 elements by the
+// scalar loops. target("avx2") without "fma": the compiler may not fuse a
+// multiply into an add, so each step rounds as the scalar loop's does.
+
+__attribute__((target("avx2"))) void MulAccAvx2(const float* a,
+                                                const float* b, float* acc,
+                                                int n) {
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(
+        acc + i,
+        _mm256_add_ps(_mm256_loadu_ps(acc + i),
+                      _mm256_mul_ps(_mm256_loadu_ps(a + i),
+                                    _mm256_loadu_ps(b + i))));
+  }
+  MulAccScalar(a + i, b + i, acc + i, n - i);
+}
+
+__attribute__((target("avx2"))) void LayerNormDxAvx2(
+    const float* dy, const float* gain, const float* xhat, float mean_dxhat,
+    float mean_dxhat_xhat, float istd, float* dx, int n) {
+  const __m256 m1 = _mm256_set1_ps(mean_dxhat);
+  const __m256 m2 = _mm256_set1_ps(mean_dxhat_xhat);
+  const __m256 s = _mm256_set1_ps(istd);
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 dxh =
+        _mm256_mul_ps(_mm256_loadu_ps(dy + i), _mm256_loadu_ps(gain + i));
+    const __m256 centered =
+        _mm256_sub_ps(_mm256_sub_ps(dxh, m1),
+                      _mm256_mul_ps(_mm256_loadu_ps(xhat + i), m2));
+    _mm256_storeu_ps(dx + i, _mm256_add_ps(_mm256_loadu_ps(dx + i),
+                                           _mm256_mul_ps(s, centered)));
+  }
+  LayerNormDxScalar(dy + i, gain + i, xhat + i, mean_dxhat, mean_dxhat_xhat,
+                    istd, dx + i, n - i);
+}
+
+__attribute__((target("avx2"))) void GeluBackwardAvx2(const float* x,
+                                                      const float* tanh_u,
+                                                      const float* dy,
+                                                      float* dx, int n) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 c = _mm256_set1_ps(kGeluC);
+  const __m256 a3 = _mm256_set1_ps(kGelu3A);
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    const __m256 t = _mm256_loadu_ps(tanh_u + i);
+    const __m256 dinner = _mm256_mul_ps(
+        c, _mm256_add_ps(one, _mm256_mul_ps(_mm256_mul_ps(a3, v), v)));
+    const __m256 slope = _mm256_add_ps(
+        _mm256_mul_ps(half, _mm256_add_ps(one, t)),
+        _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(half, v),
+                                    _mm256_sub_ps(one, _mm256_mul_ps(t, t))),
+                      dinner));
+    _mm256_storeu_ps(dx + i,
+                     _mm256_add_ps(_mm256_loadu_ps(dx + i),
+                                   _mm256_mul_ps(_mm256_loadu_ps(dy + i),
+                                                 slope)));
+  }
+  GeluBackwardScalar(x + i, tanh_u + i, dy + i, dx + i, n - i);
+}
+
+__attribute__((target("avx2"))) void AdamUpdateAvx2(const AdamStep& s,
+                                                    const float* grad,
+                                                    float* m, float* v,
+                                                    float* value, int n) {
+  const __m256 b1 = _mm256_set1_ps(s.beta1);
+  const __m256 b2 = _mm256_set1_ps(s.beta2);
+  const __m256 c1 = _mm256_set1_ps(1.0f - s.beta1);
+  const __m256 c2 = _mm256_set1_ps(1.0f - s.beta2);
+  const __m256 bias1 = _mm256_set1_ps(s.bias1);
+  const __m256 bias2 = _mm256_set1_ps(s.bias2);
+  const __m256 lr = _mm256_set1_ps(s.lr);
+  const __m256 eps = _mm256_set1_ps(s.eps);
+  const __m256 l2 = _mm256_set1_ps(s.l2);
+  const __m256 lr_decay = _mm256_set1_ps(s.lr_decay);
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 w = _mm256_loadu_ps(value + i);
+    __m256 g = _mm256_loadu_ps(grad + i);
+    if (s.coupled_decay) g = _mm256_add_ps(g, _mm256_mul_ps(l2, w));
+    const __m256 mi = _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + i)),
+                                    _mm256_mul_ps(c1, g));
+    const __m256 vi =
+        _mm256_add_ps(_mm256_mul_ps(b2, _mm256_loadu_ps(v + i)),
+                      _mm256_mul_ps(_mm256_mul_ps(c2, g), g));
+    _mm256_storeu_ps(m + i, mi);
+    _mm256_storeu_ps(v + i, vi);
+    __m256 update = _mm256_div_ps(
+        _mm256_mul_ps(lr, _mm256_div_ps(mi, bias1)),
+        _mm256_add_ps(_mm256_sqrt_ps(_mm256_div_ps(vi, bias2)), eps));
+    if (s.decoupled_decay) {
+      update = _mm256_add_ps(update, _mm256_mul_ps(lr_decay, w));
+    }
+    _mm256_storeu_ps(value + i, _mm256_sub_ps(w, update));
+  }
+  AdamUpdateScalar(s, grad + i, m + i, v + i, value + i, n - i);
 }
 
 __attribute__((target("avx2"))) int32_t DotI8Avx2(const int8_t* a,
@@ -671,7 +821,8 @@ __attribute__((target("avx2,fma"))) void AxpyTileAvx2Rows(
       float* cj = c + static_cast<size_t>(r) * n + j;
       float acc = *cj;
       for (int p = 0; p < k; ++p) {
-        acc += a[r * a_row + p * a_red] * b[static_cast<size_t>(p) * n + j];
+        acc = std::fma(a[r * a_row + p * a_red],
+                       b[static_cast<size_t>(p) * n + j], acc);
       }
       *cj = acc;
     }
@@ -717,7 +868,7 @@ __attribute__((target("avx2,fma"))) void DotBlockAvx2(int n, const float* a,
     for (int q = 0; q < NR; ++q) {
       const float* brow = b + static_cast<size_t>(q) * n;
       float sum = HSum(acc[r][q]);
-      for (int t = i; t < n; ++t) sum += arow[t] * brow[t];
+      for (int t = i; t < n; ++t) sum = std::fma(arow[t], brow[t], sum);
       c[r * ldc + q] += sum;
     }
   }
@@ -1030,6 +1181,13 @@ struct VTable {
   int32_t (*dot_i8)(const int8_t*, const int8_t*, int);
   float (*quantize_row)(const float*, int, float, int8_t*);
   GemmKernels gemm;
+  void (*mul_acc)(const float*, const float*, float*, int);
+  void (*layer_norm_dx)(const float*, const float*, const float*, float,
+                        float, float, float*, int);
+  void (*gelu_backward)(const float*, const float*, const float*, float*,
+                        int);
+  void (*adam_update)(const AdamStep&, const float*, float*, float*, float*,
+                      int);
 };
 
 constexpr VTable kScalarTable = {
@@ -1040,6 +1198,8 @@ constexpr VTable kScalarTable = {
     NormalizeAffineScalar, ExpScalar,    GeluScalar,
     DotI8Scalar,        QuantizeRowScalar,
     {AxpyTileScalar, DotTileScalar},
+    MulAccScalar,       LayerNormDxScalar, GeluBackwardScalar,
+    AdamUpdateScalar,
 };
 
 #if defined(TELEKIT_SIMD_X86)
@@ -1051,6 +1211,8 @@ constexpr VTable kAvx2Table = {
     NormalizeAffineAvx2, ExpAvx2,    GeluAvx2,
     DotI8Avx2,        QuantizeRowAvx2,
     {AxpyTileAvx2, DotTileAvx2},
+    MulAccAvx2,       LayerNormDxAvx2, GeluBackwardAvx2,
+    AdamUpdateAvx2,
 };
 #endif
 
@@ -1064,6 +1226,9 @@ constexpr VTable kNeonTable = {
     NormalizeAffineNeon, ExpScalar,    GeluScalar,
     DotI8Neon,        QuantizeRowScalar,
     {AxpyTileNeon, DotTileNeon},
+    // The training loops run their scalar forms on NEON too.
+    MulAccScalar,     LayerNormDxScalar, GeluBackwardScalar,
+    AdamUpdateScalar,
 };
 #endif
 
@@ -1251,6 +1416,27 @@ void Gelu(const float* x, float* out, float* tanh_u, int n) {
 
 float QuantizeRow(const float* x, int n, float clip, int8_t* out) {
   return Active().quantize_row(x, n, clip, out);
+}
+
+void MulAcc(const float* a, const float* b, float* acc, int n) {
+  Active().mul_acc(a, b, acc, n);
+}
+
+void LayerNormDx(const float* dy, const float* gain, const float* xhat,
+                 float mean_dxhat, float mean_dxhat_xhat, float istd,
+                 float* dx, int n) {
+  Active().layer_norm_dx(dy, gain, xhat, mean_dxhat, mean_dxhat_xhat, istd,
+                         dx, n);
+}
+
+void GeluBackward(const float* x, const float* tanh_u, const float* dy,
+                  float* dx, int n) {
+  Active().gelu_backward(x, tanh_u, dy, dx, n);
+}
+
+void AdamUpdate(const AdamStep& step, const float* grad, float* m, float* v,
+                float* value, int n) {
+  Active().adam_update(step, grad, m, v, value, n);
 }
 
 }  // namespace simd

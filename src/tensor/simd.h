@@ -116,6 +116,51 @@ constexpr double kExpMaxRelError = 1.5e-7;
 void Gelu(const float* x, float* out, float* tanh_u, int n);
 constexpr double kGeluMaxAbsError = 6e-7;
 
+// --- Training loops -----------------------------------------------------------
+//
+// Per-element steps of the backward passes and the optimizer. Each kernel
+// runs its scalar loop's operations on every element in that loop's order,
+// rounding after each one; the vector forms are compiled without FMA, so
+// no multiply-add is fused. Every backend therefore gives the scalar
+// loop's bits.
+
+/// acc[i] += a[i] * b[i].
+void MulAcc(const float* a, const float* b, float* acc, int n);
+
+/// One layer-norm row's input gradient: with dxhat = dy[i] * gain[i],
+/// dx[i] += istd * (dxhat - mean_dxhat - xhat[i] * mean_dxhat_xhat).
+void LayerNormDx(const float* dy, const float* gain, const float* xhat,
+                 float mean_dxhat, float mean_dxhat_xhat, float istd,
+                 float* dx, int n);
+
+/// GELU's backward, from x and Gelu's tanh_u t:
+/// dx[i] += dy[i] * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2))
+/// with c = sqrt(2/pi).
+void GeluBackward(const float* x, const float* tanh_u, const float* dy,
+                  float* dx, int n);
+
+/// The constants of one Adam step (tensor::Adam::Step).
+struct AdamStep {
+  float beta1 = 0.0f;
+  float beta2 = 0.0f;
+  float bias1 = 0.0f;  // 1 - beta1^t
+  float bias2 = 0.0f;  // 1 - beta2^t
+  float lr = 0.0f;
+  float eps = 0.0f;
+  /// g += l2 * value first, when `coupled_decay` (Adam with L2).
+  bool coupled_decay = false;
+  float l2 = 0.0f;
+  /// update += lr_decay * value, when `decoupled_decay` (AdamW).
+  bool decoupled_decay = false;
+  float lr_decay = 0.0f;
+};
+
+/// One Adam update of n weights: m = b1 m + (1 - b1) g,
+/// v = b2 v + (1 - b2) g g, value -= lr (m / bias1) / (sqrt(v / bias2) +
+/// eps), with the step's weight decay.
+void AdamUpdate(const AdamStep& step, const float* grad, float* m, float* v,
+                float* value, int n);
+
 // --- GEMM tile kernels -------------------------------------------------------
 //
 // The register tiles under MatMul (DESIGN.md §3). Each keeps a block of C

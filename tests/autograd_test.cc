@@ -484,6 +484,89 @@ TEST(FusedNodeTest, AddAndSubBackwardMatchThePerElementLoop) {
   simd::ForceBackend(previous);
 }
 
+// --- Rows-selected nodes against the full nodes' rows -----------------------
+
+// Strictly ascending row sets of an L-row sequence: [CLS] alone, every row,
+// and two random subsets.
+std::vector<std::vector<int>> RowSets(int len, uint64_t seed) {
+  std::vector<std::vector<int>> sets = {{0}, {}};
+  for (int i = 0; i < len; ++i) sets[1].push_back(i);
+  Rng rng(seed);
+  for (int trial = 0; trial < 2 && len > 1; ++trial) {
+    std::vector<int> subset;
+    for (int i = 0; i < len; ++i) {
+      if (rng.Bernoulli(0.4)) subset.push_back(i);
+    }
+    if (subset.empty()) subset.push_back(len - 1);
+    sets.push_back(subset);
+  }
+  return sets;
+}
+
+std::string RowsName(const std::vector<int>& rows) {
+  std::string out = "{";
+  for (int row : rows) out += std::to_string(row) + ",";
+  return out + "}";
+}
+
+// Attention on the gathered query rows is the full node's rows: values and
+// the q, k and v gradients, where the full node's other output rows take
+// no gradient.
+TEST(RowsSelectedTest, AttentionOnQueryRowsIsTheFullNodesRowsBitForBit) {
+  for (int len : {1, 5, 24}) {
+    for (const std::vector<int>& rows : RowSets(len, 100 + len)) {
+      for (int heads : {2, 4}) {
+        ExpectSameBits(
+            [heads, rows](const std::vector<Tensor>& in) {
+              return Attention(GatherRows(in[0], rows), in[1], in[2], heads);
+            },
+            [heads, rows](const std::vector<Tensor>& in) {
+              return GatherRows(Attention(in[0], in[1], in[2], heads), rows);
+            },
+            {{len, 64}, {len, 64}, {len, 64}},
+            "Attention L=" + std::to_string(len) + " rows=" + RowsName(rows) +
+                " heads=" + std::to_string(heads));
+      }
+    }
+  }
+}
+
+// DropoutRows on the gathered rows is the full Dropout's rows: values, the
+// input gradient, and the generator's state afterwards.
+TEST(RowsSelectedTest, DropoutRowsIsTheFullDropoutsRowsBitForBit) {
+  for (int len : {1, 5, 24}) {
+    for (const std::vector<int>& rows : RowSets(len, 200 + len)) {
+      uint64_t next_draw[2] = {0, 0};
+      const auto graph = [&rows, &next_draw, len](bool selected) {
+        return [&rows, &next_draw, len,
+                selected](const std::vector<Tensor>& in) {
+          Rng rng(31);
+          Tensor y = selected ? DropoutRows(GatherRows(in[0], rows), rows, len,
+                                            0.3f, rng, /*training=*/true)
+                              : GatherRows(Dropout(in[0], 0.3f, rng,
+                                                   /*training=*/true),
+                                           rows);
+          next_draw[selected ? 1 : 0] = rng.NextU64();
+          return y;
+        };
+      };
+      const std::string what = "DropoutRows L=" + std::to_string(len) +
+                               " rows=" + RowsName(rows);
+      ExpectSameBits(graph(true), graph(false), {{len, 24}}, what);
+      EXPECT_EQ(next_draw[1], next_draw[0]) << what << ": stream afterwards";
+    }
+  }
+}
+
+TEST(GradCheckTest, AttentionOnFewerQueryRows) {
+  auto fn = [](const std::vector<Tensor>& in) {
+    return Sum(Square(Attention(in[0], in[1], in[2], /*num_heads=*/2)));
+  };
+  auto result = CheckGradients(
+      fn, {Leaf({2, 4}, 52), Leaf({3, 4}, 53), Leaf({3, 4}, 54)});
+  EXPECT_TRUE(result.passed) << result.detail;
+}
+
 TEST(GradCheckTest, Linear) {
   auto fn = [](const std::vector<Tensor>& in) {
     return Sum(Square(Linear(in[0], in[1], in[2])));

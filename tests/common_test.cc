@@ -151,6 +151,35 @@ TEST(RngTest, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
+// The bulk mask is the per-element Bernoulli loop Dropout ran: the same
+// values (+0 or keep) and the same stream afterwards, for dropout rates
+// whose threshold p * 2^53 is and is not an integer.
+TEST(RngTest, DropoutMaskIsTheBernoulliLoop) {
+  for (double p : {0.1, static_cast<double>(0.1f), 0.5, 1.0 / 3.0, 1e-9}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{4096}}) {
+      Rng bulk(99), loop(99);
+      const float keep = static_cast<float>(1.0 / (1.0 - p));
+      std::vector<float> got(n, -1.0f), want(n);
+      bulk.DropoutMask(p, keep, got.data(), n);
+      for (float& m : want) m = loop.Bernoulli(p) ? 0.0f : keep;
+      EXPECT_EQ(got, want) << "p=" << p << " n=" << n;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_FALSE(std::signbit(got[i])) << "p=" << p << " i=" << i;
+      }
+      EXPECT_EQ(bulk.NextU64(), loop.NextU64()) << "p=" << p << " n=" << n;
+    }
+  }
+}
+
+TEST(RngTest, DiscardAdvancesLikeNextU64) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{1000}}) {
+    Rng skipped(5), drawn(5);
+    skipped.Discard(n);
+    for (size_t i = 0; i < n; ++i) drawn.NextU64();
+    EXPECT_EQ(skipped.NextU64(), drawn.NextU64()) << n;
+  }
+}
+
 TEST(RngTest, CategoricalRespectsWeights) {
   Rng rng(31);
   std::vector<double> weights = {1.0, 0.0, 3.0};

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/rng.h"
@@ -8,9 +10,11 @@
 #include "core/qencode.h"
 #include "core/transformer.h"
 #include "obs/metrics.h"
+#include "tensor/compute_pool.h"
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
+#include "tensor/simd.h"
 
 namespace telekit {
 namespace core {
@@ -190,6 +194,169 @@ TEST(EncoderTest, TrainingForwardDispatchesTheFusedNodeCount) {
   for (const auto& [name, p] : encoder.Parameters()) {
     EXPECT_FALSE(p.grad().empty()) << name;
   }
+}
+
+// --- Rows-selected last layer ----------------------------------------------------
+
+EncoderConfig TrainingConfig() {
+  EncoderConfig config;  // d 64, 4 heads, 2 layers, FFN 128, dropout 0.1
+  config.vocab_size = 50;
+  config.max_len = 24;
+  return config;
+}
+
+std::vector<int> Ids(int len) {
+  std::vector<int> ids(static_cast<size_t>(len));
+  for (int i = 0; i < len; ++i) ids[static_cast<size_t>(i)] = 2 + (7 * i) % 45;
+  return ids;
+}
+
+// [CLS], every row, and two random strictly ascending subsets.
+std::vector<std::vector<int>> RowSets(int len, uint64_t seed) {
+  std::vector<std::vector<int>> sets = {{0}, {}};
+  for (int i = 0; i < len; ++i) sets[1].push_back(i);
+  Rng rng(seed);
+  for (int trial = 0; trial < 2 && len > 1; ++trial) {
+    std::vector<int> subset;
+    for (int i = 0; i < len; ++i) {
+      if (rng.Bernoulli(0.4)) subset.push_back(i);
+    }
+    if (subset.empty()) subset.push_back(len - 1);
+    sets.push_back(subset);
+  }
+  return sets;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// Two accumulating training passes of a fresh encoder over `ids`, reading
+// `rows` either by EncodeRows or by gathering them from Encode: each pass's
+// rows and the stream's next draw, then every parameter's gradient.
+std::vector<std::vector<float>> TrainRows(const std::vector<int>& ids,
+                                          const std::vector<int>& rows,
+                                          bool selected) {
+  Rng init(5);
+  TransformerEncoder encoder(TrainingConfig(), init);
+  Rng rng(77), weights_rng(78);
+  std::vector<std::vector<float>> out;
+  const int len = static_cast<int>(ids.size());
+  for (int pass = 0; pass < 2; ++pass) {
+    Tensor embedded = encoder.Embed(ids, len, {}, rng, /*training=*/true);
+    Tensor y = selected ? encoder.EncodeRows(embedded, rows, rng, true)
+                        : tensor::GatherRows(encoder.Encode(embedded, rng, true),
+                                             rows);
+    const Tensor weights = Tensor::Randn(y.shape(), weights_rng);
+    tensor::Sum(tensor::Mul(y, weights)).Backward();
+    out.push_back(y.data());
+    out.push_back({static_cast<float>(rng.NextU64() % 65536)});
+  }
+  for (const auto& [name, p] : encoder.Parameters()) out.push_back(p.grad());
+  return out;
+}
+
+TEST(EncoderTest, EncodeRowsIsTheGatheredEncodeBitForBit) {
+  const tensor::simd::Backend backend = tensor::simd::ActiveBackend();
+  const int threads = tensor::ComputeThreads();
+  for (int len : {1, 5, 24}) {
+    const std::vector<int> ids = Ids(len);
+    for (const std::vector<int>& rows : RowSets(len, 300 + len)) {
+      for (tensor::simd::Backend b :
+           {tensor::simd::Backend::kScalar, tensor::simd::DetectBackend()}) {
+        tensor::simd::ForceBackend(b);
+        tensor::SetComputeThreads(1);
+        const auto want = TrainRows(ids, rows, /*selected=*/false);
+        for (int t : {1, 2, 4}) {
+          tensor::SetComputeThreads(t);
+          const auto got = TrainRows(ids, rows, /*selected=*/true);
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_TRUE(SameBits(got[i], want[i]))
+                << "entry " << i << " (0-3: rows and next draw per pass, "
+                << "then parameter gradients) L=" << len
+                << " rows=" << rows.size() << " on "
+                << tensor::simd::BackendName(b) << " at " << t << " threads";
+          }
+        }
+      }
+    }
+  }
+  tensor::simd::ForceBackend(backend);
+  tensor::SetComputeThreads(threads);
+}
+
+// The [CLS] training forward runs the last layer's Q, attention rows,
+// output projection and FFN for one row: its GEMM flops, pinned.
+TEST(EncoderTest, ClsTrainingForwardCountsFewerMatmulFlops) {
+  const EncoderConfig config = TrainingConfig();
+  Rng rng(13);
+  TransformerEncoder encoder(config, rng);
+  const uint64_t len = 24, d = 64, f = 128, heads = 4, hd = d / heads;
+  // One layer's GEMM flops with `rows` query rows over `len` rows.
+  const auto layer = [&](uint64_t rows) {
+    return 2 * d * d * (2 * rows + 2 * len) + 4 * rows * d * f +
+           heads * 4 * rows * len * hd;
+  };
+  const obs::Counter& flops =
+      obs::MetricsRegistry::Global().GetCounter("tensor/matmul_flops");
+  const std::vector<int> ids = Ids(24);
+  Tensor embedded = encoder.Embed(ids, 24, {}, rng, /*training=*/true);
+  uint64_t before = flops.value();
+  encoder.Encode(embedded, rng, /*training=*/true);
+  const uint64_t full = flops.value() - before;
+  before = flops.value();
+  encoder.EncodeRows(embedded, {0}, rng, /*training=*/true);
+  const uint64_t cls = flops.value() - before;
+  EXPECT_EQ(full, 2 * layer(len));
+  EXPECT_EQ(cls, layer(len) + layer(1));
+  EXPECT_LT(cls, full);
+}
+
+// Records each projection's row count, running the encoder's fp32 layers.
+class RecordingLinear final : public InferenceLinear {
+ public:
+  RecordingLinear(const TransformerEncoder& encoder, bool every_row)
+      : encoder_(encoder), every_row_(every_row) {}
+  void Apply(int layer, Projection p, const float* x, int rows,
+             float* out) const override {
+    calls.push_back({layer, static_cast<int>(p), rows});
+    encoder_.layer(layer).Linear(p).Infer(x, rows, out);
+  }
+  bool ObservesEveryRow() const override { return every_row_; }
+  mutable std::vector<std::array<int, 3>> calls;  // {layer, projection, rows}
+
+ private:
+  const TransformerEncoder& encoder_;
+  bool every_row_;
+};
+
+TEST(EncoderTest, InferClsRunsTheLastLayerForClsAlone) {
+  Rng rng(14);
+  TransformerEncoder encoder(SmallConfig(), rng);
+  const std::vector<int> ids = {2, 20, 21, 22, 23, 24, 3};
+  std::vector<float> plain(16), cls_only(16), every(16);
+  encoder.InferCls(ids, 7, {}, plain.data());
+  RecordingLinear last_cls(encoder, /*every_row=*/false);
+  encoder.InferCls(ids, 7, {}, cls_only.data(), &last_cls);
+  RecordingLinear all_rows(encoder, /*every_row=*/true);
+  encoder.InferCls(ids, 7, {}, every.data(), &all_rows);
+  ASSERT_EQ(last_cls.calls.size(), 2u * kProjections);
+  for (const auto& [layer, p, rows] : last_cls.calls) {
+    const bool shared = p == static_cast<int>(Projection::kKey) ||
+                        p == static_cast<int>(Projection::kValue);
+    EXPECT_EQ(rows, layer == 1 && !shared ? 1 : 7)
+        << "layer " << layer << " projection " << p;
+  }
+  for (const auto& [layer, p, rows] : all_rows.calls) EXPECT_EQ(rows, 7);
+  Rng eval(0);
+  const Tensor full = encoder.Forward(ids, 7, eval, /*training=*/false);
+  const std::vector<float> row0(full.data().begin(), full.data().begin() + 16);
+  EXPECT_TRUE(SameBits(plain, row0));
+  EXPECT_TRUE(SameBits(cls_only, row0));
+  EXPECT_TRUE(SameBits(every, row0));
 }
 
 TEST(EncoderTest, MeanTokenEmbeddingShape) {
@@ -523,6 +690,71 @@ TEST(QuantizedEncoderTest, CalibrationKeepsCorpusParity) {
   for (size_t i = 0; i < corpus.size(); ++i) {
     EXPECT_EQ(quantized.Encode(corpus[i]), before[i]) << "input " << i;
   }
+}
+
+// The int8 layers of `encoder`, observed and run as Calibrate runs them;
+// `every_row` says whether the last layer sees every row or [CLS] alone.
+class ObservingLinears final : public InferenceLinear {
+ public:
+  ObservingLinears(const TransformerEncoder& encoder, bool every_row)
+      : every_row_(every_row) {
+    for (int l = 0; l < encoder.config().num_layers; ++l) {
+      for (int p = 0; p < kProjections; ++p) {
+        const LinearLayer& fp32 =
+            encoder.layer(l).Linear(static_cast<Projection>(p));
+        linears.emplace_back(fp32.weight(), fp32.bias());
+      }
+    }
+  }
+  void Apply(int layer, Projection p, const float* x, int rows,
+             float* out) const override {
+    const QuantizedLinear& linear =
+        linears[static_cast<size_t>(layer * kProjections + static_cast<int>(p))];
+    linear.Observe(x, rows);
+    linear.Forward(x, rows, out);
+  }
+  bool ObservesEveryRow() const override { return every_row_; }
+  std::vector<QuantizedLinear> linears;
+
+ private:
+  bool every_row_;
+};
+
+// Calibration observes every row: its clips are an every-row forward's
+// maxima, though serving runs the last layer for [CLS] alone. A [CLS]-only
+// observation would clip the last layer's Q, output and FFN inputs lower.
+TEST(QuantizedEncoderTest, CalibrationObservesEveryRow) {
+  Rng rng(35);
+  TransformerEncoder encoder(SmallConfig(), rng);
+  QuantizedEncoder quantized(encoder);
+  std::vector<text::EncodedInput> corpus;
+  for (int i = 0; i < 6; ++i) {
+    corpus.push_back(MakeInput({2, 10 + i, 20 + i, 30 + i, 40 - i, 3}));
+  }
+  std::vector<const text::EncodedInput*> ptrs;
+  for (const auto& input : corpus) ptrs.push_back(&input);
+  quantized.Calibrate(ptrs);
+  ObservingLinears every_row(encoder, /*every_row=*/true);
+  ObservingLinears cls_only(encoder, /*every_row=*/false);
+  std::vector<float> cls(16);
+  for (const auto& input : corpus) {
+    encoder.InferCls(input.ids, input.length, {}, cls.data(), &every_row);
+    encoder.InferCls(input.ids, input.length, {}, cls.data(), &cls_only);
+  }
+  bool cls_only_lower = false;
+  for (int l = 0; l < 2; ++l) {
+    for (int p = 0; p < kProjections; ++p) {
+      const size_t i = static_cast<size_t>(l * kProjections + p);
+      every_row.linears[i].FreezeCalibration();
+      cls_only.linears[i].FreezeCalibration();
+      EXPECT_EQ(quantized.linear(l, static_cast<Projection>(p)).clip(),
+                every_row.linears[i].clip())
+          << "layer " << l << " projection " << p;
+      cls_only_lower = cls_only_lower ||
+                       cls_only.linears[i].clip() < every_row.linears[i].clip();
+    }
+  }
+  EXPECT_TRUE(cls_only_lower);
 }
 
 TEST(QuantizedEncoderTest, OverrideHookReplacesEmbeddingRows) {

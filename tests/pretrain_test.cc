@@ -2,13 +2,17 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <numeric>
+#include <string>
 
 #include "common/rng.h"
 #include "core/ktelebert.h"
 #include "core/service.h"
 #include "core/telebert.h"
 #include "tensor/simd.h"
+#include "tensor/compute_pool.h"
+#include "tensor/ops.h"
 #include "text/prompt.h"
 #include "text/tokenizer.h"
 
@@ -228,6 +232,137 @@ TEST(KTeleBertTest, WithoutAnEncIgnoresValue) {
   EXPECT_EQ(v1, v2);  // value only enters through ANEnc
 }
 
+// --- Rows-selected last layer ------------------------------------------------------
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// `run(selected)` on the scalar and the detected backend: the selected run
+// at 1, 2 and 4 compute threads must give the full run's bits.
+void ExpectSelectedRowsSameBits(
+    const std::function<std::vector<std::vector<float>>(bool)>& run,
+    const std::string& what) {
+  const simd::Backend backend = simd::ActiveBackend();
+  const int threads = tensor::ComputeThreads();
+  for (simd::Backend b : {simd::Backend::kScalar, simd::DetectBackend()}) {
+    simd::ForceBackend(b);
+    tensor::SetComputeThreads(1);
+    const auto want = run(/*selected=*/false);
+    for (int t : {1, 2, 4}) {
+      tensor::SetComputeThreads(t);
+      const auto got = run(/*selected=*/true);
+      ASSERT_EQ(got.size(), want.size()) << what;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(SameBits(got[i], want[i]))
+            << what << ": entry " << i << " (0-3: rows and next draw per "
+            << "pass, then parameter gradients) on " << simd::BackendName(b)
+            << " at " << t << " threads";
+      }
+    }
+  }
+  simd::ForceBackend(backend);
+  tensor::SetComputeThreads(threads);
+}
+
+// Two accumulating training passes: each pass's rows (from `forward`) and
+// the stream's next draw, then every parameter's gradient. The loss weights
+// each row element by its own random factor, plus `extra` (may be null).
+std::vector<std::vector<float>> TwoPasses(
+    const NamedParams& params,
+    const std::function<tensor::Tensor(Rng&, std::vector<tensor::Tensor>*)>&
+        forward) {
+  Rng rng(77), weights_rng(78);
+  std::vector<std::vector<float>> out;
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<tensor::Tensor> extra;
+    const tensor::Tensor y = forward(rng, &extra);
+    const tensor::Tensor w = tensor::Tensor::Randn(y.shape(), weights_rng);
+    tensor::Tensor loss = tensor::Sum(tensor::Mul(y, w));
+    for (const tensor::Tensor& e : extra) {
+      loss = tensor::Add(loss, tensor::Sum(e));
+    }
+    loss.Backward();
+    out.push_back(y.data());
+    out.push_back({static_cast<float>(rng.NextU64() % 65536)});
+  }
+  for (const auto& [name, p] : params) out.push_back(p.grad());
+  return out;
+}
+
+EncoderConfig TwoLayerConfig() {
+  EncoderConfig config = F().Config();
+  config.num_layers = 2;
+  return config;
+}
+
+TEST(TeleBertTest, EncodeClsIsRowZeroOfTheFullForwardBitForBit) {
+  const text::EncodedInput& input = F().encoded[1];
+  ExpectSelectedRowsSameBits(
+      [&input](bool selected) {
+        Rng init(3);
+        TeleBert model(TwoLayerConfig(), init);
+        return TwoPasses(model.Parameters(), [&](Rng& rng, auto*) {
+          return selected ? model.EncodeCls(input, rng, /*training=*/true)
+                          : tensor::SliceRows(model.Hidden(input, rng, true),
+                                              0, 1);
+        });
+      },
+      "TeleBERT [CLS]");
+  // The served [CLS] (InferCls, whose last layer runs [CLS] alone) is row 0
+  // of the full eval forward.
+  Rng init(3);
+  TeleBert model(TwoLayerConfig(), init);
+  for (const text::EncodedInput& sentence : F().encoded) {
+    Rng unused(0);
+    const tensor::Tensor full = model.Hidden(sentence, unused, false);
+    EXPECT_TRUE(SameBits(model.ServiceVector(sentence),
+                         tensor::SliceRows(full, 0, 1).data()));
+  }
+}
+
+// HiddenRows against the gathered Hidden, with numeric slots whose ANEnc
+// rows also feed a loss of their own (as the tag and contrastive losses
+// read them), so the backward meets the ANEnc branch from two sides.
+TEST(KTeleBertTest, HiddenRowsIsTheGatheredHiddenBitForBit) {
+  const text::EncodedInput input = NumericInput(0.4f);
+  ASSERT_FALSE(input.numeric_slots.empty());
+  const int slot = input.numeric_slots[0].position;
+  ASSERT_GT(slot, 0);
+  std::vector<int> all;
+  for (int i = 0; i < input.length; ++i) all.push_back(i);
+  for (const std::vector<int>& rows :
+       {std::vector<int>{0}, std::vector<int>{slot}, std::vector<int>{0, slot},
+        std::vector<int>{1, slot, input.length - 1}, all}) {
+    ExpectSelectedRowsSameBits(
+        [&input, &rows](bool selected) {
+          KTeleBertConfig config = KtbConfig();
+          config.encoder = TwoLayerConfig();
+          Rng init(4);
+          KTeleBert model(config, init);
+          return TwoPasses(
+              model.Parameters(),
+              [&](Rng& rng, std::vector<tensor::Tensor>* anenc) {
+                return selected
+                           ? model.HiddenRows(input, rows, rng, true, anenc)
+                           : tensor::GatherRows(
+                                 model.Hidden(input, rng, true, anenc), rows);
+              });
+        },
+        "KTeleBERT rows=" + std::to_string(rows.size()));
+  }
+  KTeleBertConfig config = KtbConfig();
+  config.encoder = TwoLayerConfig();
+  Rng init(4);
+  KTeleBert model(config, init);
+  Rng unused(0);
+  const tensor::Tensor full = model.Hidden(input, unused, false);
+  EXPECT_TRUE(SameBits(model.ServiceVector(input),
+                       tensor::SliceRows(full, 0, 1).data()));
+}
+
 TEST(KTeleBertTest, InitializeFromTeleBertCopiesEncoder) {
   Rng rng(11);
   TeleBert telebert(F().Config(), rng);
@@ -398,8 +533,9 @@ void ExpectLossBits(const std::vector<float>& expected) {
 // build's -O2). A change to the training arithmetic (an op's kernel, a
 // sum's order, the tape's backward order) fails here. The approximate GELU
 // and exp kernels differ by backend, so each backend has its own record;
-// NEON has none (its GEMM tiles are its own). The AVX2 record also needs
-// -O2 or above: at -O1 GCC leaves the Axpy tail unfused (DESIGN.md §3).
+// NEON has none (its GEMM tiles are its own). The AVX2 record holds at -O1
+// too: the AVX2 kernels' scalar tails fuse their multiply-adds explicitly
+// (DESIGN.md §3).
 TEST(TrainingArithmeticTest, PretrainThenPmtlLossBitsUnchanged) {
   const simd::Backend previous = simd::ActiveBackend();
   simd::ForceBackend(simd::Backend::kScalar);

@@ -503,6 +503,59 @@ TEST(StreamPipelineTest, AsyncBackpressureBoundsInFlightState) {
   EXPECT_EQ(ok, summary.episodes_analysed);
 }
 
+/// The async micro-batched path gives the sync path's verdicts bit for bit:
+/// since a batch's encodes are single forwards (DESIGN.md §9), the same
+/// replay with bounds that never shed scores every episode identically.
+TEST(StreamPipelineTest, AsyncVerdictsMatchSyncBitForBit) {
+  const core::ModelZoo& zoo = SharedZoo();
+  const std::vector<synth::StreamEvent> events = TinyReplay(zoo, 6, 4321);
+  auto run = [&](bool deterministic, PipelineSummary* summary) {
+    core::ServiceEncoder service =
+        zoo.MakeServiceEncoder(core::ModelKind::kTeleBert);
+    serve::EngineOptions options;
+    options.num_workers = 2;
+    options.queue_capacity = 4096;
+    serve::ServeEngine engine(&service, options);
+    const std::vector<std::string> names = AlarmNames(zoo);
+    for (serve::TaskOp op : {serve::TaskOp::kRca, serve::TaskOp::kEap,
+                             serve::TaskOp::kFct}) {
+      EXPECT_TRUE(engine.LoadCatalog(op, names).ok());
+    }
+    PipelineConfig config;
+    config.deterministic = deterministic;
+    config.max_in_flight = 4096;
+    config.submit_block_ms = 60'000.0;
+    std::vector<EpisodeVerdict> verdicts;
+    StreamPipeline pipeline(zoo.world(), &engine, config);
+    *summary = pipeline.Run(events, [&verdicts](EpisodeVerdict verdict) {
+      verdicts.push_back(std::move(verdict));
+    });
+    engine.Stop();
+    return verdicts;
+  };
+  PipelineSummary sync_summary, async_summary;
+  const std::vector<EpisodeVerdict> sync = run(true, &sync_summary);
+  const std::vector<EpisodeVerdict> async = run(false, &async_summary);
+  EXPECT_EQ(async_summary.episodes_shed, 0u);
+  ASSERT_EQ(async.size(), sync.size());
+  ASSERT_FALSE(sync.empty());
+  for (size_t i = 0; i < sync.size(); ++i) {
+    EXPECT_EQ(async[i].query, sync[i].query) << i;
+    ASSERT_TRUE(sync[i].ok) << i;
+    ASSERT_TRUE(async[i].ok) << i;
+    for (const auto& [x, y] :
+         {std::pair{&async[i].rca, &sync[i].rca},
+          std::pair{&async[i].eap, &sync[i].eap},
+          std::pair{&async[i].fct, &sync[i].fct}}) {
+      ASSERT_EQ(x->results.size(), y->results.size()) << i;
+      for (size_t k = 0; k < x->results.size(); ++k) {
+        EXPECT_EQ(x->results[k].name, y->results[k].name) << i << "/" << k;
+        EXPECT_EQ(x->results[k].score, y->results[k].score) << i << "/" << k;
+      }
+    }
+  }
+}
+
 TEST(StreamPipelineTest, QueryTextLeadsWithRootAlarm) {
   const core::ModelZoo& zoo = SharedZoo();
   Sessionizer sessionizer(zoo.world(), WindowConfig{});

@@ -1078,6 +1078,132 @@ TEST(SimdKernelTest, MatMulTilesMatchAxpyAndDotLoopsBitForBit) {
   SetComputeThreads(previous);
 }
 
+// The training-loop kernels against the loops they replaced (the dropout
+// and layer-norm backwards, GELU's backward and Adam::Step, compiled here
+// without FMA), byte for byte, on the scalar and the detected backend, at
+// sizes that leave every lane tail.
+TEST(SimdKernelTest, TrainingLoopKernelsMatchTheirScalarLoopsBitForBit) {
+  BackendGuard guard;
+  Rng rng(23);
+  for (simd::Backend backend :
+       {simd::Backend::kScalar, simd::DetectBackend()}) {
+    simd::ForceBackend(backend);
+    const std::string on = simd::BackendName(backend);
+    for (int n : {1, 3, 7, 8, 9, 16, 31, 64, 100, 1000}) {
+      const std::string where = on + " n=" + std::to_string(n);
+      const std::vector<float> a = RandomVec(n, rng);
+      const std::vector<float> b = RandomVec(n, rng);
+      const std::vector<float> c = RandomVec(n, rng);
+      const std::vector<float> d0 = RandomVec(n, rng);
+      std::vector<float> t(static_cast<size_t>(n));
+      for (float& x : t) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
+
+      std::vector<float> want = d0, got = d0;
+      for (int i = 0; i < n; ++i) want[i] += a[i] * b[i];
+      simd::MulAcc(a.data(), b.data(), got.data(), n);
+      EXPECT_TRUE(SameBits(got, want)) << "MulAcc " << where;
+
+      const float m1 = 0.125f, m2 = -0.3f, istd = 1.7f;
+      want = d0;
+      got = d0;
+      for (int i = 0; i < n; ++i) {
+        const float dxh = a[i] * b[i];
+        want[i] += istd * (dxh - m1 - c[i] * m2);
+      }
+      simd::LayerNormDx(a.data(), b.data(), c.data(), m1, m2, istd,
+                        got.data(), n);
+      EXPECT_TRUE(SameBits(got, want)) << "LayerNormDx " << where;
+
+      constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
+      want = d0;
+      got = d0;
+      for (int i = 0; i < n; ++i) {
+        const float v = a[i];
+        const float dinner = kC * (1.0f + 3.0f * 0.044715f * v * v);
+        want[i] += b[i] * (0.5f * (1.0f + t[i]) +
+                           0.5f * v * (1.0f - t[i] * t[i]) * dinner);
+      }
+      simd::GeluBackward(a.data(), t.data(), b.data(), got.data(), n);
+      EXPECT_TRUE(SameBits(got, want)) << "GeluBackward " << where;
+
+      // Adam, in each weight-decay mode, over two steps from zero moments.
+      for (int mode = 0; mode < 3; ++mode) {
+        const float lr = 1e-3f, beta1 = 0.9f, beta2 = 0.999f, eps = 1e-8f;
+        const float wd = mode == 0 ? 0.0f : 0.01f;
+        const bool decoupled = mode == 2;
+        std::vector<float> w_want = c, w_got = c;
+        std::vector<float> m_want(a.size(), 0.0f), v_want(a.size(), 0.0f);
+        std::vector<float> m_got = m_want, v_got = v_want;
+        for (int step = 1; step <= 2; ++step) {
+          const std::vector<float>& grad = step == 1 ? a : b;
+          const float bias1 = 1.0f - std::pow(beta1, static_cast<float>(step));
+          const float bias2 = 1.0f - std::pow(beta2, static_cast<float>(step));
+          for (int i = 0; i < n; ++i) {
+            float g = grad[i];
+            if (wd != 0.0f && !decoupled) g += wd * w_want[i];
+            m_want[i] = beta1 * m_want[i] + (1.0f - beta1) * g;
+            v_want[i] = beta2 * v_want[i] + (1.0f - beta2) * g * g;
+            const float m_hat = m_want[i] / bias1;
+            const float v_hat = v_want[i] / bias2;
+            float update = lr * m_hat / (std::sqrt(v_hat) + eps);
+            if (wd != 0.0f && decoupled) update += lr * wd * w_want[i];
+            w_want[i] -= update;
+          }
+          simd::AdamStep adam;
+          adam.beta1 = beta1;
+          adam.beta2 = beta2;
+          adam.bias1 = bias1;
+          adam.bias2 = bias2;
+          adam.lr = lr;
+          adam.eps = eps;
+          adam.coupled_decay = wd != 0.0f && !decoupled;
+          adam.l2 = wd;
+          adam.decoupled_decay = wd != 0.0f && decoupled;
+          adam.lr_decay = lr * wd;
+          simd::AdamUpdate(adam, grad.data(), m_got.data(), v_got.data(),
+                           w_got.data(), n);
+        }
+        const std::string adam_where = where + " mode=" + std::to_string(mode);
+        EXPECT_TRUE(SameBits(m_got, m_want)) << "Adam m " << adam_where;
+        EXPECT_TRUE(SameBits(v_got, v_want)) << "Adam v " << adam_where;
+        EXPECT_TRUE(SameBits(w_got, w_want)) << "Adam weights " << adam_where;
+      }
+    }
+  }
+}
+
+// The AVX2 kernels' scalar tails fuse their multiply-adds explicitly, so the
+// tail elements are std::fma's results whatever the optimisation level the
+// kernels were compiled at.
+TEST(SimdKernelTest, Avx2TailsAreFusedMultiplyAdds) {
+  if (simd::DetectBackend() != simd::Backend::kAvx2) {
+    GTEST_SKIP() << "no AVX2 backend on this CPU/build";
+  }
+  BackendGuard guard;
+  simd::ForceBackend(simd::Backend::kAvx2);
+  Rng rng(29);
+  const int n = 5;  // all tail: no full 8-lane vector
+  const std::vector<float> x = RandomVec(n, rng);
+  const std::vector<float> y = RandomVec(n, rng);
+  std::vector<float> axpy = y;
+  simd::Axpy(0.3f, x.data(), axpy.data(), n);
+  float dot = 0.0f, ssq = 0.0f;
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(axpy[i], std::fma(0.3f, x[i], y[i])) << "Axpy " << i;
+    dot = std::fma(x[i], y[i], dot);
+    ssq = std::fma(x[i] - 0.25f, x[i] - 0.25f, ssq);
+  }
+  EXPECT_EQ(simd::Dot(x.data(), y.data(), n), dot);
+  EXPECT_EQ(simd::ReduceSumSqDiff(x.data(), 0.25f, n), ssq);
+  std::vector<float> out(static_cast<size_t>(n));
+  simd::NormalizeAffine(x.data(), 0.1f, 2.0f, y.data(), x.data(), nullptr,
+                        out.data(), n);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(out[i], std::fma((x[i] - 0.1f) * 2.0f, y[i], x[i]))
+        << "NormalizeAffine " << i;
+  }
+}
+
 }  // namespace
 }  // namespace tensor
 }  // namespace telekit
