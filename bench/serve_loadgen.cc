@@ -1,13 +1,12 @@
 // Load generator for the serve subsystem. Measures three configurations
 // over the same request stream and writes BENCH_serve.json:
 //
-//   baseline      1 client thread, engine.Process(), no batching, no cache
-//   batched       N client threads, micro-batching worker pool, no cache
-//   batched+cache same, with the sharded EmbeddingCache on
+//   baseline    1 client thread, engine.Process(), no cache
+//   pool        N client threads, worker pool, no cache
+//   pool+cache  same, with the sharded EmbeddingCache on
 //
-// The worker pool pops work-conserving micro-batches: a free worker takes
-// whatever is queued, up to --max-batch, and never waits for a batch to
-// fill, so batches form only when the clients outrun the workers.
+// A free worker pops one queued request at a time and never waits on a
+// non-empty queue.
 //
 // Closed-loop by default (each client submits, waits, repeats); --qps=N
 // adds an open-loop phase submitting at a fixed aggregate rate regardless
@@ -19,12 +18,11 @@
 //
 // Flags: see --help.
 //
-// Acceptance: the full engine (8 workers, micro-batching, cache) must
-// reach >= 3x the requests/sec of the single-threaded unbatched uncached
-// baseline. On multi-core hosts the worker pool contributes; on a single
-// core the cache carries the speedup (batching alone moves the same FLOPs
-// through the same core and is throughput-neutral there, as the nocache
-// row shows).
+// Acceptance: the full engine (8 workers, cache) must reach >= 3x the
+// requests/sec of the single-threaded uncached baseline. On multi-core
+// hosts the worker pool contributes; on a single core the cache carries
+// the speedup (the pool alone moves the same FLOPs through the same core
+// and is throughput-neutral there, as the nocache row shows).
 
 #include <algorithm>
 #include <atomic>
@@ -64,7 +62,6 @@ struct LoadgenFlags {
   int workers = 8;
   int clients = 8;
   int requests = 600;
-  int max_batch = 8;
   int qps = 0;
   bool slo_demo = true;
   std::string connect;
@@ -79,7 +76,6 @@ struct RunResult {
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
-  double mean_batch = 0.0;
   double cache_hit_rate = 0.0;
   int completed = 0;
   int rejected = 0;
@@ -135,8 +131,8 @@ std::vector<std::string> MakeQueryPool(const synth::WorldModel& world) {
   return pool;
 }
 
-/// Single-threaded, unbatched, uncached: the reference the paper-style
-/// deployment comparison divides by.
+/// Single-threaded and uncached: the reference the paper-style deployment
+/// comparison divides by.
 RunResult RunBaseline(const core::ServiceEncoder& service,
                       const std::vector<std::string>& names,
                       const std::vector<std::string>& pool,
@@ -150,7 +146,7 @@ RunResult RunBaseline(const core::ServiceEncoder& service,
     TELEKIT_CHECK(engine.LoadCatalog(op, names).ok());
   }
   RunResult result;
-  result.name = "baseline_1thread_unbatched";
+  result.name = "baseline_1thread";
   obs::LatencyHistogram latencies;
   const Clock::time_point start = Clock::now();
   for (int i = 0; i < flags.requests; ++i) {
@@ -163,7 +159,6 @@ RunResult RunBaseline(const core::ServiceEncoder& service,
       std::chrono::duration<double>(Clock::now() - start).count();
   result.completed = flags.requests;
   result.rps = static_cast<double>(flags.requests) / result.seconds;
-  result.mean_batch = 1.0;
   FillLatencyStats(latencies, &result);
   return result;
 }
@@ -177,7 +172,6 @@ RunResult RunClosedLoop(const core::ServiceEncoder& service,
                         const std::string& name) {
   serve::EngineOptions options;
   options.num_workers = flags.workers;
-  options.max_batch = flags.max_batch;
   options.enable_cache = enable_cache;
   serve::ServeEngine engine(&service, options);
   for (serve::TaskOp op :
@@ -187,7 +181,6 @@ RunResult RunClosedLoop(const core::ServiceEncoder& service,
   RunResult result;
   result.name = name;
   obs::LatencyHistogram latencies;
-  std::atomic<int64_t> batch_sum{0};
   std::atomic<int> completed{0};
   const Clock::time_point start = Clock::now();
   std::vector<std::thread> clients;
@@ -198,7 +191,6 @@ RunResult RunClosedLoop(const core::ServiceEncoder& service,
             engine.Submit(MakeRequest(pool, i)).get();
         TELEKIT_CHECK(response.status.ok()) << response.status.ToString();
         latencies.Observe(response.total_ms);
-        batch_sum.fetch_add(response.batch_size);
         completed.fetch_add(1);
       }
     });
@@ -208,8 +200,6 @@ RunResult RunClosedLoop(const core::ServiceEncoder& service,
       std::chrono::duration<double>(Clock::now() - start).count();
   result.completed = completed.load();
   result.rps = static_cast<double>(result.completed) / result.seconds;
-  result.mean_batch = static_cast<double>(batch_sum.load()) /
-                      std::max(1, result.completed);
   result.cache_hit_rate = engine.cache().HitRate();
   FillLatencyStats(latencies, &result);
   return result;
@@ -224,7 +214,6 @@ RunResult RunOpenLoop(const core::ServiceEncoder& service,
                       const LoadgenFlags& flags) {
   serve::EngineOptions options;
   options.num_workers = flags.workers;
-  options.max_batch = flags.max_batch;
   options.queue_capacity = 256;
   serve::ServeEngine engine(&service, options);
   for (serve::TaskOp op :
@@ -550,7 +539,6 @@ obs::JsonValue ResultToJson(const RunResult& result) {
   out.Set("p50_ms", obs::JsonValue(result.p50_ms));
   out.Set("p95_ms", obs::JsonValue(result.p95_ms));
   out.Set("p99_ms", obs::JsonValue(result.p99_ms));
-  out.Set("mean_batch_size", obs::JsonValue(result.mean_batch));
   out.Set("cache_hit_rate", obs::JsonValue(result.cache_hit_rate));
   out.Set("completed", obs::JsonValue(result.completed));
   out.Set("rejected", obs::JsonValue(result.rejected));
@@ -565,8 +553,6 @@ int Main(int argc, char** argv) {
           "closed-loop client threads (default 8)");
   cli.Int("requests=N", &flags.requests, 1, 1 << 30,
           "requests per configuration (default 600)");
-  cli.Int("max-batch=N", &flags.max_batch, 1, 1 << 20,
-          "engine micro-batch cap (default 8)");
   cli.Int("qps=N", &flags.qps, 0, 1 << 30,
           "open-loop phase rate (default 0 = no open-loop phase)");
   cli.Int("slo-demo=0|1", &flags.slo_demo, 0, 1,
@@ -607,29 +593,27 @@ int Main(int argc, char** argv) {
   results.push_back(RunBaseline(service, names, pool, flags));
   results.push_back(RunClosedLoop(service, names, pool, flags,
                                   /*enable_cache=*/false,
-                                  "closed_loop_batched_nocache"));
+                                  "closed_loop_pool_nocache"));
   results.push_back(RunClosedLoop(service, names, pool, flags,
                                   /*enable_cache=*/true,
-                                  "closed_loop_batched_cached"));
+                                  "closed_loop_pool_cached"));
   if (flags.qps > 0) {
     results.push_back(RunOpenLoop(service, names, pool, flags));
   }
 
   TablePrinter table("Serving throughput (requests/sec)");
   table.SetHeader({"configuration", "req/s", "p50 ms", "p95 ms", "p99 ms",
-                   "mean batch", "cache hit"});
+                   "cache hit"});
   for (const RunResult& result : results) {
     table.AddRow(result.name,
                  {result.rps, result.p50_ms, result.p95_ms, result.p99_ms,
-                  result.mean_batch, result.cache_hit_rate},
+                  result.cache_hit_rate},
                  2);
   }
   table.Print(std::cout);
 
-  const double nocache_speedup = results[1].rps / results[0].rps;
   const double engine_speedup = results[2].rps / results[0].rps;
-  std::cout << "\nbatching-only speedup:  " << nocache_speedup << "x\n"
-            << "full-engine speedup:    " << engine_speedup
+  std::cout << "\nfull-engine speedup: " << engine_speedup
             << "x (acceptance: >= 3x)\n";
 
   obs::JsonValue report = obs::JsonValue::Object();
@@ -638,7 +622,6 @@ int Main(int argc, char** argv) {
   cfg.Set("workers", obs::JsonValue(flags.workers));
   cfg.Set("clients", obs::JsonValue(flags.clients));
   cfg.Set("requests", obs::JsonValue(flags.requests));
-  cfg.Set("max_batch", obs::JsonValue(flags.max_batch));
   cfg.Set("compute_threads", obs::JsonValue(tensor::ComputeThreads()));
   report.Set("config", std::move(cfg));
   obs::JsonValue runs = obs::JsonValue::Array();
@@ -646,8 +629,6 @@ int Main(int argc, char** argv) {
     runs.Append(ResultToJson(result));
   }
   report.Set("runs", std::move(runs));
-  report.Set("batched_over_baseline_speedup",
-             obs::JsonValue(nocache_speedup));
   report.Set("engine_over_baseline_speedup", obs::JsonValue(engine_speedup));
   WriteReport(flags.out, report);
   std::cout << "wrote " << flags.out << "\n";

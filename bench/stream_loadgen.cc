@@ -2,12 +2,12 @@
 // alarm/KPI/signaling stream through three pipeline configurations and
 // writes BENCH_stream.json:
 //
-//   sync_replay   deterministic mode (unbatched Process path) — measures
+//   sync_replay   deterministic mode (Process path) — measures
 //                 sustained episodes/sec, detection latency, and online
 //                 RCA hit@1/hit@3; the same episodes are then re-scored
 //                 through the offline evaluator path and the two hit
 //                 rates must agree exactly (acceptance)
-//   async_replay  Submit() with micro-batching — the throughput shape
+//   async_replay  Submit() to the worker pool — the throughput shape
 //   saturated     async against a deliberately starved engine (1 worker,
 //                 tiny queue, tiny in-flight bound): backpressure must
 //                 throttle ingestion (observable throttled submits) while
@@ -52,7 +52,6 @@ struct LoadgenFlags {
   int episodes = 40;
   double mean_gap = 12.0;
   int workers = 4;
-  int max_batch = 8;
   bool slo_demo = true;
   std::string out = "BENCH_stream.json";
   std::string obs_out = "BENCH_obs.json";
@@ -126,12 +125,10 @@ obs::JsonValue RunSloAlertDemo(const core::ModelZoo& zoo,
 
   serve::EngineOptions healthy_options;
   healthy_options.num_workers = std::max(2, flags.workers);
-  healthy_options.max_batch = flags.max_batch;
   healthy_options.queue_capacity = 1024;
   serve::ServeEngine healthy_engine(&service, healthy_options);
   serve::EngineOptions degraded_options;
   degraded_options.num_workers = 1;
-  degraded_options.max_batch = 1;
   degraded_options.queue_capacity = 64;
   degraded_options.enable_cache = false;
   serve::ServeEngine degraded_engine(&service, degraded_options);
@@ -247,8 +244,6 @@ int Main(int argc, char** argv) {
   cli.Double("mean-gap=X", &flags.mean_gap, 0.0, 1e6,
              "mean episode inter-arrival gap, sim s (default 12)");
   cli.Int("workers=N", &flags.workers, 1, 1024, "engine workers (default 4)");
-  cli.Int("max-batch=N", &flags.max_batch, 1, 1 << 20,
-          "engine micro-batch cap (default 8)");
   cli.Int("slo-demo=0|1", &flags.slo_demo, 0, 1,
           "run the alert-lifecycle demo (default 1)");
   cli.String("out=PATH", &flags.out,
@@ -293,7 +288,6 @@ int Main(int argc, char** argv) {
   auto make_engine = [&](int workers, size_t queue_capacity) {
     serve::EngineOptions options;
     options.num_workers = workers;
-    options.max_batch = flags.max_batch;
     options.queue_capacity = queue_capacity;
     auto engine = std::make_unique<serve::ServeEngine>(&service, options);
     for (serve::TaskOp op :
@@ -330,7 +324,7 @@ int Main(int argc, char** argv) {
       offline.hit1 == results[0].hits.hit1 &&
       offline.hit3 == results[0].hits.hit3;
 
-  // Run 2: async micro-batched throughput on the same stream.
+  // Run 2: async worker-pool throughput on the same stream.
   auto async_engine = make_engine(flags.workers, 1024);
   stream::PipelineConfig async_config;
   async_config.deterministic = false;
@@ -385,7 +379,6 @@ int Main(int argc, char** argv) {
   cfg.Set("events", obs::JsonValue(static_cast<uint64_t>(events.size())));
   cfg.Set("mean_episode_gap", obs::JsonValue(flags.mean_gap));
   cfg.Set("workers", obs::JsonValue(flags.workers));
-  cfg.Set("max_batch", obs::JsonValue(flags.max_batch));
   cfg.Set("compute_threads", obs::JsonValue(tensor::ComputeThreads()));
   report.Set("config", std::move(cfg));
   obs::JsonValue runs = obs::JsonValue::Array();

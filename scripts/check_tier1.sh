@@ -123,6 +123,7 @@ FLAG_ROWS=(
   "64 ${SERVE} --precision=fp16"
   "64 ${SERVE} --max-wait-us=2000"  # removed flags fail loudly
   "64 ${SERVE} --no-batching"
+  "64 ${SERVE} --max-batch=8"
   "64 ${SERVE} --bogus"
   "64 ${SERVE} --log-level=bogus"
   "64 ${SERVE} --models=,"
@@ -133,7 +134,10 @@ FLAG_ROWS=(
   "64 ${ROUTER}"
   "64 ${STREAMD} --episodes=abc"
   "64 ${STREAMD} --bogus"
+  "64 ${STREAMD} --max-batch=8"
   "64 ./build/bench/serve_loadgen --max-wait-us=2000"
+  "64 ./build/bench/serve_loadgen --max-batch=8"
+  "64 ./build/bench/stream_loadgen --max-batch=8"
   "64 ./build/bench/route_bench --replicas=abc"
   "64 ./build/bench/stream_loadgen --mean-gap=1x2"
   "64 ./build/bench/matmul_bench --iters=-3"

@@ -101,16 +101,6 @@ std::vector<float> KTeleBert::ServiceVector(
   return cls;
 }
 
-std::vector<std::vector<float>> KTeleBert::ServiceVectorBatch(
-    const std::vector<const text::EncodedInput*>& inputs) const {
-  std::vector<std::vector<float>> out;
-  out.reserve(inputs.size());
-  for (const text::EncodedInput* input : inputs) {
-    out.push_back(ServiceVector(*input));
-  }
-  return out;
-}
-
 Tensor KTeleBert::KeDistance(const text::EncodedInput& head,
                              const text::EncodedInput& relation,
                              const text::EncodedInput& tail, Rng& rng,

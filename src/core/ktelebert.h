@@ -140,10 +140,6 @@ class KTeleBert {
   /// once the model is trained.
   std::vector<float> ServiceVector(const text::EncodedInput& input) const;
 
-  /// ServiceVector of each input, in order.
-  std::vector<std::vector<float>> ServiceVectorBatch(
-      const std::vector<const text::EncodedInput*>& inputs) const;
-
   /// KE distance d_r(h, t) = ||e_h + e_r - e_t|| (Eq. 11) over [CLS]
   /// encodings; scalar tensor.
   tensor::Tensor KeDistance(const text::EncodedInput& head,

@@ -46,10 +46,6 @@ class TeleBertEncoder : public TextEncoder {
   std::vector<float> Encode(const text::EncodedInput& input) const override {
     return model_->ServiceVector(input);
   }
-  std::vector<std::vector<float>> EncodeBatch(
-      const std::vector<const text::EncodedInput*>& inputs) const override {
-    return model_->ServiceVectorBatch(inputs);
-  }
   int dim() const override { return model_->encoder().config().d_model; }
 
  private:
@@ -62,10 +58,6 @@ class KTeleBertEncoder : public TextEncoder {
   explicit KTeleBertEncoder(const KTeleBert* model) : model_(model) {}
   std::vector<float> Encode(const text::EncodedInput& input) const override {
     return model_->ServiceVector(input);
-  }
-  std::vector<std::vector<float>> EncodeBatch(
-      const std::vector<const text::EncodedInput*>& inputs) const override {
-    return model_->ServiceVectorBatch(inputs);
   }
   int dim() const override { return model_->config().encoder.d_model; }
 

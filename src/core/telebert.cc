@@ -256,16 +256,6 @@ std::vector<float> TeleBert::ServiceVector(
   return cls;
 }
 
-std::vector<std::vector<float>> TeleBert::ServiceVectorBatch(
-    const std::vector<const text::EncodedInput*>& inputs) const {
-  std::vector<std::vector<float>> out;
-  out.reserve(inputs.size());
-  for (const text::EncodedInput* input : inputs) {
-    out.push_back(ServiceVector(*input));
-  }
-  return out;
-}
-
 NamedParams TeleBert::Parameters() const {
   NamedParams out;
   AppendWithPrefix("encoder", encoder_->Parameters(), &out);

@@ -78,10 +78,6 @@ class TeleBert {
   /// model is trained.
   std::vector<float> ServiceVector(const text::EncodedInput& input) const;
 
-  /// ServiceVector of each input, in order.
-  std::vector<std::vector<float>> ServiceVectorBatch(
-      const std::vector<const text::EncodedInput*>& inputs) const;
-
   TransformerEncoder& encoder() { return *encoder_; }
   const TransformerEncoder& encoder() const { return *encoder_; }
 

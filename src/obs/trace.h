@@ -138,7 +138,7 @@ struct RequestTrace {
   /// Short request descriptor (e.g. truncated query text).
   std::string detail;
   uint64_t start_us = 0;
-  uint64_t queue_us = 0;   // waiting in the micro-batch queue
+  uint64_t queue_us = 0;   // waiting in the serve queue
   uint64_t batch_us = 0;   // inside the worker (tokenize+encode+score)
   uint64_t encode_us = 0;  // model forward share
   uint64_t score_us = 0;   // catalogue scoring share

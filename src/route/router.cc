@@ -463,9 +463,12 @@ std::string Router::Handle(const std::string& line) {
   if (have_json && trace_id == 0) trace_id = obs::NextTraceId();
   const bool tracing = have_json && obs::SpanStore::Global().enabled();
   const uint64_t root_span = tracing ? obs::NextTraceId() : 0;
+  // Clamped so the conversion cannot overflow: a larger deadline_ms is
+  // still forwarded, and the replica rejects it as INVALID_ARGUMENT.
   const auto deadline =
       start + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double, std::milli>(budget_ms));
+                  std::chrono::duration<double, std::milli>(
+                      std::min(budget_ms, serve::kMaxDeadlineMs)));
 
   const std::vector<size_t> plan = PlanAttempts(key);
   Status final_status = Status::Unavailable("no healthy replicas");

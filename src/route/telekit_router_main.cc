@@ -64,7 +64,8 @@ void ParseFlags(int argc, char** argv, Flags* flags) {
             "virtual nodes per replica (default 64)");
   table.Int("max-attempts=N", &options.max_attempts, 1, 64,
             "tries per request (default 3)");
-  table.Double("deadline-ms=X", &options.default_deadline_ms, 0.001, 1e9,
+  table.Double("deadline-ms=X", &options.default_deadline_ms, 0.001,
+               serve::kMaxDeadlineMs,
                "default request budget (default 2000)");
   table.Double("per-try-ms=X", &options.per_try_ms, 0.001, 1e9,
                "per-attempt cap (default 1000)");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <utility>
 
@@ -26,7 +27,6 @@ struct ServeMetrics {
   /// Requests whose effective encode precision resolved to int8.
   obs::Counter& int8_requests;
   obs::Gauge& queue_depth;
-  obs::Histogram& batch_size;
   // Log-bucketed so /metrics and BENCH_serve.json can report p50/p95/p99
   // with bounded relative error instead of fixed-bucket resolution.
   obs::LatencyHistogram& queue_ms;
@@ -62,8 +62,6 @@ struct ServeMetrics {
           reg.GetCounter("serve/slow_requests"),
           reg.GetCounter("serve/precision_int8_requests"),
           reg.GetGauge("serve/queue_depth"),
-          reg.GetHistogram("serve/batch_size",
-                           {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0}),
           reg.GetLatencyHistogram("serve/queue_ms"),
           reg.GetLatencyHistogram("serve/encode_ms"),
           reg.GetLatencyHistogram("serve/request_ms"),
@@ -127,7 +125,6 @@ void MaybeCaptureSlow(double slow_request_ms, const Request& request,
                     << obs::F("batch_ms", response.batch_ms)
                     << obs::F("encode_ms", response.encode_ms)
                     << obs::F("score_ms", response.score_ms)
-                    << obs::F("batch_size", response.batch_size)
                     << obs::F("cache_hit", response.cache_hit)
                     << obs::F("status", response.status.ok()
                                        ? "ok"
@@ -204,7 +201,7 @@ void RecordServeSpans(const Request& request, const Response& response) {
 }
 
 /// One wide event per completed request, whichever path fulfilled it
-/// (batch, deadline expiry, synchronous Process). The ring backs
+/// (worker, deadline expiry, synchronous Process). The ring backs
 /// /requestz; an attached --request-log sink persists the same record.
 /// The same hook records the request's distributed-trace spans — both
 /// fire once per completion, on every fulfilment path.
@@ -213,7 +210,6 @@ void RecordWideEvent(const Request& request, const Response& response) {
   obs::WideEvent event;
   event.trace_id = response.trace_id;
   event.op = TaskOpName(request.op);
-  event.batch_size = response.batch_size;
   event.cache_hit = response.cache_hit;
   event.queue_us = MsToUs(response.queue_ms);
   event.encode_us = MsToUs(response.encode_ms);
@@ -274,7 +270,7 @@ ServeEngine::ServeEngine(const core::ServiceEncoder* service,
       options_(options),
       cache_(std::max<size_t>(options.cache_capacity, 1),
              std::max(options.cache_shards, 1)),
-      queue_(BatcherOptions{options.queue_capacity, options.max_batch}) {
+      queue_(options.queue_capacity) {
   TELEKIT_CHECK(service_ != nullptr);
   TELEKIT_CHECK_GE(options_.num_workers, 0);
   if (options_.compute_threads > 0) {
@@ -300,7 +296,7 @@ Status ServeEngine::LoadCatalog(TaskOp op,
   TELEKIT_SPAN("serve/load_catalog");
   Catalog catalog;
   catalog.names = names;
-  // One batched forward over the whole catalogue; also warms the cache so
+  // One EncodeInputs call over the whole catalogue; also warms the cache so
   // queries that coincide with catalogue entries hit immediately.
   std::vector<text::EncodedInput> inputs;
   inputs.reserve(names.size());
@@ -373,178 +369,53 @@ std::future<Response> ServeEngine::Submit(Request request,
 
 void ServeEngine::WorkerLoop() {
   ServeMetrics& metrics = ServeMetrics::Get();
-  while (true) {
-    std::vector<std::unique_ptr<Pending>> batch = queue_.PopBatch();
-    if (batch.empty()) return;  // closed and drained
+  while (std::optional<std::unique_ptr<Pending>> popped = queue_.Pop()) {
+    Pending& pending = **popped;
     metrics.queue_depth.Set(static_cast<double>(queue_.size()));
-    metrics.batch_size.Observe(static_cast<double>(batch.size()));
-    ProcessBatch(std::move(batch));
-  }
-}
-
-void ServeEngine::ProcessBatch(
-    std::vector<std::unique_ptr<Pending>> batch) const {
-  TELEKIT_SPAN("serve/batch");
-  ServeMetrics& metrics = ServeMetrics::Get();
-  const int batch_size = static_cast<int>(batch.size());
-  const Clock::time_point started = Clock::now();
-
-  struct Live {
-    Pending* pending = nullptr;
-    text::EncodedInput input;
-    CacheKey key;
-    std::vector<float> vector;
-    bool cache_hit = false;
-    Precision precision = Precision::kFp32;
-  };
-  std::vector<Live> live;
-  live.reserve(batch.size());
-
-  // Expire requests whose deadline lapsed while queued.
-  for (auto& pending : batch) {
-    pending->queue_ms = MsSince(pending->enqueued, started);
-    if (pending->deadline != Clock::time_point() &&
-        started > pending->deadline) {
-      metrics.deadline_exceeded.Increment();
-      Response response;
-      response.status = Status::DeadlineExceeded(
-          "deadline lapsed after " + std::to_string(pending->queue_ms) +
-          " ms in queue");
-      response.batch_size = batch_size;
-      response.trace_id = pending->request.trace_id;
-      response.queue_ms = pending->queue_ms;
-      response.total_ms = pending->queue_ms;
-      // A lapsed deadline is a slow request by definition; record it
-      // (ok=false) so /tracez shows where the time went. It is also a
-      // served error for the availability SLO — per-op requests counters
-      // only count scored requests, so errors may outpace them (the burn
-      // computation clamps for that).
-      metrics.errors.Increment();
-      metrics.op_errors[static_cast<int>(pending->request.op)]->Increment();
-      MaybeCaptureSlow(options_.slow_request_ms, pending->request, response);
-      RecordWideEvent(pending->request, response);
-      pending->promise.set_value(std::move(response));
-      pending.reset();
+    const Clock::time_point started = Clock::now();
+    const double queue_ms = MsSince(pending.enqueued, started);
+    if (pending.deadline == Clock::time_point() ||
+        started <= pending.deadline) {
+      metrics.queue_ms.Observe(queue_ms);
+      pending.promise.set_value(Run(pending.request, started, queue_ms));
       continue;
     }
-    Live item;
-    item.pending = pending.get();
-    live.push_back(std::move(item));
-  }
-
-  // Resolve precision, failing int8 requests early when the engine has no
-  // quantized encoder — they must not reach the encode stage.
-  for (size_t i = 0; i < live.size();) {
-    Live& item = live[i];
-    item.precision = EffectivePrecision(item.pending->request);
-    if (item.precision == Precision::kInt8) {
-      metrics.int8_requests.Increment();
-      if (int8_encoder_ == nullptr) {
-        Response response;
-        response.status = Status::FailedPrecondition(
-            "precision int8 requested but this model has no quantized "
-            "encoder");
-        response.batch_size = batch_size;
-        response.trace_id = item.pending->request.trace_id;
-        response.queue_ms = item.pending->queue_ms;
-        response.total_ms = item.pending->queue_ms;
-        metrics.RecordRequest(item.pending->request.op, response.total_ms,
-                              /*ok=*/false);
-        RecordWideEvent(item.pending->request, response);
-        item.pending->promise.set_value(std::move(response));
-        live.erase(live.begin() + static_cast<ptrdiff_t>(i));
-        continue;
-      }
-    }
-    ++i;
-  }
-
-  // Tokenize + prompt-build (const tokenizer: safe concurrently). The
-  // cache key is salted by precision so an int8 vector can never be
-  // served to an fp32 request (or vice versa).
-  {
-    TELEKIT_SPAN("serve/tokenize");
-    for (Live& item : live) {
-      item.input = service_->BuildInput(item.pending->request.text,
-                                        item.pending->request.mode);
-      item.key = EmbeddingCache::HashIds(
-          item.input.ids, item.input.length,
-          item.precision == Precision::kInt8 ? 1 : 0);
-    }
-  }
-
-  // Cache probe, then one batched forward per precision over the misses.
-  std::vector<size_t> miss_indices;
-  miss_indices.reserve(live.size());
-  for (size_t i = 0; i < live.size(); ++i) {
-    if (options_.enable_cache && cache_.Get(live[i].key, &live[i].vector)) {
-      live[i].cache_hit = true;
-    } else {
-      miss_indices.push_back(i);
-    }
-  }
-  double encode_ms = 0.0;
-  if (!miss_indices.empty()) {
-    TELEKIT_SPAN("serve/encode");
-    obs::ScopedTimer timer(metrics.encode_ms);
-    for (Precision precision : {Precision::kFp32, Precision::kInt8}) {
-      std::vector<size_t> group;
-      group.reserve(miss_indices.size());
-      for (size_t i : miss_indices) {
-        if (live[i].precision == precision) group.push_back(i);
-      }
-      if (group.empty()) continue;
-      std::vector<const text::EncodedInput*> inputs;
-      inputs.reserve(group.size());
-      for (size_t i : group) inputs.push_back(&live[i].input);
-      std::vector<std::vector<float>> vectors =
-          precision == Precision::kInt8 ? int8_encoder_->EncodeBatch(inputs)
-                                        : service_->EncodeInputs(inputs);
-      for (size_t j = 0; j < group.size(); ++j) {
-        Live& item = live[group[j]];
-        item.vector = std::move(vectors[j]);
-        if (options_.enable_cache) cache_.Put(item.key, item.vector);
-      }
-    }
-    encode_ms = timer.ElapsedMs();
-  }
-
-  // Score against the per-op catalogue and fulfil.
-  {
-    TELEKIT_SPAN("serve/score");
-    for (Live& item : live) {
-      Response response;
-      response.cache_hit = item.cache_hit;
-      response.batch_size = batch_size;
-      response.trace_id = item.pending->request.trace_id;
-      response.queue_ms = item.pending->queue_ms;
-      response.encode_ms = item.cache_hit ? 0.0 : encode_ms;
-      const Clock::time_point score_start = Clock::now();
-      FinishRequest(item.pending->request, std::move(item.vector), &response);
-      const Clock::time_point done = Clock::now();
-      response.score_ms = MsSince(score_start, done);
-      response.batch_ms = MsSince(started, done);
-      response.total_ms = MsSince(item.pending->enqueued, done);
-      metrics.RecordRequest(item.pending->request.op, response.total_ms,
-                            response.status.ok());
-      metrics.queue_ms.Observe(response.queue_ms);
-      MaybeCaptureSlow(options_.slow_request_ms, item.pending->request,
-                       response);
-      RecordWideEvent(item.pending->request, response);
-      item.pending->promise.set_value(std::move(response));
-    }
+    // The deadline lapsed while queued: fail without encoding.
+    metrics.deadline_exceeded.Increment();
+    Response response;
+    response.status = Status::DeadlineExceeded(
+        "deadline lapsed after " + std::to_string(queue_ms) + " ms in queue");
+    response.trace_id = pending.request.trace_id;
+    response.queue_ms = queue_ms;
+    response.total_ms = queue_ms;
+    // A lapsed deadline is a slow request by definition; record it
+    // (ok=false) so /tracez shows where the time went. It is also a
+    // served error for the availability SLO — per-op requests counters
+    // only count scored requests, so errors may outpace them (the burn
+    // computation clamps for that).
+    metrics.errors.Increment();
+    metrics.op_errors[static_cast<int>(pending.request.op)]->Increment();
+    MaybeCaptureSlow(options_.slow_request_ms, pending.request, response);
+    RecordWideEvent(pending.request, response);
+    pending.promise.set_value(std::move(response));
   }
 }
 
 Response ServeEngine::Process(const Request& request) const {
   TELEKIT_SPAN("serve/process");
+  return Run(request, Clock::now(), /*queue_ms=*/0.0);
+}
+
+Response ServeEngine::Run(const Request& request, Clock::time_point started,
+                          double queue_ms) const {
   ServeMetrics& metrics = ServeMetrics::Get();
-  const Clock::time_point started = Clock::now();
   Response response;
-  response.batch_size = 1;
   response.trace_id =
       request.trace_id != 0 ? request.trace_id : obs::NextTraceId();
+  response.queue_ms = queue_ms;
 
+  // Fail int8 requests early when the engine has no quantized encoder —
+  // they must not reach the encode stage.
   const Precision precision = EffectivePrecision(request);
   if (precision == Precision::kInt8) {
     metrics.int8_requests.Increment();
@@ -552,13 +423,17 @@ Response ServeEngine::Process(const Request& request) const {
       response.status = Status::FailedPrecondition(
           "precision int8 requested but this model has no quantized "
           "encoder");
-      response.total_ms = MsSince(started, Clock::now());
+      response.batch_ms = MsSince(started, Clock::now());
+      response.total_ms = queue_ms + response.batch_ms;
       metrics.RecordRequest(request.op, response.total_ms, /*ok=*/false);
       RecordWideEvent(request, response);
       return response;
     }
   }
 
+  // Tokenize + prompt-build (const tokenizer: safe concurrently). The
+  // cache key is salted by precision so an int8 vector can never be
+  // served to an fp32 request (or vice versa).
   text::EncodedInput input;
   {
     TELEKIT_SPAN("serve/tokenize");
@@ -572,20 +447,21 @@ Response ServeEngine::Process(const Request& request) const {
   } else {
     TELEKIT_SPAN("serve/encode");
     obs::ScopedTimer timer(metrics.encode_ms);
-    std::vector<const text::EncodedInput*> one{&input};
     vector = precision == Precision::kInt8
-                 ? std::move(int8_encoder_->EncodeBatch(one)[0])
-                 : std::move(service_->EncodeInputs(one)[0]);
+                 ? int8_encoder_->Encode(input)
+                 : std::move(service_->EncodeInputs({&input})[0]);
     response.encode_ms = timer.ElapsedMs();
     if (options_.enable_cache) cache_.Put(key, vector);
   }
-  const Clock::time_point score_start = Clock::now();
-  FinishRequest(request, std::move(vector), &response);
-  response.score_ms = MsSince(score_start, Clock::now());
-  response.total_ms = MsSince(started, Clock::now());
-  metrics.RecordRequest(request.op, response.total_ms,
-                        response.status.ok());
-  metrics.batch_size.Observe(1.0);
+  {
+    TELEKIT_SPAN("serve/score");
+    const Clock::time_point score_start = Clock::now();
+    FinishRequest(request, std::move(vector), &response);
+    response.score_ms = MsSince(score_start, Clock::now());
+  }
+  response.batch_ms = MsSince(started, Clock::now());
+  response.total_ms = queue_ms + response.batch_ms;
+  metrics.RecordRequest(request.op, response.total_ms, response.status.ok());
   MaybeCaptureSlow(options_.slow_request_ms, request, response);
   RecordWideEvent(request, response);
   return response;
@@ -684,17 +560,14 @@ void ServeEngine::Stop() {
   }
   // With num_workers == 0 (or a race against Close) items may still sit in
   // the queue; fail them so every Submit() future is fulfilled.
-  while (true) {
-    std::vector<std::unique_ptr<Pending>> remainder = queue_.PopBatch();
-    if (remainder.empty()) break;
-    for (auto& pending : remainder) {
-      Response response;
-      response.trace_id = pending->request.trace_id;
-      response.status = Status::Unavailable("engine stopped");
-      response.queue_ms = MsSince(pending->enqueued, Clock::now());
-      response.total_ms = response.queue_ms;
-      pending->promise.set_value(std::move(response));
-    }
+  while (std::optional<std::unique_ptr<Pending>> remainder = queue_.Pop()) {
+    Pending& pending = **remainder;
+    Response response;
+    response.trace_id = pending.request.trace_id;
+    response.status = Status::Unavailable("engine stopped");
+    response.queue_ms = MsSince(pending.enqueued, Clock::now());
+    response.total_ms = response.queue_ms;
+    pending.promise.set_value(std::move(response));
   }
   ServeMetrics::Get().queue_depth.Set(0.0);
 }

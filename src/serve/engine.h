@@ -14,8 +14,8 @@
 #include "common/status.h"
 #include "core/service.h"
 #include "index/corpus_index.h"
-#include "serve/batcher.h"
 #include "serve/embedding_cache.h"
+#include "serve/work_queue.h"
 #include "tasks/scoring.h"
 
 namespace telekit {
@@ -104,13 +104,12 @@ struct Response {
   std::vector<RetrievedDoc> docs;
   /// True when the service vector came from the EmbeddingCache.
   bool cache_hit = false;
-  /// Size of the micro-batch this request rode in (1 = unbatched).
-  int batch_size = 0;
   /// The trace id of the request this answers (assigned if it carried 0).
   uint64_t trace_id = 0;
   double queue_ms = 0.0;
-  /// Wall time of the whole micro-batch this request rode in (pop ->
-  /// fulfilment); 0 for the synchronous Process path.
+  /// Time the engine spent running this request after the queue: from the
+  /// worker's pop (or the Process call) to fulfilment. Echoed as
+  /// `timing.batch_us`.
   double batch_ms = 0.0;
   double encode_ms = 0.0;
   /// Catalogue-scoring time for this request (includes search_ms for the
@@ -124,10 +123,8 @@ struct Response {
 /// Engine tuning knobs.
 struct EngineOptions {
   int num_workers = 4;
-  /// Bounded queue and work-conserving micro-batching (see BatcherOptions);
-  /// max_batch = 1 serves one request per forward.
+  /// Bounded queue (see WorkQueue): Submit rejects once this many wait.
   size_t queue_capacity = 1024;
-  int max_batch = 8;
   /// Service-vector memoization.
   size_t cache_capacity = 4096;
   int cache_shards = 8;
@@ -163,11 +160,13 @@ struct EngineStats {
   bool saturated = false;
 };
 
-/// Multi-threaded batched inference engine over one ServiceEncoder:
+/// Multi-threaded inference engine over one ServiceEncoder:
 ///
-///   Submit() -> bounded deadline queue -> worker pool -> micro-batch
-///   -> tokenize -> EmbeddingCache probe -> batched encoder forward for
-///   the misses -> per-task catalogue scoring -> promise fulfilment
+///   Submit() -> bounded deadline queue -> worker pool, one request per
+///   pop -> tokenize -> EmbeddingCache probe -> encoder forward on a miss
+///   -> per-task catalogue scoring -> promise fulfilment
+///
+/// A worker runs the same per-request code as Process.
 ///
 /// Every stage reports to telekit::obs (serve/* metrics and spans).
 ///
@@ -202,8 +201,8 @@ class ServeEngine {
   ServeEngine& operator=(const ServeEngine&) = delete;
 
   /// Registers the candidate catalogue for a task op, encoding every name
-  /// through the batched path (and warming the cache). Replaces any
-  /// previous catalogue for that op.
+  /// through ServiceEncoder::EncodeInputs (and warming the cache). Replaces
+  /// any previous catalogue for that op.
   Status LoadCatalog(TaskOp op, const std::vector<std::string>& names);
 
   /// Number of candidates in the catalogue for `op` (0 when absent).
@@ -219,9 +218,9 @@ class ServeEngine {
   /// keeps the historical fail-fast behaviour.
   std::future<Response> Submit(Request request, double max_block_ms = 0.0);
 
-  /// Synchronous single-input path: no queue, no batching, optional cache.
-  /// This is the "unbatched baseline" the load generator compares against
-  /// (with enable_cache = false).
+  /// Synchronous path: the request runs on the calling thread, with no
+  /// queue. The load generator's single-thread baseline (with
+  /// enable_cache = false).
   Response Process(const Request& request) const;
 
   /// Stops workers and fails everything still queued. Idempotent; also
@@ -243,8 +242,6 @@ class ServeEngine {
     Clock::time_point enqueued;
     /// Zero time_point when the request carries no deadline.
     Clock::time_point deadline;
-    /// Filled in by the worker when the batch is popped.
-    double queue_ms = 0.0;
   };
 
   struct Catalog {
@@ -256,7 +253,11 @@ class ServeEngine {
   };
 
   void WorkerLoop();
-  void ProcessBatch(std::vector<std::unique_ptr<Pending>> batch) const;
+  /// The per-request path of Process and the workers: tokenize, cache
+  /// probe, encode on a miss, score. `started` is when the request left
+  /// the queue (or entered Process) and `queue_ms` how long it waited.
+  Response Run(const Request& request, Clock::time_point started,
+               double queue_ms) const;
   /// Scores a vector against the op's catalogue into `response`.
   void FinishRequest(const Request& request, std::vector<float> vector,
                      Response* response) const;
@@ -269,7 +270,7 @@ class ServeEngine {
   const index::CorpusIndex* corpus_index_;
   EngineOptions options_;
   mutable EmbeddingCache cache_;
-  MicroBatchQueue<std::unique_ptr<Pending>> queue_;
+  WorkQueue<std::unique_ptr<Pending>> queue_;
   /// Exclusive in LoadCatalog, shared in FinishRequest/CatalogSize: a
   /// catalogue reload must not race workers scoring against the map.
   mutable std::shared_mutex catalogs_mutex_;

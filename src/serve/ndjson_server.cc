@@ -101,9 +101,9 @@ void ServeNdjsonSession(const LineHandler& handler, LineReader& reader,
       pending.pop_front();
       lock.unlock();
       // get() blocks outside the lock so the reader keeps enqueueing lines
-      // and micro-batches still form for one client. After a write failure
-      // responses are still harvested (the engine fulfils them regardless)
-      // but not sent.
+      // and one client's requests still run on several workers. After a
+      // write failure responses are still harvested (the engine fulfils
+      // them regardless) but not sent.
       std::string rendered = next.get();
       bool sent = false;
       if (!write_failed) sent = write(rendered);

@@ -1,5 +1,7 @@
 #include "serve/protocol.h"
 
+#include <climits>
+#include <cmath>
 #include <utility>
 
 #include "obs/trace.h"
@@ -50,6 +52,25 @@ bool ParseTaskOp(const std::string& name, TaskOp* op) {
   }
   return true;
 }
+
+namespace {
+
+/// A number field narrowed to int: a non-finite or out-of-range value would
+/// make the cast undefined, so it is rejected, naming the field.
+Status ParseIntField(const obs::JsonValue& value, const char* name,
+                     double min, int* out) {
+  if (!value.is_number() || !std::isfinite(value.AsNumber()) ||
+      value.AsNumber() < min || value.AsNumber() > INT_MAX) {
+    return Status::InvalidArgument(
+        std::string("'") + name + "' must be a number in [" +
+        std::to_string(static_cast<int64_t>(min)) + ", " +
+        std::to_string(INT_MAX) + "]: " + value.Dump());
+  }
+  *out = static_cast<int>(value.AsNumber());
+  return Status::Ok();
+}
+
+}  // namespace
 
 bool ParsePrecision(const std::string& name, Precision* precision) {
   if (name == "fp32") {
@@ -104,20 +125,18 @@ Status ParseRequest(const obs::JsonValue& json, Request* request) {
     }
   }
   if (const obs::JsonValue* top_k = json.Find("top_k")) {
-    if (!top_k->is_number()) {
-      return Status::InvalidArgument("'top_k' must be a number");
-    }
-    request->top_k = static_cast<int>(top_k->AsNumber());
+    TELEKIT_RETURN_IF_ERROR(
+        ParseIntField(*top_k, "top_k", INT_MIN, &request->top_k));
   }
   if (const obs::JsonValue* ef = json.Find("ef_search")) {
-    if (!ef->is_number() || ef->AsNumber() < 0.0) {
-      return Status::InvalidArgument("'ef_search' must be a number >= 0");
-    }
-    request->ef_search = static_cast<int>(ef->AsNumber());
+    TELEKIT_RETURN_IF_ERROR(
+        ParseIntField(*ef, "ef_search", 0, &request->ef_search));
   }
   if (const obs::JsonValue* deadline = json.Find("deadline_ms")) {
-    if (!deadline->is_number() || deadline->AsNumber() < 0.0) {
-      return Status::InvalidArgument("'deadline_ms' must be >= 0");
+    if (!deadline->is_number() || !(deadline->AsNumber() >= 0.0) ||
+        deadline->AsNumber() > kMaxDeadlineMs) {
+      return Status::InvalidArgument(
+          "'deadline_ms' must be a number in [0, 1e9]: " + deadline->Dump());
     }
     request->deadline_ms = deadline->AsNumber();
   }
@@ -229,7 +248,6 @@ obs::JsonValue ResponseToJson(const Request& request, const Response& response,
     }
   }
   out.Set("cache_hit", obs::JsonValue(response.cache_hit));
-  out.Set("batch_size", obs::JsonValue(response.batch_size));
   out.Set("queue_ms", obs::JsonValue(response.queue_ms));
   out.Set("total_ms", obs::JsonValue(response.total_ms));
   if (request.echo_timing) {

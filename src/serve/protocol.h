@@ -42,8 +42,15 @@ namespace serve {
 /// returns docs only; troubleshoot returns docs plus `results` — the RCA
 /// verdict ranked over the union of the retrieved docs' evidence alarms.
 
+/// Largest `deadline_ms` a request may carry (1e9 ms, about 11.6 days),
+/// also the ceiling of telekit_router's --deadline-ms. A steady_clock
+/// deadline is int64 nanoseconds, which a much larger budget overflows.
+inline constexpr double kMaxDeadlineMs = 1e9;
+
 /// Parses one request line. On error the returned Status describes the
-/// problem and `request` is unspecified.
+/// problem and `request` is unspecified. A non-finite `top_k`, `ef_search`
+/// or `deadline_ms`, a `top_k` or `ef_search` outside int, and a
+/// `deadline_ms` above kMaxDeadlineMs are INVALID_ARGUMENT.
 Status ParseRequest(const obs::JsonValue& json, Request* request);
 
 /// Convenience: parse from raw text (must be a JSON object).
@@ -54,7 +61,8 @@ Status ParseRequestLine(const std::string& line, Request* request);
 /// back as {"ok": false, "error": {"code", "message"}} — still with `id`
 /// and `trace`. When the request asked for timing (`echo_timing`) the reply
 /// gains {"timing": {"queue_us", "batch_us", "encode_us", "score_us",
-/// "total_us"}}.
+/// "total_us"}}, where `batch_us` is the request's time after the queue
+/// (Response::batch_ms).
 obs::JsonValue ResponseToJson(const Request& request, const Response& response,
                               const obs::JsonValue* id);
 

@@ -67,10 +67,6 @@ void ParseFlags(int argc, char** argv, Flags* flags) {
                "(default 100; 0 = off)");
   table.Int("workers=N", &engine.num_workers, 1, 1024,
             "engine worker threads (default 4)");
-  table.Int("max-batch=N", &engine.max_batch, 1, 1 << 20,
-            "most queued requests one worker takes per\n"
-            "forward (default 8; 1 = no batching); a\n"
-            "free worker never waits for a batch to fill");
   table.Int("queue-capacity=N", &engine.queue_capacity, 1, int64_t{1} << 30,
             "bounded queue size (default 1024)");
   table.Int("cache-capacity=N", &engine.cache_capacity, 0, int64_t{1} << 30,

@@ -1,29 +1,21 @@
-#ifndef TELEKIT_SERVE_BATCHER_H_
-#define TELEKIT_SERVE_BATCHER_H_
+#ifndef TELEKIT_SERVE_WORK_QUEUE_H_
+#define TELEKIT_SERVE_WORK_QUEUE_H_
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
 namespace telekit {
 namespace serve {
 
-/// Tuning knobs for a MicroBatchQueue.
-struct BatcherOptions {
-  /// Bounded backpressure: Push() fails fast once this many items wait.
-  size_t capacity = 1024;
-  /// Most items one PopBatch() takes (1 = no batching).
-  int max_batch = 8;
-};
-
-/// Bounded MPMC queue with work-conserving micro-batch pops: a free
-/// consumer takes whatever is queued, up to `max_batch`, at once and never
-/// waits on a non-empty queue, so batches form only from a real backlog.
+/// Bounded MPMC queue with work-conserving pops: a free consumer takes the
+/// oldest item at once and never waits on a non-empty queue.
 ///
 /// Consumers that find the queue empty park, each on its own condition
 /// variable, and Push hands the item to the one that parked most recently
@@ -33,17 +25,17 @@ struct BatcherOptions {
 ///
 /// Thread-safety: all methods are safe from any thread.
 template <typename T>
-class MicroBatchQueue {
+class WorkQueue {
  public:
-  explicit MicroBatchQueue(const BatcherOptions& options)
-      : options_(options) {}
+  /// Push() fails fast once `capacity` items wait (bounded backpressure).
+  explicit WorkQueue(size_t capacity) : capacity_(capacity) {}
 
   /// Enqueues an item; false when the queue is full or closed. On failure
   /// `item` is left untouched, so the caller keeps ownership and can
   /// reject the request.
   bool Push(T&& item) {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_ || queue_.size() >= options_.capacity) return false;
+    if (closed_ || queue_.size() >= capacity_) return false;
     EnqueueLocked(std::move(item));
     return true;
   }
@@ -56,40 +48,34 @@ class MicroBatchQueue {
   bool PushBlocking(T&& item, int64_t max_block_us) {
     std::unique_lock<std::mutex> lock(mutex_);
     space_cv_.wait_for(lock, std::chrono::microseconds(max_block_us), [&] {
-      return closed_ || queue_.size() < options_.capacity;
+      return closed_ || queue_.size() < capacity_;
     });
-    if (closed_ || queue_.size() >= options_.capacity) return false;
+    if (closed_ || queue_.size() >= capacity_) return false;
     EnqueueLocked(std::move(item));
     return true;
   }
 
-  /// Takes up to `max_batch` queued items, blocking only while the queue
-  /// is empty. An empty result means "closed, nothing left" — never
-  /// "another consumer beat me to the items".
-  std::vector<T> PopBatch() {
+  /// Takes the oldest item, blocking only while the queue is empty. An
+  /// empty result means "closed, nothing left" — never "another consumer
+  /// beat me to the item".
+  std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mutex_);
     // A woken consumer can find the queue empty again when another
     // consumer took the item first; it parks again.
     while (queue_.empty()) {
-      if (closed_) return {};
+      if (closed_) return std::nullopt;
       Parked self;
       parked_.push_back(&self);
       self.cv.wait(lock, [&] { return self.woken; });
     }
-    const size_t take = std::min(
-        queue_.size(), static_cast<size_t>(std::max(options_.max_batch, 1)));
-    std::vector<T> batch;
-    batch.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
+    std::optional<T> item(std::move(queue_.front()));
+    queue_.pop_front();
     space_cv_.notify_all();  // the pop made room for blocked producers
-    return batch;
+    return item;
   }
 
-  /// Wakes all consumers; PopBatch drains the remainder, then returns
-  /// empty. Push fails after Close.
+  /// Wakes all consumers; Pop drains the remainder, then returns empty.
+  /// Push fails after Close.
   void Close() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -104,14 +90,14 @@ class MicroBatchQueue {
     return queue_.size();
   }
 
-  /// Consumers currently blocked in PopBatch on an empty queue.
+  /// Consumers currently blocked in Pop on an empty queue.
   size_t parked() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return parked_.size();
   }
 
  private:
-  /// One blocked PopBatch call; lives on that consumer's stack.
+  /// One blocked Pop call; lives on that consumer's stack.
   struct Parked {
     std::condition_variable cv;
     bool woken = false;
@@ -131,7 +117,7 @@ class MicroBatchQueue {
     newest->cv.notify_one();
   }
 
-  BatcherOptions options_;
+  const size_t capacity_;
   mutable std::mutex mutex_;
   /// Signalled when a pop (or Close) makes room for blocked producers.
   std::condition_variable space_cv_;
@@ -144,4 +130,4 @@ class MicroBatchQueue {
 }  // namespace serve
 }  // namespace telekit
 
-#endif  // TELEKIT_SERVE_BATCHER_H_
+#endif  // TELEKIT_SERVE_WORK_QUEUE_H_

@@ -21,11 +21,11 @@ struct PipelineConfig {
   /// default) replays as fast as the engine drains.
   double speedup = synth::SimClock::kInfiniteSpeedup;
   /// Deterministic replay mode: candidates go through the synchronous
-  /// ServeEngine::Process path (batch of 1, single thread), which the
-  /// PR-4 compute contract makes bit-identical across runs and thread
-  /// counts. Async mode rides Submit() with micro-batching and blocking
-  /// backpressure instead — higher throughput, verdicts only guaranteed
-  /// within the batched-vs-single 1e-5 agreement.
+  /// ServeEngine::Process path on one thread, which the compute contract
+  /// (DESIGN.md §3) makes bit-identical across runs and thread counts.
+  /// Async mode rides Submit() to the worker pool with blocking
+  /// backpressure instead: higher throughput, and the same verdicts bit
+  /// for bit when nothing is shed, since a worker runs Process's code.
   bool deterministic = true;
   /// Async mode: max candidates with unharvested verdicts before
   /// ingestion blocks on the oldest (bounded memory).

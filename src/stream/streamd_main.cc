@@ -78,9 +78,10 @@ void ParseFlags(int argc, char** argv, Flags* flags) {
                });
   table.Choice("mode=sync|async", &flags->mode, {"sync", "async", "auto"},
                "sync = deterministic replay via the\n"
-               "unbatched Process path; async = Submit with\n"
-               "micro-batching + blocking backpressure\n"
-               "(default: sync when speedup=inf)");
+               "Process path; async = Submit to the worker\n"
+               "pool with blocking backpressure, the same\n"
+               "verdicts bit for bit (default: sync when\n"
+               "speedup=inf)");
   table.Int("max-in-flight=N", &pipeline.max_in_flight, 1, int64_t{1} << 30,
             "async: episodes awaiting verdicts cap");
   table.Double("submit-block-ms=X", &pipeline.submit_block_ms, 0.0, 1e9,
@@ -89,8 +90,6 @@ void ParseFlags(int argc, char** argv, Flags* flags) {
             "candidates per task op (default 5)");
   table.Int("workers=N", &flags->engine.num_workers, 1, 1024,
             "engine worker threads (default 4)");
-  table.Int("max-batch=N", &flags->engine.max_batch, 1, 1 << 20,
-            "engine micro-batch cap (default 8)");
   table.Int("queue-capacity=N", &flags->engine.queue_capacity, 1,
             int64_t{1} << 30, "engine bounded queue (default 1024)");
   tensor::AddComputeThreadsFlag(&table);

@@ -834,6 +834,30 @@ TEST(RouterDeadlineTest, LapsedBudgetRepliesDeadlineExceeded) {
   router.Stop();  // reap the attempts still waiting on the replica
 }
 
+TEST(RouterDeadlineTest, HugeDeadlineReachesTheReplicaAndIsRejected) {
+  // A deadline_ms beyond what a steady_clock deadline holds must not
+  // overflow the router's budget into an instant DEADLINE_EXCEEDED: the
+  // line reaches the replica, whose parser answers INVALID_ARGUMENT.
+  std::atomic<int> hits{0};
+  FakeReplica replica([&hits](std::string line) -> std::future<std::string> {
+    hits.fetch_add(1);
+    serve::Request request;
+    const Status status = serve::ParseRequestLine(line, &request);
+    std::promise<std::string> ready;
+    ready.set_value(status.ok() ? R"({"ok":true})"
+                                : serve::ErrorToJson(status, nullptr).Dump());
+    return ready.get_future();
+  });
+  Router router(Specs({replica.port()}), TestOptions());
+  const obs::JsonValue reply =
+      MustParse(router.Handle(RequestLine("huge", /*deadline_ms=*/1e13)));
+  ASSERT_FALSE(reply.Find("ok")->AsBool());
+  EXPECT_EQ(static_cast<int>(reply.Find("error")->Find("code")->AsNumber()),
+            static_cast<int>(StatusCode::kInvalidArgument))
+      << reply.Dump();
+  EXPECT_EQ(hits.load(), 1);
+}
+
 // ---------------------------------------------------------------------------
 // Fleet metrics: exposition parse + cross-replica aggregation
 // ---------------------------------------------------------------------------

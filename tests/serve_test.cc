@@ -10,8 +10,10 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/model_zoo.h"
@@ -19,7 +21,6 @@
 #include "obs/metrics.h"
 #include "obs/spanstore.h"
 #include "obs/trace.h"
-#include "serve/batcher.h"
 #include "serve/daemon_kit.h"
 #include "serve/embedding_cache.h"
 #include "serve/engine.h"
@@ -27,6 +28,7 @@
 #include "serve/model_host.h"
 #include "serve/ndjson_server.h"
 #include "serve/protocol.h"
+#include "serve/work_queue.h"
 #include "tasks/scoring.h"
 #include "tensor/compute_pool.h"
 #include "tensor/simd.h"
@@ -131,34 +133,37 @@ TEST(EmbeddingCacheTest, ConcurrentMixedLoadKeepsInvariants) {
 }
 
 // ---------------------------------------------------------------------------
-// MicroBatchQueue
+// WorkQueue
 // ---------------------------------------------------------------------------
 
-TEST(MicroBatchQueueTest, CoalescesWaitingItems) {
-  MicroBatchQueue<int> queue({.capacity = 16, .max_batch = 4});
+TEST(WorkQueueTest, PopTakesOneItemWhileSeveralWait) {
+  WorkQueue<int> queue(16);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(queue.Push(std::move(i)));
-  const std::vector<int> batch = queue.PopBatch();
-  EXPECT_EQ(batch, std::vector<int>({0, 1, 2, 3}));
+  EXPECT_EQ(queue.Pop(), std::optional<int>(0));
+  EXPECT_EQ(queue.size(), 3u);
+  EXPECT_EQ(queue.Pop(), std::optional<int>(1));
+  EXPECT_EQ(queue.size(), 2u);
 }
 
-TEST(MicroBatchQueueTest, BackpressureAndClose) {
-  MicroBatchQueue<int> queue({.capacity = 2, .max_batch = 2});
+TEST(WorkQueueTest, BackpressureAndClose) {
+  WorkQueue<int> queue(2);
   int v = 0;
   EXPECT_TRUE(queue.Push(std::move(v)));
   EXPECT_TRUE(queue.Push(std::move(v)));
   EXPECT_FALSE(queue.Push(std::move(v)));  // full
   queue.Close();
   EXPECT_FALSE(queue.Push(std::move(v)));  // closed
-  EXPECT_EQ(queue.PopBatch().size(), 2u);  // drains after close
-  EXPECT_TRUE(queue.PopBatch().empty());   // closed + drained
+  EXPECT_TRUE(queue.Pop().has_value());    // drains after close
+  EXPECT_TRUE(queue.Pop().has_value());
+  EXPECT_FALSE(queue.Pop().has_value());   // closed + drained
 }
 
 // Regression: with several consumers on trickle traffic, two consumers
 // could pass the first wait on the same single item; the loser of the pop
-// race then timed out over a drained-but-open queue and returned an empty
-// batch, which callers treat as "closed" (ServeEngine workers exit on it).
-TEST(MicroBatchQueueTest, EmptyPopMeansClosedUnderManyConsumers) {
-  MicroBatchQueue<int> queue({.capacity = 1024, .max_batch = 4});
+// race then timed out over a drained-but-open queue and returned empty,
+// which callers treat as "closed" (ServeEngine workers exit on it).
+TEST(WorkQueueTest, EmptyPopMeansClosedUnderManyConsumers) {
+  WorkQueue<int> queue(1024);
   std::atomic<bool> closing{false};
   std::atomic<int> popped{0};
   std::atomic<int> premature_empty{0};
@@ -166,12 +171,11 @@ TEST(MicroBatchQueueTest, EmptyPopMeansClosedUnderManyConsumers) {
   for (int t = 0; t < 4; ++t) {
     consumers.emplace_back([&] {
       while (true) {
-        const std::vector<int> batch = queue.PopBatch();
-        if (batch.empty()) {
+        if (!queue.Pop().has_value()) {
           if (!closing.load()) premature_empty.fetch_add(1);
           return;
         }
-        popped.fetch_add(static_cast<int>(batch.size()));
+        popped.fetch_add(1);
       }
     });
   }
@@ -190,15 +194,8 @@ TEST(MicroBatchQueueTest, EmptyPopMeansClosedUnderManyConsumers) {
   EXPECT_EQ(popped.load(), kItems);
 }
 
-TEST(MicroBatchQueueTest, MaxBatchOnePopsSingles) {
-  MicroBatchQueue<int> queue({.capacity = 8, .max_batch = 1});
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(queue.Push(std::move(i)));
-  EXPECT_EQ(queue.PopBatch(), std::vector<int>({0}));
-  EXPECT_EQ(queue.PopBatch(), std::vector<int>({1}));
-}
-
 /// Blocks until `queue` has `count` parked consumers (fails after 10 s).
-void WaitParked(const MicroBatchQueue<int>& queue, size_t count) {
+void WaitParked(const WorkQueue<int>& queue, size_t count) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (queue.parked() != count) {
@@ -210,30 +207,30 @@ void WaitParked(const MicroBatchQueue<int>& queue, size_t count) {
 
 // LIFO wake: the consumer that parked last gets the item, so light traffic
 // stays on one warm consumer instead of rotating through all of them.
-TEST(MicroBatchQueueTest, PushWakesTheNewestParkedConsumer) {
-  MicroBatchQueue<int> queue({.capacity = 16, .max_batch = 8});
-  std::vector<int> got_a;
-  std::vector<int> got_b;
-  std::thread a([&] { got_a = queue.PopBatch(); });
+TEST(WorkQueueTest, PushWakesTheNewestParkedConsumer) {
+  WorkQueue<int> queue(16);
+  std::optional<int> got_a;
+  std::optional<int> got_b;
+  std::thread a([&] { got_a = queue.Pop(); });
   WaitParked(queue, 1);
-  std::thread b([&] { got_b = queue.PopBatch(); });
+  std::thread b([&] { got_b = queue.Pop(); });
   WaitParked(queue, 2);
   EXPECT_TRUE(queue.Push(42));
   b.join();
-  EXPECT_EQ(got_b, std::vector<int>({42}));
+  EXPECT_EQ(got_b, std::optional<int>(42));
   EXPECT_EQ(queue.parked(), 1u);  // A is still parked
   queue.Close();
   a.join();
-  EXPECT_TRUE(got_a.empty());
+  EXPECT_FALSE(got_a.has_value());
 }
 
-TEST(MicroBatchQueueTest, CloseWakesEveryParkedConsumer) {
-  MicroBatchQueue<int> queue({.capacity = 16, .max_batch = 8});
+TEST(WorkQueueTest, CloseWakesEveryParkedConsumer) {
+  WorkQueue<int> queue(16);
   std::atomic<int> returned_empty{0};
   std::vector<std::thread> consumers;
   for (int t = 0; t < 4; ++t) {
     consumers.emplace_back([&] {
-      if (queue.PopBatch().empty()) returned_empty.fetch_add(1);
+      if (!queue.Pop().has_value()) returned_empty.fetch_add(1);
     });
   }
   WaitParked(queue, 4);
@@ -289,6 +286,27 @@ TEST(ProtocolTest, RejectsBadRequests) {
       ParseRequestLine(R"({"op":"nope","text":"x"})", &request).ok());
   EXPECT_FALSE(
       ParseRequestLine(R"({"text":"x","deadline_ms":-1})", &request).ok());
+  // Numbers an int or a steady_clock deadline cannot hold (1e400 parses
+  // as inf): INVALID_ARGUMENT, naming the field.
+  const std::pair<const char*, const char*> out_of_range[] = {
+      {R"({"text":"x","deadline_ms":1e13})", "deadline_ms"},
+      {R"({"text":"x","deadline_ms":1e300})", "deadline_ms"},
+      {R"({"text":"x","deadline_ms":1e400})", "deadline_ms"},
+      {R"({"text":"x","top_k":3e9})", "top_k"},
+      {R"({"text":"x","top_k":-3e9})", "top_k"},
+      {R"({"text":"x","top_k":1e400})", "top_k"},
+      {R"({"text":"x","ef_search":3e9})", "ef_search"},
+      {R"({"text":"x","ef_search":1e400})", "ef_search"},
+  };
+  for (const auto& [line, field] : out_of_range) {
+    const Status status = ParseRequestLine(line, &request);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(status.message().find(field), std::string::npos)
+        << status.message();
+  }
+  ASSERT_TRUE(
+      ParseRequestLine(R"({"text":"x","deadline_ms":1e9})", &request).ok());
+  EXPECT_EQ(request.deadline_ms, kMaxDeadlineMs);
 }
 
 TEST(ProtocolTest, ResponseRoundTripsThroughJson) {
@@ -296,7 +314,6 @@ TEST(ProtocolTest, ResponseRoundTripsThroughJson) {
   request.op = TaskOp::kEap;
   Response response;
   response.results.push_back({"alarm A", 0.75f});
-  response.batch_size = 4;
   response.cache_hit = true;
   obs::JsonValue id(std::string("req-1"));
   const obs::JsonValue json = ResponseToJson(request, response, &id);
@@ -305,6 +322,7 @@ TEST(ProtocolTest, ResponseRoundTripsThroughJson) {
   EXPECT_EQ(json.Find("op")->AsString(), "eap");
   EXPECT_EQ(json.Find("results")->size(), 1u);
   EXPECT_TRUE(json.Find("cache_hit")->AsBool());
+  EXPECT_EQ(json.Find("batch_size"), nullptr);
 
   Response failed;
   failed.status = Status::DeadlineExceeded("late");
@@ -449,50 +467,6 @@ std::shared_ptr<core::ModelZoo> SharedZooPtr() {
 
 const core::ModelZoo& SharedZoo() { return *SharedZooPtr(); }
 
-double MaxAbsDiff(const std::vector<float>& a, const std::vector<float>& b) {
-  EXPECT_EQ(a.size(), b.size());
-  double worst = 0.0;
-  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    worst = std::max(worst, std::abs(static_cast<double>(a[i]) -
-                                     static_cast<double>(b[i])));
-  }
-  return worst;
-}
-
-TEST(BatchedForwardTest, TeleBertBatchMatchesSingle) {
-  const core::ModelZoo& zoo = SharedZoo();
-  const core::TeleBert& model = zoo.telebert();
-  const auto& inputs = zoo.retrain_data().causal_sentences;
-  ASSERT_GE(inputs.size(), 5u);
-  std::vector<const text::EncodedInput*> batch;
-  for (size_t i = 0; i < 5; ++i) batch.push_back(&inputs[i]);
-  const auto batched = model.ServiceVectorBatch(batch);
-  ASSERT_EQ(batched.size(), 5u);
-  for (size_t i = 0; i < 5; ++i) {
-    // Batch and single run the same forward: the same bits.
-    EXPECT_EQ(batched[i], model.ServiceVector(inputs[i])) << "sequence " << i;
-  }
-}
-
-TEST(BatchedForwardTest, KTeleBertBatchMatchesSingleWithNumericSlots) {
-  const core::ModelZoo& zoo = SharedZoo();
-  const core::KTeleBert& model = zoo.ktelebert(core::ModelKind::kKTeleBertStl);
-  const auto& logs = zoo.retrain_data().machine_logs;
-  ASSERT_GE(logs.size(), 4u);
-  bool covered_numeric = false;
-  std::vector<const text::EncodedInput*> batch;
-  for (size_t i = 0; i < 4; ++i) {
-    batch.push_back(&logs[i]);
-    covered_numeric |= !logs[i].numeric_slots.empty();
-  }
-  EXPECT_TRUE(covered_numeric) << "machine logs should carry numeric slots";
-  const auto batched = model.ServiceVectorBatch(batch);
-  ASSERT_EQ(batched.size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(batched[i], model.ServiceVector(logs[i])) << "sequence " << i;
-  }
-}
-
 TEST(BatchedForwardTest, ServiceEncoderBatchMatchesSingle) {
   const core::ModelZoo& zoo = SharedZoo();
   core::ServiceEncoder service =
@@ -636,7 +610,6 @@ TEST(ServeEngineTest, EndToEndMixedOps) {
       zoo.MakeServiceEncoder(core::ModelKind::kTeleBert);
   EngineOptions options;
   options.num_workers = 4;
-  options.max_batch = 4;
   ServeEngine engine(&service, options);
   std::vector<std::string> names;
   for (const auto& alarm : zoo.world().alarms()) names.push_back(alarm.name);
@@ -666,7 +639,6 @@ TEST(ServeEngineTest, EndToEndMixedOps) {
       EXPECT_EQ(response.results[0].name, names[i % 6]);
       EXPECT_GT(response.results[0].score, 0.99f);
     }
-    EXPECT_GE(response.batch_size, 1);
     cache_hits += response.cache_hit ? 1 : 0;
   }
   // LoadCatalog warmed the cache, and the 24 requests reuse 6 texts.
@@ -691,7 +663,6 @@ TEST(ServeEngineTest, CatalogReloadDuringTraffic) {
       zoo.MakeServiceEncoder(core::ModelKind::kTeleBert);
   EngineOptions options;
   options.num_workers = 2;
-  options.max_batch = 4;
   ServeEngine engine(&service, options);
   std::vector<std::string> names;
   for (const auto& alarm : zoo.world().alarms()) names.push_back(alarm.name);
@@ -720,22 +691,51 @@ TEST(ServeEngineTest, CatalogReloadDuringTraffic) {
   EXPECT_EQ(engine.CatalogSize(TaskOp::kEap), names.size());
 }
 
+// A worker runs Process's per-request code, so both paths give the same
+// reply bit for bit, for every op at both precisions.
 TEST(ServeEngineTest, ProcessMatchesSubmit) {
-  const core::ModelZoo& zoo = SharedZoo();
-  core::ServiceEncoder service =
-      zoo.MakeServiceEncoder(core::ModelKind::kTeleBert);
   EngineOptions options;
   options.num_workers = 2;
   options.enable_cache = false;  // force real forwards on both paths
-  ServeEngine engine(&service, options);
-  Request request;
-  request.op = TaskOp::kEncode;
-  request.text = zoo.world().alarms()[2].name;
-  const Response sync = engine.Process(request);
-  const Response queued = engine.Submit(request).get();
-  ASSERT_TRUE(sync.status.ok());
-  ASSERT_TRUE(queued.status.ok());
-  EXPECT_LE(MaxAbsDiff(sync.vector, queued.vector), 1e-5);
+  BundleIndexOptions index_options;
+  index_options.enable = true;
+  index_options.num_tickets = 8;
+  auto built =
+      BuildModelBundle("telebert", SharedZooPtr(), options, index_options);
+  ASSERT_TRUE(built.ok()) << built.status().message();
+  ServeEngine& engine = *built.value()->engine;
+  for (Precision precision : {Precision::kFp32, Precision::kInt8}) {
+    for (TaskOp op : {TaskOp::kEncode, TaskOp::kRca, TaskOp::kEap,
+                      TaskOp::kFct, TaskOp::kRetrieve,
+                      TaskOp::kTroubleshoot}) {
+      Request request;
+      request.op = op;
+      request.text = SharedZoo().world().alarms()[2].name;
+      request.precision = precision;
+      request.top_k = 3;
+      const Response sync = engine.Process(request);
+      const Response queued = engine.Submit(request).get();
+      const std::string where =
+          TaskOpName(op) + " " + PrecisionName(precision);
+      ASSERT_TRUE(sync.status.ok()) << where << ": " << sync.status.ToString();
+      EXPECT_EQ(queued.status.code(), sync.status.code()) << where;
+      EXPECT_EQ(queued.status.message(), sync.status.message()) << where;
+      EXPECT_EQ(queued.vector, sync.vector) << where;
+      ASSERT_EQ(queued.results.size(), sync.results.size()) << where;
+      for (size_t i = 0; i < sync.results.size(); ++i) {
+        EXPECT_EQ(queued.results[i].name, sync.results[i].name) << where;
+        EXPECT_EQ(queued.results[i].score, sync.results[i].score) << where;
+      }
+      ASSERT_EQ(queued.docs.size(), sync.docs.size()) << where;
+      for (size_t i = 0; i < sync.docs.size(); ++i) {
+        EXPECT_EQ(queued.docs[i].doc_id, sync.docs[i].doc_id) << where;
+        EXPECT_EQ(queued.docs[i].title, sync.docs[i].title) << where;
+        EXPECT_EQ(queued.docs[i].kind, sync.docs[i].kind) << where;
+        EXPECT_EQ(queued.docs[i].score, sync.docs[i].score) << where;
+      }
+      EXPECT_EQ(queued.cache_hit, sync.cache_hit) << where;
+    }
+  }
 }
 
 // Every completed request leaves a "serve/request" span (plus stage
@@ -835,7 +835,6 @@ TEST(ServeEngineTest, DeadlineExceededThroughWorker) {
       zoo.MakeServiceEncoder(core::ModelKind::kTeleBert);
   EngineOptions options;
   options.num_workers = 1;
-  options.max_batch = 4;
   ServeEngine engine(&service, options);
   Request request;
   request.text = zoo.world().alarms()[1].name;
@@ -845,8 +844,8 @@ TEST(ServeEngineTest, DeadlineExceededThroughWorker) {
   EXPECT_TRUE(response.vector.empty());
 }
 
-// A lone request on an idle engine is not held back for a batch to form:
-// a parked worker takes it at once.
+// A lone request on an idle engine is not held back: a parked worker takes
+// it at once.
 TEST(ServeEngineTest, LoneRequestIsNotHeldForABatch) {
   const core::ModelZoo& zoo = SharedZoo();
   core::ServiceEncoder service =
@@ -858,7 +857,6 @@ TEST(ServeEngineTest, LoneRequestIsNotHeldForABatch) {
   for (int i = 0; i < 20; ++i) {
     const Response response = engine.Submit(request).get();
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    EXPECT_EQ(response.batch_size, 1);
     queue_ms.push_back(response.queue_ms);
   }
   std::nth_element(queue_ms.begin(), queue_ms.begin() + 10, queue_ms.end());
@@ -943,8 +941,9 @@ TEST(ServeEngineTest, StageTimingsAndSlowRequestCapture) {
   request.trace_id = 0xfeedu;
   const Response response = engine.Submit(request).get();
   ASSERT_TRUE(response.status.ok());
-  // Stage timings are filled and consistent: the batch covers encode and
-  // scoring, and the total covers the queue plus the batch.
+  // Stage timings are filled and consistent: the time after the queue
+  // (batch_ms) covers encode and scoring, and the total covers the queue
+  // plus that.
   EXPECT_GT(response.batch_ms, 0.0);
   EXPECT_GT(response.encode_ms, 0.0);
   EXPECT_GE(response.batch_ms, response.score_ms);

@@ -3,14 +3,15 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/model_zoo.h"
-#include "serve/batcher.h"
 #include "serve/engine.h"
+#include "serve/work_queue.h"
 #include "stream/pipeline.h"
 #include "stream/sessionizer.h"
 #include "synth/replay.h"
@@ -258,13 +259,11 @@ TEST(ReplayTest, SimClockPacesOnlyWhenFinite) {
 }
 
 // ---------------------------------------------------------------------------
-// MicroBatchQueue::PushBlocking (the backpressure primitive)
+// WorkQueue::PushBlocking (the backpressure primitive)
 // ---------------------------------------------------------------------------
 
 TEST(PushBlockingTest, TimesOutOnFullQueue) {
-  serve::BatcherOptions options;
-  options.capacity = 1;
-  serve::MicroBatchQueue<int> queue(options);
+  serve::WorkQueue<int> queue(1);
   EXPECT_TRUE(queue.Push(1));
   int item = 2;
   EXPECT_FALSE(queue.PushBlocking(std::move(item), /*max_block_us=*/2000));
@@ -272,10 +271,7 @@ TEST(PushBlockingTest, TimesOutOnFullQueue) {
 }
 
 TEST(PushBlockingTest, UnblocksWhenConsumerMakesRoom) {
-  serve::BatcherOptions options;
-  options.capacity = 1;
-  options.max_batch = 1;
-  serve::MicroBatchQueue<int> queue(options);
+  serve::WorkQueue<int> queue(1);
   EXPECT_TRUE(queue.Push(1));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
@@ -283,18 +279,14 @@ TEST(PushBlockingTest, UnblocksWhenConsumerMakesRoom) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load());  // still blocked on the full queue
-  const std::vector<int> batch = queue.PopBatch();
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0], 1);
+  EXPECT_EQ(queue.Pop(), std::optional<int>(1));
   producer.join();
   EXPECT_TRUE(pushed.load());
   EXPECT_EQ(queue.size(), 1u);
 }
 
 TEST(PushBlockingTest, FailsFastWhenClosed) {
-  serve::BatcherOptions options;
-  options.capacity = 1;
-  serve::MicroBatchQueue<int> queue(options);
+  serve::WorkQueue<int> queue(1);
   EXPECT_TRUE(queue.Push(1));
   std::thread closer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -474,7 +466,6 @@ TEST(StreamPipelineTest, AsyncBackpressureBoundsInFlightState) {
   serve::EngineOptions options;
   options.num_workers = 1;
   options.queue_capacity = 2;
-  options.max_batch = 2;
   serve::ServeEngine engine(&service, options);
   const std::vector<std::string> names = AlarmNames(zoo);
   for (serve::TaskOp op :
@@ -503,9 +494,9 @@ TEST(StreamPipelineTest, AsyncBackpressureBoundsInFlightState) {
   EXPECT_EQ(ok, summary.episodes_analysed);
 }
 
-/// The async micro-batched path gives the sync path's verdicts bit for bit:
-/// since a batch's encodes are single forwards (DESIGN.md §9), the same
-/// replay with bounds that never shed scores every episode identically.
+/// The async path gives the sync path's verdicts bit for bit: a worker runs
+/// Process's per-request code (DESIGN.md §9), so the same replay with
+/// bounds that never shed scores every episode identically.
 TEST(StreamPipelineTest, AsyncVerdictsMatchSyncBitForBit) {
   const core::ModelZoo& zoo = SharedZoo();
   const std::vector<synth::StreamEvent> events = TinyReplay(zoo, 6, 4321);
