@@ -85,8 +85,7 @@ struct RunResult {
 /// use (bounded ~4.4% relative error), so BENCH_serve.json and a /metrics
 /// scrape of a live server agree on what p99 means. Observe() is lock-free,
 /// which also lets client threads record latencies without a merge step.
-void FillLatencyStats(const obs::LatencyHistogram& latencies,
-                      RunResult* result) {
+void FillLatencyStats(const obs::Histogram& latencies, RunResult* result) {
   result->p50_ms = latencies.Quantile(0.50);
   result->p95_ms = latencies.Quantile(0.95);
   result->p99_ms = latencies.Quantile(0.99);
@@ -147,7 +146,7 @@ RunResult RunBaseline(const core::ServiceEncoder& service,
   }
   RunResult result;
   result.name = "baseline_1thread";
-  obs::LatencyHistogram latencies;
+  obs::Histogram latencies;
   const Clock::time_point start = Clock::now();
   for (int i = 0; i < flags.requests; ++i) {
     const serve::Response response =
@@ -180,7 +179,7 @@ RunResult RunClosedLoop(const core::ServiceEncoder& service,
   }
   RunResult result;
   result.name = name;
-  obs::LatencyHistogram latencies;
+  obs::Histogram latencies;
   std::atomic<int> completed{0};
   const Clock::time_point start = Clock::now();
   std::vector<std::thread> clients;
@@ -234,7 +233,7 @@ RunResult RunOpenLoop(const core::ServiceEncoder& service,
     next += interval;
     futures.push_back(engine.Submit(MakeRequest(pool, i)));
   }
-  obs::LatencyHistogram latencies;
+  obs::Histogram latencies;
   for (auto& future : futures) {
     serve::Response response = future.get();
     if (response.status.ok()) {
@@ -293,11 +292,22 @@ obs::JsonValue RunSloAlertDemo(const core::ServiceEncoder& service,
     return engine.Process(request);
   };
 
-  // Probe both regimes to place the threshold between them.
-  obs::LatencyHistogram hot_hist;
-  obs::LatencyHistogram cold_hist;
+  // The healthy phase paces hot requests near the degraded rate, so the
+  // slow window is not dominated by sheer healthy volume when the
+  // regression hits; the degraded phase runs cold requests back to back.
+  auto healthy_step = [&] {
+    const double total_ms = hot_request().total_ms;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return total_ms;
+  };
+
+  // Probe both regimes, each at the pace of the phase it drives (a paced
+  // request runs slower than one sent back to back), to place the
+  // threshold between them.
+  obs::Histogram hot_hist;
+  obs::Histogram cold_hist;
   for (size_t i = 0; i < 2 * hot; ++i) hot_request();  // warm the cache
-  for (int i = 0; i < 200; ++i) hot_hist.Observe(hot_request().total_ms);
+  for (int i = 0; i < 200; ++i) hot_hist.Observe(healthy_step());
   for (int i = 0; i < 30; ++i) cold_hist.Observe(cold_request().total_ms);
   const double hot_p95 = hot_hist.Quantile(0.95);
   const double cold_p50 = cold_hist.Quantile(0.50);
@@ -311,13 +321,7 @@ obs::JsonValue RunSloAlertDemo(const core::ServiceEncoder& service,
   SloDemoPhases phases;
   phases.healthy_s = demo.slo.config().slow_window_s + 1.0;
   const SloDemoResult lifecycle = RunSloAlertLifecycle(
-      demo.store, demo.slo, demo.objective.name,
-      [&] {
-        hot_request();
-        // Pace the hot phase near the degraded rate so the slow window is
-        // not dominated by sheer healthy volume when the regression hits.
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      },
+      demo.store, demo.slo, demo.objective.name, [&] { healthy_step(); },
       [&] { cold_request(); }, phases);
   demo.store.Stop();
 
@@ -325,8 +329,8 @@ obs::JsonValue RunSloAlertDemo(const core::ServiceEncoder& service,
   // resolve through the wide-event log to a request whose total_us matches
   // (both derive from the same response.total_ms).
   const serve::Response probe = cold_request();
-  const double le = obs::LatencyHistogram::BucketUpperMs(
-      obs::LatencyHistogram::BucketIndex(probe.total_ms));
+  const double le = obs::Histogram::BucketUpperMs(
+      obs::Histogram::BucketIndex(probe.total_ms));
   obs::ExemplarStore::Exemplar exemplar;
   const bool exemplar_found =
       obs::ExemplarStore::Global().Find("serve/request_ms", le, &exemplar);
@@ -442,7 +446,7 @@ RunResult RunConnect(const std::vector<Endpoint>& endpoints,
   }
   RunResult result;
   result.name = "connect_" + std::to_string(endpoints.size()) + "_endpoints";
-  obs::LatencyHistogram latencies;
+  obs::Histogram latencies;
   std::atomic<int> completed{0};
   std::atomic<int> failed{0};
   const Clock::time_point start = Clock::now();

@@ -76,7 +76,7 @@ RunResult RunPipeline(const std::string& name, const core::ModelZoo& zoo,
                       std::vector<stream::EpisodeVerdict>* verdicts_out) {
   RunResult result;
   result.name = name;
-  obs::LatencyHistogram detect;
+  obs::Histogram detect;
   stream::StreamPipeline pipeline(zoo.world(), engine, config);
   result.summary = pipeline.Run(
       events, [&](stream::EpisodeVerdict verdict) {
@@ -148,19 +148,26 @@ obs::JsonValue RunSloAlertDemo(const core::ModelZoo& zoo,
   auto run_tick = [&](serve::ServeEngine* engine,
                       const stream::PipelineConfig& config,
                       const std::vector<synth::StreamEvent>& tick_events,
-                      obs::LatencyHistogram* hist) {
+                      obs::Histogram* hist) {
     stream::StreamPipeline pipeline(zoo.world(), engine, config);
     pipeline.Run(tick_events, [&](stream::EpisodeVerdict verdict) {
       if (verdict.ok && hist != nullptr) hist->Observe(verdict.detect_ms);
     });
   };
 
-  // Probe both regimes to place the threshold between them.
-  obs::LatencyHistogram healthy_hist;
-  obs::LatencyHistogram degraded_hist;
+  // The healthy phase paces its ticks 20 ms apart; the degraded phase
+  // runs its bursts back to back.
+  auto healthy_step = [&](obs::Histogram* hist) {
+    run_tick(&healthy_engine, healthy_config, events, hist);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+
+  // Probe both regimes, each at the pace of the phase it drives, to place
+  // the threshold between them.
+  obs::Histogram healthy_hist;
+  obs::Histogram degraded_hist;
   for (int i = 0; i < 5; ++i) {  // first pass warms the cache, unmeasured
-    run_tick(&healthy_engine, healthy_config, events,
-             i == 0 ? nullptr : &healthy_hist);
+    healthy_step(i == 0 ? nullptr : &healthy_hist);
   }
   for (int i = 0; i < 3; ++i) {
     run_tick(&degraded_engine, degraded_config, burst_events, &degraded_hist);
@@ -176,10 +183,7 @@ obs::JsonValue RunSloAlertDemo(const core::ModelZoo& zoo,
   phases.healthy_s = demo.slo.config().slow_window_s + 1.0;
   const SloDemoResult lifecycle = RunSloAlertLifecycle(
       demo.store, demo.slo, demo.objective.name,
-      [&] {
-        run_tick(&healthy_engine, healthy_config, events, nullptr);
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      },
+      [&] { healthy_step(nullptr); },
       [&] {
         run_tick(&degraded_engine, degraded_config, burst_events, nullptr);
       },

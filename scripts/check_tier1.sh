@@ -23,8 +23,9 @@
 #      TCP protocol and assert the observability loop closes end to end:
 #      /timeseriesz accumulates samples, /alertz is healthy on a clean
 #      run, a /metrics latency bucket carries a trace exemplar whose id
-#      resolves via /requestz to a wide event with matching total_us, and
-#      the --request-log NDJSON round-trips through telekit_jsonlint.
+#      resolves via /requestz to a wide event with matching total_us and
+#      via /tracez to a Chrome slice carrying it, and the --request-log
+#      NDJSON round-trips through telekit_jsonlint.
 #      Also drives one request at "precision": "int8" and asserts it
 #      succeeds and lands on the serve/precision_int8_requests counter,
 #      and asserts the loaded model variant's generation is visible in
@@ -69,9 +70,63 @@
 # exercised under TSan. Off by default: the TSan tree roughly doubles check
 # time.
 #
+# Stages 7-10 start their daemons with start_daemon and poll them with
+# wait_ready (below); one EXIT trap stops whatever is still running and
+# removes the stages' logs.
+#
 # Usage: scripts/check_tier1.sh   (from anywhere inside the repo)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Daemons started by start_daemon, with their log files (same index).
+DAEMON_PIDS=()
+DAEMON_LOGS=()
+SMOKE_DIR=$(mktemp -d)
+
+# start_daemon <log> <command...>: runs the command in the background with
+# stdout and stderr in <log>; its pid is left in LAST_PID.
+start_daemon() {
+  local log=$1
+  shift
+  "$@" >"${log}" 2>&1 &
+  LAST_PID=$!
+  DAEMON_PIDS+=("${LAST_PID}")
+  DAEMON_LOGS+=("${log}")
+}
+
+# wait_ready <stage> <url> <tries> <period_s> [<pattern>]: polls <url> until
+# it answers (with a body matching <pattern>, when given). Fails the script
+# when <tries> polls pass, or when a started daemon dies meanwhile (its log
+# is printed).
+wait_ready() {
+  local stage=$1 url=$2 tries=$3 period=$4 pattern=${5:-} body i d
+  for ((i = 0; i < tries; ++i)); do
+    if body=$(curl -sf -m 2 "${url}" 2>/dev/null) \
+        && { [[ -z "${pattern}" ]] || grep -q "${pattern}" <<<"${body}"; }; then
+      return 0
+    fi
+    for d in "${!DAEMON_PIDS[@]}"; do
+      if ! kill -0 "${DAEMON_PIDS[d]}" 2>/dev/null; then
+        echo "${stage}: a daemon died during start-up:"
+        cat "${DAEMON_LOGS[d]}"
+        exit 1
+      fi
+    done
+    sleep "${period}"
+  done
+  echo "${stage}: ${url} never became ready"
+  exit 1
+}
+
+# stop_daemons: SIGTERM every started daemon still running and reap them.
+stop_daemons() {
+  local pid
+  for pid in "${DAEMON_PIDS[@]}"; do kill "${pid}" 2>/dev/null || true; done
+  for pid in "${DAEMON_PIDS[@]}"; do wait "${pid}" 2>/dev/null || true; done
+  DAEMON_PIDS=()
+  DAEMON_LOGS=()
+}
+trap 'stop_daemons; rm -rf "${SMOKE_DIR}"' EXIT
 
 echo "== [1/11] configure + build =="
 cmake -B build -S .
@@ -166,38 +221,17 @@ echo "flag contract: OK (${#FLAG_ROWS[@]} rows)"
 echo "== [7/11] admin endpoint smoke =="
 SERVE_PORT=18473
 ADMIN_PORT=18474
-SERVE_LOG=$(mktemp)
-REQUEST_LOG=$(mktemp)
+REQUEST_LOG="${SMOKE_DIR}/serve_requests.ndjson"
 # TCP mode (not stdin) so the server stays up while we scrape it.
 # --compute-threads=2 smoke-checks the intra-op pool flag end to end;
 # --ts-interval-s=0.2 makes the sampler tick fast enough to observe.
-./build/src/serve/telekit_serve --port="${SERVE_PORT}" \
-  --admin-port="${ADMIN_PORT}" --slow-request-ms=100 \
-  --compute-threads=2 --ts-interval-s=0.2 \
-  --request-log="${REQUEST_LOG}" \
-  >"${SERVE_LOG}" 2>&1 &
-SERVE_PID=$!
-cleanup() {
-  kill "${SERVE_PID}" 2>/dev/null || true
-  wait "${SERVE_PID}" 2>/dev/null || true
-  rm -f "${SERVE_LOG}" "${REQUEST_LOG}"
-}
-trap cleanup EXIT
+start_daemon "${SMOKE_DIR}/serve.log" ./build/src/serve/telekit_serve \
+  --port="${SERVE_PORT}" --admin-port="${ADMIN_PORT}" --slow-request-ms=100 \
+  --compute-threads=2 --ts-interval-s=0.2 --request-log="${REQUEST_LOG}"
 
 # /healthz answers as soon as the admin thread is up; /readyz stays 503
 # until the model is built, so wait for both before scraping.
-for _ in $(seq 1 60); do
-  if curl -sf -m 2 "http://127.0.0.1:${ADMIN_PORT}/readyz" \
-      >/dev/null 2>&1; then
-    break
-  fi
-  if ! kill -0 "${SERVE_PID}" 2>/dev/null; then
-    echo "admin smoke: telekit_serve died during startup:"
-    cat "${SERVE_LOG}"
-    exit 1
-  fi
-  sleep 1
-done
+wait_ready "admin smoke" "http://127.0.0.1:${ADMIN_PORT}/readyz" 60 1
 HEALTH=$(curl -sf -m 2 "http://127.0.0.1:${ADMIN_PORT}/healthz")
 [[ "${HEALTH}" == "ok" ]] || { echo "admin smoke: bad /healthz: ${HEALTH}"; exit 1; }
 STATUSZ=$(curl -sf -m 2 "http://127.0.0.1:${ADMIN_PORT}/statusz")
@@ -306,10 +340,16 @@ if ! awk -v us="${WIDE_US}" -v ms="${EXEMPLAR_MS}" \
   echo "admin smoke: exemplar value ${EXEMPLAR_MS} ms disagrees with wide event ${WIDE_US} us"
   exit 1
 fi
+# /tracez renders the same request log as a Chrome trace: the exemplar's
+# request must come back as slices that carry its trace id.
+TRACEZ=$(curl -sf -m 2 \
+  "http://127.0.0.1:${ADMIN_PORT}/tracez?trace_id=${EXEMPLAR_TRACE}")
+if ! grep -q "\"trace\": \"${EXEMPLAR_TRACE}\"" <<<"${TRACEZ}"; then
+  echo "admin smoke: /tracez has no slice for trace ${EXEMPLAR_TRACE}: ${TRACEZ}"
+  exit 1
+fi
 
-kill "${SERVE_PID}"
-wait "${SERVE_PID}" 2>/dev/null || true
-trap - EXIT
+stop_daemons
 
 # The NDJSON request log must round-trip through the repo's own parser.
 if [[ ! -s "${REQUEST_LOG}" ]]; then
@@ -320,44 +360,18 @@ if ! ./build/src/obs/telekit_jsonlint <"${REQUEST_LOG}"; then
   echo "admin smoke: --request-log NDJSON failed jsonlint"
   exit 1
 fi
-rm -f "${SERVE_LOG}" "${REQUEST_LOG}"
 echo "admin smoke: OK (/healthz + /readyz + /statusz + /timeseriesz + /alertz live," \
-  "exemplar -> /requestz loop closed, request log lints)"
+  "exemplar -> /requestz + /tracez loop closed, request log lints)"
 
 echo "== [8/11] retrieval smoke (retrieve + troubleshoot + snapshot warm start) =="
 RETR_PORT=18482
 RETR_ADMIN_PORT=18483
-RETR_LOG=$(mktemp)
-INDEX_SNAPSHOT=$(mktemp -u)
-./build/src/serve/telekit_serve --port="${RETR_PORT}" \
-  --admin-port="${RETR_ADMIN_PORT}" --ef-search=48 \
-  --index-path="${INDEX_SNAPSHOT}" \
-  >"${RETR_LOG}" 2>&1 &
-RETR_PID=$!
-retr_cleanup() {
-  kill "${RETR_PID}" 2>/dev/null || true
-  wait "${RETR_PID}" 2>/dev/null || true
-  rm -f "${RETR_LOG}" "${INDEX_SNAPSHOT}"
-}
-trap retr_cleanup EXIT
-
-wait_retr_ready() {
-  for _ in $(seq 1 60); do
-    if curl -sf -m 2 "http://127.0.0.1:${RETR_ADMIN_PORT}/readyz" \
-        >/dev/null 2>&1; then
-      return 0
-    fi
-    if ! kill -0 "${RETR_PID}" 2>/dev/null; then
-      echo "retrieval smoke: telekit_serve died during startup:"
-      cat "${RETR_LOG}"
-      exit 1
-    fi
-    sleep 1
-  done
-  echo "retrieval smoke: server never became ready"
-  exit 1
-}
-wait_retr_ready
+INDEX_SNAPSHOT="${SMOKE_DIR}/index.snapshot"
+RETR_SERVE=(./build/src/serve/telekit_serve --port="${RETR_PORT}"
+  --admin-port="${RETR_ADMIN_PORT}" --ef-search=48
+  --index-path="${INDEX_SNAPSHOT}")
+start_daemon "${SMOKE_DIR}/retrieval.log" "${RETR_SERVE[@]}"
+wait_ready "retrieval smoke" "http://127.0.0.1:${RETR_ADMIN_PORT}/readyz" 60 1
 
 # Cold start: /statusz must carry the index section, built (not loaded)
 # from the corpus, honouring the --ef-search default.
@@ -431,18 +445,13 @@ fi
 
 # Warm restart: the second process must load the snapshot the first one
 # wrote instead of rebuilding (near-zero build time, same answers).
-kill "${RETR_PID}"
-wait "${RETR_PID}" 2>/dev/null || true
+stop_daemons
 if [[ ! -s "${INDEX_SNAPSHOT}" ]]; then
   echo "retrieval smoke: --index-path snapshot was never written"
   exit 1
 fi
-./build/src/serve/telekit_serve --port="${RETR_PORT}" \
-  --admin-port="${RETR_ADMIN_PORT}" --ef-search=48 \
-  --index-path="${INDEX_SNAPSHOT}" \
-  >"${RETR_LOG}" 2>&1 &
-RETR_PID=$!
-wait_retr_ready
+start_daemon "${SMOKE_DIR}/retrieval_warm.log" "${RETR_SERVE[@]}"
+wait_ready "retrieval smoke" "http://127.0.0.1:${RETR_ADMIN_PORT}/readyz" 60 1
 RETR_STATUSZ=$(curl -sf -m 2 "http://127.0.0.1:${RETR_ADMIN_PORT}/statusz")
 if ! grep -q '"loaded_from_snapshot": true' <<<"${RETR_STATUSZ}"; then
   echo "retrieval smoke: warm start did not load snapshot: ${RETR_STATUSZ}"
@@ -464,49 +473,23 @@ if ! grep -Eq '"ok": ?true' <<<"${WARM_REPLY}" \
   exit 1
 fi
 
-kill "${RETR_PID}"
-wait "${RETR_PID}" 2>/dev/null || true
-trap - EXIT
-rm -f "${RETR_LOG}" "${INDEX_SNAPSHOT}"
+stop_daemons
 echo "retrieval smoke: OK (retrieve + ef_search override + troubleshoot," \
   "span chain visible, snapshot warm start build_ms=${WARM_BUILD_MS})"
 
 echo "== [9/11] streamd replay smoke =="
 STREAMD_ADMIN_PORT=18475
-STREAMD_LOG=$(mktemp)
 # Unpaced deterministic replay of a small seeded stream; --linger keeps the
 # admin server up after the replay finishes so /statusz can be scraped
 # without racing the run.
-./build/src/stream/telekit_streamd --seed=4242 --episodes=6 \
-  --admin-port="${STREAMD_ADMIN_PORT}" --workers=2 --compute-threads=2 \
-  --linger >"${STREAMD_LOG}" 2>&1 &
-STREAMD_PID=$!
-cleanup_streamd() {
-  kill "${STREAMD_PID}" 2>/dev/null || true
-  wait "${STREAMD_PID}" 2>/dev/null || true
-  rm -f "${STREAMD_LOG}"
-}
-trap cleanup_streamd EXIT
+start_daemon "${SMOKE_DIR}/streamd.log" ./build/src/stream/telekit_streamd \
+  --seed=4242 --episodes=6 --admin-port="${STREAMD_ADMIN_PORT}" \
+  --workers=2 --compute-threads=2 --linger
 
 # Wait until the replay reports itself done through /statusz.
-STREAM_STATUS=""
-for _ in $(seq 1 120); do
-  STREAM_STATUS=$(curl -sf -m 2 \
-    "http://127.0.0.1:${STREAMD_ADMIN_PORT}/statusz" 2>/dev/null || true)
-  if grep -q '"done": true' <<<"${STREAM_STATUS}"; then
-    break
-  fi
-  if ! kill -0 "${STREAMD_PID}" 2>/dev/null; then
-    echo "streamd smoke: telekit_streamd died during the replay:"
-    cat "${STREAMD_LOG}"
-    exit 1
-  fi
-  sleep 1
-done
-if ! grep -q '"done": true' <<<"${STREAM_STATUS}"; then
-  echo "streamd smoke: replay never finished: ${STREAM_STATUS}"
-  exit 1
-fi
+STATUSZ_URL="http://127.0.0.1:${STREAMD_ADMIN_PORT}/statusz"
+wait_ready "streamd smoke" "${STATUSZ_URL}" 120 1 '"done": true'
+STREAM_STATUS=$(curl -sf -m 2 "${STATUSZ_URL}")
 EPISODES=$(sed -n 's/.*"episodes": \([0-9]*\).*/\1/p' <<<"${STREAM_STATUS}")
 LATE=$(sed -n 's/.*"late_drops": \([0-9]*\).*/\1/p' <<<"${STREAM_STATUS}")
 if [[ -z "${EPISODES}" || "${EPISODES}" -eq 0 ]]; then
@@ -525,60 +508,32 @@ for metric in telekit_stream_episodes telekit_serve_rca_requests \
     exit 1
   fi
 done
-kill "${STREAMD_PID}"
-wait "${STREAMD_PID}" 2>/dev/null || true
-trap - EXIT
-rm -f "${STREAMD_LOG}"
+stop_daemons
 echo "streamd smoke: OK (${EPISODES} episodes, 0 late drops, per-op serve metrics live)"
 
 echo "== [10/11] router fleet smoke =="
 REP1_PORT=18476; REP1_ADMIN=18477
 REP2_PORT=18478; REP2_ADMIN=18479
 ROUTER_PORT=18480; ROUTER_ADMIN=18481
-REP1_LOG=$(mktemp); REP2_LOG=$(mktemp); ROUTER_LOG=$(mktemp)
-ROUTER_REQLOG=$(mktemp)
-./build/src/serve/telekit_serve --port="${REP1_PORT}" \
-  --admin-port="${REP1_ADMIN}" --workers=2 --compute-threads=2 \
-  >"${REP1_LOG}" 2>&1 &
-REP1_PID=$!
-./build/src/serve/telekit_serve --port="${REP2_PORT}" \
-  --admin-port="${REP2_ADMIN}" --workers=2 --compute-threads=2 \
-  >"${REP2_LOG}" 2>&1 &
-REP2_PID=$!
-cleanup_router() {
-  kill -9 "${REP1_PID}" "${REP2_PID}" "${ROUTER_PID:-}" 2>/dev/null || true
-  wait 2>/dev/null || true
-  rm -f "${REP1_LOG}" "${REP2_LOG}" "${ROUTER_LOG}" "${ROUTER_REQLOG}"
-}
-trap cleanup_router EXIT
+ROUTER_REQLOG="${SMOKE_DIR}/router_requests.ndjson"
+start_daemon "${SMOKE_DIR}/replica1.log" ./build/src/serve/telekit_serve \
+  --port="${REP1_PORT}" --admin-port="${REP1_ADMIN}" --workers=2 \
+  --compute-threads=2
+start_daemon "${SMOKE_DIR}/replica2.log" ./build/src/serve/telekit_serve \
+  --port="${REP2_PORT}" --admin-port="${REP2_ADMIN}" --workers=2 \
+  --compute-threads=2
+REP2_PID=${LAST_PID}
+wait_ready "router smoke" "http://127.0.0.1:${REP1_ADMIN}/readyz" 60 1
+wait_ready "router smoke" "http://127.0.0.1:${REP2_ADMIN}/readyz" 60 1
 
-for _ in $(seq 1 60); do
-  if curl -sf -m 2 "http://127.0.0.1:${REP1_ADMIN}/readyz" >/dev/null 2>&1 \
-      && curl -sf -m 2 "http://127.0.0.1:${REP2_ADMIN}/readyz" \
-        >/dev/null 2>&1; then
-    break
-  fi
-  if ! kill -0 "${REP1_PID}" 2>/dev/null || ! kill -0 "${REP2_PID}" 2>/dev/null; then
-    echo "router smoke: a replica died during startup:"
-    cat "${REP1_LOG}" "${REP2_LOG}"
-    exit 1
-  fi
-  sleep 1
-done
-
-./build/src/route/telekit_router --port="${ROUTER_PORT}" \
-  --admin-port="${ROUTER_ADMIN}" \
+start_daemon "${SMOKE_DIR}/router.log" ./build/src/route/telekit_router \
+  --port="${ROUTER_PORT}" --admin-port="${ROUTER_ADMIN}" \
   --replica="${REP1_PORT}:${REP1_ADMIN}" \
   --replica="${REP2_PORT}:${REP2_ADMIN}" \
   --probe-interval-ms=100 --eject-after=2 --readmit-after=2 \
-  --request-log="${ROUTER_REQLOG}" \
-  >"${ROUTER_LOG}" 2>&1 &
-ROUTER_PID=$!
-for _ in $(seq 1 30); do
-  curl -sf -m 2 "http://127.0.0.1:${ROUTER_ADMIN}/readyz" \
-    >/dev/null 2>&1 && break
-  sleep 0.5
-done
+  --request-log="${ROUTER_REQLOG}"
+ROUTER_PID=${LAST_PID}
+wait_ready "router smoke" "http://127.0.0.1:${ROUTER_ADMIN}/readyz" 30 0.5
 
 # Both replicas must be routable before the chaos starts, and each entry
 # must carry its probe telemetry (probe freshness + failure streak).
@@ -778,9 +733,7 @@ if kill -0 "${ROUTER_PID}" 2>/dev/null; then
   echo "router smoke: router did not exit after /quitquitquit"
   exit 1
 fi
-kill -9 "${REP1_PID}" 2>/dev/null || true
-wait 2>/dev/null || true
-trap - EXIT
+stop_daemons
 
 # The router's wide-event request log must be valid NDJSON and carry the
 # routed attribution fields alongside the serve-side shape.
@@ -796,7 +749,6 @@ if ! grep -q '"attempts"' "${ROUTER_REQLOG}"; then
   echo "router smoke: router request log has no routed attempts field"
   exit 1
 fi
-rm -f "${REP1_LOG}" "${REP2_LOG}" "${ROUTER_LOG}" "${ROUTER_REQLOG}"
 echo "router smoke: OK (fleet healthy + probe telemetry, fleet metrics sum," \
   "kill survived, retry trace assembled via /tracezd, ejection exported," \
   "hot reload zero-failure, drain clean, request log lints)"

@@ -97,8 +97,7 @@ std::vector<float> ServiceEncoder::Encode(const std::string& name,
   TELEKIT_CHECK(encoder_ != nullptr);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& calls = registry.GetCounter("service/encode_calls");
-  static obs::Histogram& latency =
-      registry.GetHistogram("service/encode_ms");
+  static obs::Histogram& latency = registry.GetHistogram("service/encode_ms");
   calls.Increment();
   obs::ScopedTimer timer(latency);
   return encoder_->Encode(BuildInput(name, mode));
@@ -110,8 +109,7 @@ std::vector<std::vector<float>> ServiceEncoder::EncodeBatch(
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& calls = registry.GetCounter("service/encode_calls");
   static obs::Histogram& batch_rows =
-      registry.GetHistogram("service/encode_batch_rows",
-                            {1, 2, 4, 8, 16, 32, 64, 128, 256});
+      registry.GetHistogram("service/encode_batch_rows");
   calls.Increment(names.size());
   batch_rows.Observe(static_cast<double>(names.size()));
   std::vector<text::EncodedInput> inputs;

@@ -2,10 +2,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -21,6 +23,28 @@ namespace telekit {
 namespace obs {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// One connection's time for reading its request and writing its reply.
+/// The router's prober ejects a replica after 3 failed /readyz probes,
+/// each with a 500 ms timeout and 250 ms apart; a stall of at most 1 s
+/// fails at most one of them.
+constexpr std::chrono::milliseconds kConnectionIoBudget{1000};
+
+/// Waits until `fd` has `events` ready; false once `deadline` passes or
+/// poll fails.
+bool WaitReady(int fd, short events, Clock::time_point deadline) {
+  while (true) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) return false;
+    pollfd pfd{fd, events, 0};
+    const int rc = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (rc > 0) return true;
+    if (rc == 0 || errno != EINTR) return false;
+  }
+}
 
 const char* StatusText(int status) {
   switch (status) {
@@ -74,28 +98,24 @@ void AppendHelpType(std::string* out, const std::string& prom_name,
   *out += "# TYPE " + prom_name + " " + type + "\n";
 }
 
-/// Shared by both histogram kinds: the snapshot JSON already carries
-/// per-bucket (non-cumulative) counts with `le` bounds in order, so the
-/// renderer only has to accumulate and terminate with +Inf. For latency
-/// histograms (`raw_name` non-empty) each bucket line additionally carries
-/// the bucket's latest exemplar — ` # {trace_id="..."} value timestamp` —
-/// linking a scrape straight to a /requestz wide event.
+/// The snapshot JSON already carries per-bucket (non-cumulative) counts
+/// with `le` bounds in order, so the renderer only has to accumulate and
+/// terminate with +Inf. Each bucket line additionally carries the bucket's
+/// latest exemplar, when one was recorded — ` # {trace_id="..."} value
+/// timestamp` — linking a scrape straight to a /requestz wide event.
 void AppendHistogram(std::string* out, const std::string& prom_name,
-                     const JsonValue& histogram,
-                     const std::string& raw_name = "") {
+                     const std::string& raw_name, const JsonValue& histogram) {
   uint64_t cumulative = 0;
   if (const JsonValue* buckets = histogram.Find("buckets")) {
     for (size_t i = 0; i < buckets->size(); ++i) {
       const JsonValue& bucket = buckets->at(i);
-      const JsonValue* le = bucket.Find("le");
+      const double le = bucket.Find("le")->AsNumber();
       cumulative +=
           static_cast<uint64_t>(bucket.Find("count")->AsNumber());
-      if (le->is_string()) continue;  // fixed-bucket overflow: folded +Inf
-      *out += prom_name + "_bucket{le=\"" + PrometheusNumber(le->AsNumber()) +
-              "\"} " + std::to_string(cumulative);
+      *out += prom_name + "_bucket{le=\"" + PrometheusNumber(le) + "\"} " +
+              std::to_string(cumulative);
       ExemplarStore::Exemplar exemplar;
-      if (!raw_name.empty() &&
-          ExemplarStore::Global().Find(raw_name, le->AsNumber(), &exemplar)) {
+      if (ExemplarStore::Global().Find(raw_name, le, &exemplar)) {
         *out += " # {trace_id=\"" + TraceIdToHex(exemplar.trace_id) + "\"} " +
                 PrometheusNumber(exemplar.value_ms) + " " +
                 PrometheusNumber(exemplar.unix_s);
@@ -169,13 +189,7 @@ std::string RenderPrometheus(const MetricsRegistry& registry) {
   for (const auto& [name, value] : snapshot.Find("histograms")->members()) {
     const std::string prom = PrometheusName(name);
     AppendHelpType(&out, prom, name, "histogram");
-    AppendHistogram(&out, prom, value);
-  }
-  for (const auto& [name, value] :
-       snapshot.Find("latency_histograms")->members()) {
-    const std::string prom = PrometheusName(name);
-    AppendHelpType(&out, prom, name, "histogram");
-    AppendHistogram(&out, prom, value, name);
+    AppendHistogram(&out, prom, name, value);
   }
   return out;
 }
@@ -190,16 +204,11 @@ AdminServer::AdminServer() {
     response.content_type = "text/plain; version=0.0.4; charset=utf-8";
     return response;
   });
-  Handle("/tracez", [](const HttpRequest&) {
-    JsonValue out = JsonValue::Object();
-    out.Set("traceEvents", SlowTraceRing::Global().TraceEventsJson());
-    out.Set("displayTimeUnit", JsonValue("ms"));
-    out.Set("slow_traces_recorded",
-            JsonValue(SlowTraceRing::Global().total_recorded()));
-    return HttpResponse::Json(200, out);
-  });
   Handle("/requestz", [](const HttpRequest& request) {
     return RequestLog::Global().HandleQuery(request);
+  });
+  Handle("/tracez", [](const HttpRequest& request) {
+    return RequestLog::Global().HandleTraceQuery(request);
   });
   // Distributed-trace spans: every daemon answers /spanz?trace_id= so the
   // router's /tracezd assembler can fan out and merge the hops.
@@ -299,19 +308,20 @@ void AdminServer::AcceptLoop() {
 }
 
 void AdminServer::ServeConnection(int fd) {
-  // A stalled client must not wedge the admin loop (it is single-threaded
-  // by design): cap the time spent reading the request.
-  timeval timeout{};
-  timeout.tv_sec = 2;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-
+  // The loop is serial, so a client that sends its request or reads the
+  // reply slowly would hold every other caller, /readyz probes included.
+  // Reading and writing share one deadline counted from accept; the
+  // handler's own time is added to it, since that is not the client's.
+  auto deadline = Clock::now() + kConnectionIoBudget;
   std::string raw;
   char buffer[2048];
   while (raw.find("\r\n") == std::string::npos && raw.size() < 16384) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n <= 0) break;
-    raw.append(buffer, static_cast<size_t>(n));
+    if (!WaitReady(fd, POLLIN, deadline)) break;
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), MSG_DONTWAIT);
+    if (n == 0 || (n < 0 && errno != EAGAIN && errno != EINTR)) break;
+    if (n > 0) raw.append(buffer, static_cast<size_t>(n));
   }
+  const Clock::time_point handler_start = Clock::now();
 
   HttpResponse response;
   HttpRequest request;
@@ -350,12 +360,13 @@ void AdminServer::ServeConnection(int fd) {
   wire += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
   wire += "Connection: close\r\n\r\n";
   if (request.method != "HEAD") wire += response.body;
+  deadline += Clock::now() - handler_start;
   size_t sent = 0;
-  while (sent < wire.size()) {
-    const ssize_t w =
-        ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
-    if (w <= 0) break;
-    sent += static_cast<size_t>(w);
+  while (sent < wire.size() && WaitReady(fd, POLLOUT, deadline)) {
+    const ssize_t w = ::send(fd, wire.data() + sent, wire.size() - sent,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (w < 0 && errno != EAGAIN && errno != EINTR) break;
+    if (w > 0) sent += static_cast<size_t>(w);
   }
 }
 

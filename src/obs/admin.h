@@ -42,23 +42,26 @@ std::map<std::string, std::string> ParseQuery(const std::string& query);
 
 /// Renders every metric in `registry` in Prometheus text exposition format
 /// (version 0.0.4): '/'-separated names become '_'-separated with a
-/// `telekit_` prefix, each metric carries # HELP / # TYPE lines, and both
-/// histogram kinds export cumulative `_bucket{le=...}` series (sparse —
-/// only boundaries with mass — but monotone and +Inf-terminated) plus
-/// `_sum` / `_count`.
+/// `telekit_` prefix, each metric carries # HELP / # TYPE lines, and
+/// histograms export cumulative `_bucket{le=...}` series (sparse — only
+/// boundaries with mass — but monotone and +Inf-terminated, each line with
+/// its ExemplarStore exemplar when one exists) plus `_sum` / `_count`.
 std::string RenderPrometheus(const MetricsRegistry& registry);
 
 /// Minimal background HTTP/1.0 server for operational endpoints, bound to
 /// 127.0.0.1. One accept thread handles connections serially (admin
-/// responses are small and computed in microseconds; a stalled client is
-/// cut off by a receive timeout rather than a thread pool).
+/// responses are small and computed in microseconds); a client gets one
+/// second, counted from accept, to send its request and read the reply,
+/// and is dropped when it has not, so a stalled client cannot hold the
+/// loop (and the /readyz probes behind it).
 ///
 /// Built-in routes: /healthz (liveness), /metrics (Prometheus text from
-/// MetricsRegistry::Global()), /tracez (Chrome trace JSON of the slow-
-/// request ring), /spanz (distributed-trace spans by trace id), and an
-/// index at "/". Servers with more state (readiness,
-/// status) register their own handlers via Handle() — later registrations
-/// for the same path win, so defaults can be overridden.
+/// MetricsRegistry::Global()), /requestz and /tracez (the wide-event
+/// request log as JSON and as a Chrome trace), /spanz (distributed-trace
+/// spans by trace id), /loglevelz, and an index at "/". Servers with more
+/// state (readiness, status) register their own handlers via Handle() —
+/// later registrations for the same path win, so defaults can be
+/// overridden.
 ///
 /// Thread-safety: Handle/Start/Stop are safe from any thread; handlers run
 /// on the accept thread and must be thread-safe against the threads that

@@ -32,97 +32,29 @@ void AtomicMaxDouble(std::atomic<double>& target, double v) {
 
 }  // namespace
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
+Histogram::Histogram() : buckets_(kNumBuckets) {
   min_.store(std::numeric_limits<double>::infinity(),
              std::memory_order_relaxed);
   max_.store(-std::numeric_limits<double>::infinity(),
              std::memory_order_relaxed);
 }
 
-void Histogram::Observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const size_t bucket = static_cast<size_t>(it - bounds_.begin());
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(sum_, v);
-  AtomicMinDouble(min_, v);
-  AtomicMaxDouble(max_, v);
-}
-
-JsonValue Histogram::ToJson() const {
-  JsonValue out = JsonValue::Object();
-  const uint64_t n = count();
-  out.Set("count", JsonValue(n));
-  out.Set("sum", JsonValue(sum()));
-  out.Set("mean", JsonValue(mean()));
-  // An empty histogram has min = +inf / max = -inf sentinels; JSON has no
-  // Inf, so export null rather than a fabricated number.
-  out.Set("min", n > 0 ? JsonValue(min()) : JsonValue());
-  out.Set("max", n > 0 ? JsonValue(max()) : JsonValue());
-  JsonValue buckets = JsonValue::Array();
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    const uint64_t c = bucket_count(i);
-    if (c == 0) continue;  // sparse export keeps artifacts small
-    JsonValue bucket = JsonValue::Object();
-    if (i < bounds_.size()) {
-      bucket.Set("le", JsonValue(bounds_[i]));
-    } else {
-      bucket.Set("le", JsonValue("inf"));
-    }
-    bucket.Set("count", JsonValue(c));
-    buckets.Append(std::move(bucket));
-  }
-  out.Set("buckets", std::move(buckets));
-  return out;
-}
-
-void Histogram::Zero() {
-  for (auto& bucket : buckets_) {
-    bucket.store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-}
-
-std::vector<double> Histogram::DefaultLatencyBoundsMs() {
-  std::vector<double> bounds;
-  for (double decade = 0.01; decade < 6.0e4; decade *= 10.0) {
-    bounds.push_back(decade);
-    bounds.push_back(decade * 2.0);
-    bounds.push_back(decade * 5.0);
-  }
-  bounds.push_back(6.0e4);
-  return bounds;
-}
-
-LatencyHistogram::LatencyHistogram() : buckets_(kNumBuckets) {
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-}
-
-size_t LatencyHistogram::BucketIndex(double ms) {
+size_t Histogram::BucketIndex(double ms) {
   if (!(ms > kMinMs)) return 0;  // also catches NaN and negatives
   const double position = std::log2(ms / kMinMs) * kSubBuckets;
   const size_t index = static_cast<size_t>(position);
   return index < kNumBuckets ? index : kNumBuckets - 1;
 }
 
-double LatencyHistogram::BucketLowerMs(size_t i) {
+double Histogram::BucketLowerMs(size_t i) {
   return kMinMs * std::exp2(static_cast<double>(i) / kSubBuckets);
 }
 
-double LatencyHistogram::BucketUpperMs(size_t i) {
+double Histogram::BucketUpperMs(size_t i) {
   return kMinMs * std::exp2(static_cast<double>(i + 1) / kSubBuckets);
 }
 
-void LatencyHistogram::Observe(double ms) {
+void Histogram::Observe(double ms) {
   if (std::isnan(ms)) return;
   if (ms < 0.0) ms = 0.0;
   buckets_[BucketIndex(ms)].fetch_add(1, std::memory_order_relaxed);
@@ -132,14 +64,14 @@ void LatencyHistogram::Observe(double ms) {
   AtomicMaxDouble(max_, ms);
 }
 
-uint64_t LatencyHistogram::CountAtOrBelow(double ms) const {
+uint64_t Histogram::CountAtOrBelow(double ms) const {
   const size_t last = BucketIndex(ms);
   uint64_t cumulative = 0;
   for (size_t i = 0; i <= last; ++i) cumulative += bucket_count(i);
   return cumulative;
 }
 
-double LatencyHistogram::Quantile(double q) const {
+double Histogram::Quantile(double q) const {
   const uint64_t n = count();
   if (n == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
@@ -173,7 +105,7 @@ double LatencyHistogram::Quantile(double q) const {
   return std::clamp(value, min(), max());
 }
 
-JsonValue LatencyHistogram::ToJson() const {
+JsonValue Histogram::ToJson() const {
   JsonValue out = JsonValue::Object();
   const uint64_t n = count();
   out.Set("count", JsonValue(n));
@@ -197,7 +129,7 @@ JsonValue LatencyHistogram::ToJson() const {
   return out;
 }
 
-JsonValue LatencySummaryJson(const LatencyHistogram& histogram) {
+JsonValue LatencySummaryJson(const Histogram& histogram) {
   JsonValue out = JsonValue::Object();
   out.Set("count", JsonValue(histogram.count()));
   out.Set("p50_ms", JsonValue(histogram.Quantile(0.50)));
@@ -206,7 +138,7 @@ JsonValue LatencySummaryJson(const LatencyHistogram& histogram) {
   return out;
 }
 
-void LatencyHistogram::Zero() {
+void Histogram::Zero() {
   for (auto& bucket : buckets_) {
     bucket.store(0, std::memory_order_relaxed);
   }
@@ -237,22 +169,10 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::GetHistogram(const std::string& name,
-                                         std::vector<double> bounds) {
+Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    if (bounds.empty()) bounds = Histogram::DefaultLatencyBoundsMs();
-    slot = std::make_unique<Histogram>(std::move(bounds));
-  }
-  return *slot;
-}
-
-LatencyHistogram& MetricsRegistry::GetLatencyHistogram(
-    const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = latency_histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<LatencyHistogram>();
+  if (slot == nullptr) slot = std::make_unique<Histogram>();
   return *slot;
 }
 
@@ -273,13 +193,6 @@ const Histogram* MetricsRegistry::FindHistogram(
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = histograms_.find(name);
   return it != histograms_.end() ? it->second.get() : nullptr;
-}
-
-const LatencyHistogram* MetricsRegistry::FindLatencyHistogram(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = latency_histograms_.find(name);
-  return it != latency_histograms_.end() ? it->second.get() : nullptr;
 }
 
 std::vector<std::pair<std::string, const Counter*>> MetricsRegistry::Counters()
@@ -304,12 +217,12 @@ std::vector<std::pair<std::string, const Gauge*>> MetricsRegistry::Gauges()
   return out;
 }
 
-std::vector<std::pair<std::string, const LatencyHistogram*>>
-MetricsRegistry::LatencyHistograms() const {
+std::vector<std::pair<std::string, const Histogram*>>
+MetricsRegistry::Histograms() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, const LatencyHistogram*>> out;
-  out.reserve(latency_histograms_.size());
-  for (const auto& [name, histogram] : latency_histograms_) {
+  std::vector<std::pair<std::string, const Histogram*>> out;
+  out.reserve(histograms_.size());
+  for (const auto& [name, histogram] : histograms_) {
     out.emplace_back(name, histogram.get());
   }
   return out;
@@ -333,11 +246,6 @@ JsonValue MetricsRegistry::Snapshot() const {
     histograms.Set(name, histogram->ToJson());
   }
   out.Set("histograms", std::move(histograms));
-  JsonValue latency = JsonValue::Object();
-  for (const auto& [name, histogram] : latency_histograms_) {
-    latency.Set(name, histogram->ToJson());
-  }
-  out.Set("latency_histograms", std::move(latency));
   return out;
 }
 
@@ -346,21 +254,15 @@ void MetricsRegistry::Reset() {
   for (auto& entry : counters_) entry.second->Zero();
   for (auto& entry : gauges_) entry.second->Zero();
   for (auto& entry : histograms_) entry.second->Zero();
-  for (auto& entry : latency_histograms_) entry.second->Zero();
 }
 
 size_t MetricsRegistry::NumMetrics() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return counters_.size() + gauges_.size() + histograms_.size() +
-         latency_histograms_.size();
+  return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 ScopedTimer::ScopedTimer(Histogram& histogram)
-    : histogram_(&histogram), start_(std::chrono::steady_clock::now()) {}
-
-ScopedTimer::ScopedTimer(LatencyHistogram& histogram)
-    : latency_histogram_(&histogram),
-      start_(std::chrono::steady_clock::now()) {}
+    : histogram_(histogram), start_(std::chrono::steady_clock::now()) {}
 
 double ScopedTimer::ElapsedMs() const {
   return std::chrono::duration<double, std::milli>(
@@ -368,10 +270,7 @@ double ScopedTimer::ElapsedMs() const {
       .count();
 }
 
-ScopedTimer::~ScopedTimer() {
-  if (histogram_ != nullptr) histogram_->Observe(ElapsedMs());
-  if (latency_histogram_ != nullptr) latency_histogram_->Observe(ElapsedMs());
-}
+ScopedTimer::~ScopedTimer() { histogram_.Observe(ElapsedMs()); }
 
 }  // namespace obs
 }  // namespace telekit

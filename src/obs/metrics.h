@@ -46,55 +46,15 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram. `bounds` are inclusive upper bounds of each
-/// bucket; one implicit overflow bucket catches everything above the last
-/// bound. Tracks count/sum/min/max alongside the bucket counts.
+/// Log-bucketed (HDR-style) histogram with quantile interpolation — the
+/// registry's one histogram kind. Values are usually milliseconds and span
+/// [1e-3, 6e4] (1 us to 60 s; a count such as rows per batch fits too);
+/// each power of two is split into kSubBuckets geometric sub-buckets, so
+/// any quantile estimate carries a bounded relative error of
+/// 2^(1/kSubBuckets) - 1 (~4.4%), independent of where the mass sits.
+/// Observe() is lock-free; Quantile() reads relaxed snapshots
+/// (monotonically consistent, not atomic).
 class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void Observe(double v);
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  double min() const { return min_.load(std::memory_order_relaxed); }
-  double max() const { return max_.load(std::memory_order_relaxed); }
-  double mean() const {
-    const uint64_t n = count();
-    return n > 0 ? sum() / static_cast<double>(n) : 0.0;
-  }
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Count in bucket i (i == bounds().size() is the overflow bucket).
-  uint64_t bucket_count(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-
-  /// {count, sum, mean, min, max, buckets: [{le, count}...]}; the overflow
-  /// bucket is exported with le = "inf".
-  JsonValue ToJson() const;
-  void Zero();
-
-  /// 1-2-5 series from 0.01 ms to 60 s — a sensible default for
-  /// latency-in-milliseconds histograms.
-  static std::vector<double> DefaultLatencyBoundsMs();
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<uint64_t>> buckets_;  // bounds_.size() + 1
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
-};
-
-/// Log-bucketed (HDR-style) latency histogram with quantile interpolation.
-/// Values are milliseconds spanning [1 us, 60 s]; each power of two is
-/// split into kSubBuckets geometric sub-buckets, so any quantile estimate
-/// carries a bounded relative error of 2^(1/kSubBuckets) - 1 (~4.4%),
-/// independent of where the mass sits — unlike a fixed-bucket Histogram,
-/// whose tail buckets are decades wide. Observe() is lock-free; Quantile()
-/// reads relaxed snapshots (monotonically consistent, not atomic).
-class LatencyHistogram {
  public:
   static constexpr double kMinMs = 1e-3;
   static constexpr double kMaxMs = 6e4;
@@ -102,7 +62,7 @@ class LatencyHistogram {
   /// ceil(log2(kMaxMs / kMinMs)) doublings of kSubBuckets each.
   static constexpr size_t kNumBuckets = 26 * kSubBuckets;
 
-  LatencyHistogram();
+  Histogram();
 
   void Observe(double ms);
 
@@ -166,17 +126,12 @@ class MetricsRegistry {
 
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
-  /// `bounds` is only consulted on first creation; empty means
-  /// DefaultLatencyBoundsMs().
-  Histogram& GetHistogram(const std::string& name,
-                          std::vector<double> bounds = {});
-  LatencyHistogram& GetLatencyHistogram(const std::string& name);
+  Histogram& GetHistogram(const std::string& name);
 
   /// Lookup without creation; nullptr when absent.
   const Counter* FindCounter(const std::string& name) const;
   const Gauge* FindGauge(const std::string& name) const;
   const Histogram* FindHistogram(const std::string& name) const;
-  const LatencyHistogram* FindLatencyHistogram(const std::string& name) const;
 
   /// Enumeration for samplers (the time-series store walks these each
   /// tick). The returned pointers stay valid forever — metrics are never
@@ -184,12 +139,10 @@ class MetricsRegistry {
   /// after the call are absent until the next enumeration.
   std::vector<std::pair<std::string, const Counter*>> Counters() const;
   std::vector<std::pair<std::string, const Gauge*>> Gauges() const;
-  std::vector<std::pair<std::string, const LatencyHistogram*>>
-  LatencyHistograms() const;
+  std::vector<std::pair<std::string, const Histogram*>> Histograms() const;
 
-  /// {"counters": {...}, "gauges": {...}, "histograms": {...},
-  /// "latency_histograms": {...}} with names sorted (std::map order) for
-  /// diffable artifacts.
+  /// {"counters": {...}, "gauges": {...}, "histograms": {...}} with names
+  /// sorted (std::map order) for diffable artifacts.
   JsonValue Snapshot() const;
 
   /// Zeroes all metrics; registrations (and references) stay valid.
@@ -205,20 +158,18 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::unique_ptr<LatencyHistogram>> latency_histograms_;
 };
 
 /// Compact {count, p50_ms, p95_ms, p99_ms} summary of a latency
 /// histogram — the shape /statusz sections share (telekit_serve request
 /// latency, telekit_streamd detection latency).
-JsonValue LatencySummaryJson(const LatencyHistogram& histogram);
+JsonValue LatencySummaryJson(const Histogram& histogram);
 
 /// Observes the wall-clock lifetime of a scope into a histogram, in
 /// milliseconds. Cheaper than a Span: no trace event, no nesting state.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram& histogram);
-  explicit ScopedTimer(LatencyHistogram& histogram);
   ~ScopedTimer();
 
   ScopedTimer(const ScopedTimer&) = delete;
@@ -229,8 +180,7 @@ class ScopedTimer {
   double ElapsedMs() const;
 
  private:
-  Histogram* histogram_ = nullptr;
-  LatencyHistogram* latency_histogram_ = nullptr;
+  Histogram& histogram_;
   std::chrono::steady_clock::time_point start_;
 };
 

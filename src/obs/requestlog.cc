@@ -1,5 +1,6 @@
 #include "obs/requestlog.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <utility>
@@ -38,6 +39,37 @@ double UnixNowS() {
   return std::chrono::duration<double>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
+}
+
+/// The query both /requestz and /tracez take; false with a 400 in *error
+/// on a malformed trace_id, min_ms or limit.
+bool ParseFilter(const HttpRequest& request, RequestLog::Filter* filter,
+                 HttpResponse* error) {
+  for (const auto& [key, value] : ParseQuery(request.query)) {
+    bool ok = true;
+    if (key == "trace_id") {
+      ok = ParseTraceIdHex(value, &filter->trace_id);
+    } else if (key == "op") {
+      filter->op = value;
+    } else if (key == "min_ms") {
+      char* end = nullptr;
+      const double ms = std::strtod(value.c_str(), &end);
+      ok = !value.empty() && *end == '\0' && ms >= 0.0;
+      filter->min_ms = ms;
+    } else if (key == "limit") {
+      char* end = nullptr;
+      const long limit = std::strtol(value.c_str(), &end, 10);
+      ok = !value.empty() && *end == '\0' && limit > 0;
+      filter->limit = static_cast<size_t>(limit);
+    }
+    if (!ok) {
+      JsonValue body = JsonValue::Object();
+      body.Set("error", JsonValue("bad " + key + ": " + value));
+      *error = HttpResponse::Json(400, body);
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -167,37 +199,9 @@ std::vector<WideEvent> RequestLog::Query(const Filter& filter) const {
 }
 
 HttpResponse RequestLog::HandleQuery(const HttpRequest& request) const {
-  const std::map<std::string, std::string> params = ParseQuery(request.query);
   Filter filter;
-  for (const auto& [key, value] : params) {
-    if (key == "trace_id") {
-      if (!ParseTraceIdHex(value, &filter.trace_id)) {
-        JsonValue error = JsonValue::Object();
-        error.Set("error", JsonValue("bad trace_id: " + value));
-        return HttpResponse::Json(400, error);
-      }
-    } else if (key == "op") {
-      filter.op = value;
-    } else if (key == "min_ms") {
-      char* end = nullptr;
-      const double ms = std::strtod(value.c_str(), &end);
-      if (value.empty() || end == nullptr || *end != '\0' || !(ms >= 0.0)) {
-        JsonValue error = JsonValue::Object();
-        error.Set("error", JsonValue("bad min_ms: " + value));
-        return HttpResponse::Json(400, error);
-      }
-      filter.min_ms = ms;
-    } else if (key == "limit") {
-      char* end = nullptr;
-      const long limit = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == nullptr || *end != '\0' || limit <= 0) {
-        JsonValue error = JsonValue::Object();
-        error.Set("error", JsonValue("bad limit: " + value));
-        return HttpResponse::Json(400, error);
-      }
-      filter.limit = static_cast<size_t>(limit);
-    }
-  }
+  HttpResponse error;
+  if (!ParseFilter(request, &filter, &error)) return error;
   const std::vector<WideEvent> events = Query(filter);
   JsonValue out = JsonValue::Object();
   out.Set("total_recorded", JsonValue(total_recorded()));
@@ -205,6 +209,58 @@ HttpResponse RequestLog::HandleQuery(const HttpRequest& request) const {
   JsonValue items = JsonValue::Array();
   for (const WideEvent& event : events) items.Append(event.ToJson());
   out.Set("events", std::move(items));
+  return HttpResponse::Json(200, out);
+}
+
+HttpResponse RequestLog::HandleTraceQuery(const HttpRequest& request) const {
+  Filter filter;
+  HttpResponse error;
+  if (!ParseFilter(request, &filter, &error)) return error;
+  const std::vector<WideEvent> events = Query(filter);
+  JsonValue slices = JsonValue::Array();
+  int lane = 0;
+  for (const WideEvent& event : events) {
+    ++lane;  // one Chrome "thread" per request keeps its slices together
+    // t_s is the completion time; the stages run back to back from the
+    // start, queue then encode, with scoring ending at completion.
+    const uint64_t end_us = static_cast<uint64_t>(event.t_s * 1e6);
+    const uint64_t start_us =
+        end_us > event.total_us ? end_us - event.total_us : 0;
+    const uint64_t score_us = std::min(event.score_us, event.total_us);
+    const struct {
+      const char* name;
+      uint64_t start;
+      uint64_t dur;
+    } stages[] = {
+        {"request", start_us, event.total_us},
+        {"queue", start_us, event.queue_us},
+        {"encode", start_us + event.queue_us, event.encode_us},
+        {"score", start_us + event.total_us - score_us, score_us},
+    };
+    for (const auto& stage : stages) {
+      if (stage.dur == 0) continue;
+      JsonValue slice = JsonValue::Object();
+      slice.Set("name", JsonValue(event.op + "/" + stage.name));
+      slice.Set("ph", JsonValue("X"));
+      slice.Set("ts", JsonValue(stage.start));
+      slice.Set("dur", JsonValue(stage.dur));
+      slice.Set("pid", JsonValue(1));
+      slice.Set("tid", JsonValue(lane));
+      JsonValue args = JsonValue::Object();
+      args.Set("trace", JsonValue(TraceIdToHex(event.trace_id)));
+      args.Set("op", JsonValue(event.op));
+      args.Set("total_us", JsonValue(event.total_us));
+      args.Set("cache_hit", JsonValue(event.cache_hit));
+      args.Set("status", JsonValue(event.status));
+      slice.Set("args", std::move(args));
+      slices.Append(std::move(slice));
+    }
+  }
+  JsonValue out = JsonValue::Object();
+  out.Set("traceEvents", std::move(slices));
+  out.Set("displayTimeUnit", JsonValue("ms"));
+  out.Set("total_recorded", JsonValue(total_recorded()));
+  out.Set("count", JsonValue(static_cast<uint64_t>(events.size())));
   return HttpResponse::Json(200, out);
 }
 
@@ -236,7 +292,7 @@ void ExemplarStore::Record(const std::string& histogram_name, double value_ms,
   // double the histogram's JSON/Prometheus export uses for `le`, so the
   // renderer can find this exemplar with a plain map lookup.
   const double le =
-      LatencyHistogram::BucketUpperMs(LatencyHistogram::BucketIndex(value_ms));
+      Histogram::BucketUpperMs(Histogram::BucketIndex(value_ms));
   Exemplar exemplar;
   exemplar.trace_id = trace_id;
   exemplar.value_ms = value_ms;

@@ -46,10 +46,10 @@ struct WideEvent {
 };
 
 /// Bounded ring of wide events with an optional NDJSON file sink,
-/// queryable via /requestz. One process-global instance so the serve
-/// engine can record from any completion path without plumbing.
-/// Thread-safe; Record is O(1) plus one formatted write when a sink is
-/// attached.
+/// queryable via /requestz (JSON) and /tracez (Chrome trace). One
+/// process-global instance so the serve engine can record from any
+/// completion path without plumbing. Thread-safe; Record is O(1) plus one
+/// formatted write when a sink is attached.
 class RequestLog {
  public:
   static constexpr size_t kDefaultCapacity = 1024;
@@ -79,6 +79,12 @@ class RequestLog {
   /// GET /requestz?trace_id=<hex>&op=rca&min_ms=5&limit=50.
   /// Malformed trace_id/min_ms/limit -> 400 JSON error.
   HttpResponse HandleQuery(const HttpRequest& request) const;
+
+  /// GET /tracez, same filters as /requestz: the matching events as a
+  /// Chrome trace (chrome://tracing, Perfetto), one lane per event with
+  /// "<op>/request", "<op>/queue", "<op>/encode" and "<op>/score" slices
+  /// placed on the TraceNowUs() clock; zero-length stages are left out.
+  HttpResponse HandleTraceQuery(const HttpRequest& request) const;
 
   size_t size() const;
   uint64_t total_recorded() const;
@@ -113,7 +119,7 @@ class ExemplarStore {
   };
 
   /// Latest-wins upsert into the bucket of `histogram_name` that contains
-  /// `value_ms` (same bucketing as LatencyHistogram).
+  /// `value_ms` (same bucketing as Histogram).
   void Record(const std::string& histogram_name, double value_ms,
               uint64_t trace_id);
 

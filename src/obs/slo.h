@@ -29,7 +29,7 @@ struct SloObjective {
   Kind kind = Kind::kAvailability;
   std::string total_counter;  ///< availability: total-events counter series
   std::string bad_counter;    ///< availability: bad-events counter series
-  std::string histogram;      ///< latency: LatencyHistogram registry name
+  std::string histogram;      ///< latency: Histogram registry name
   double threshold_ms = 0.0;  ///< latency: good means <= this
   double target = 0.999;      ///< fraction of events that must be good
 };

@@ -102,7 +102,7 @@ void TimeSeriesStore::SampleNow(double now_s) {
   // store lock so the two are never held together.
   const auto counters = registry_->Counters();
   const auto gauges = registry_->Gauges();
-  const auto histograms = registry_->LatencyHistograms();
+  const auto histograms = registry_->Histograms();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [name, counter] : counters) {
@@ -123,8 +123,7 @@ void TimeSeriesStore::SampleNow(double now_s) {
              static_cast<double>(histogram->count()));
     }
     for (const auto& [name, threshold] : thresholds_) {
-      const LatencyHistogram* histogram =
-          registry_->FindLatencyHistogram(name);
+      const Histogram* histogram = registry_->FindHistogram(name);
       if (histogram == nullptr) continue;  // objective on a not-yet-used op
       Append(ThresholdSeriesName(name, threshold), SeriesKind::kCounter,
              now_s, static_cast<double>(histogram->CountAtOrBelow(threshold)));

@@ -42,7 +42,7 @@ struct TimeSeriesOptions {
 
 /// In-process time-series store: a background sampler thread sweeps the
 /// metric registry at a fixed interval and appends every counter, every
-/// gauge, and per-LatencyHistogram derived series (p50/p95/p99 quantiles,
+/// gauge, and per-Histogram derived series (p50/p95/p99 quantiles,
 /// cumulative count, and any tracked latency thresholds) into fixed-
 /// capacity ring buffers. History is served as JSON via /timeseriesz and
 /// consumed by the SLO engine's burn-rate windows.

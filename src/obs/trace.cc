@@ -168,94 +168,6 @@ bool ParseTraceIdHex(const std::string& text, uint64_t* out) {
   return true;
 }
 
-SlowTraceRing& SlowTraceRing::Global() {
-  static SlowTraceRing* ring = new SlowTraceRing();
-  return *ring;
-}
-
-SlowTraceRing::SlowTraceRing(size_t capacity)
-    : capacity_(std::max<size_t>(capacity, 1)) {
-  ring_.reserve(capacity_);
-}
-
-void SlowTraceRing::Record(RequestTrace trace) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++total_;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(trace));
-    return;
-  }
-  ring_[next_] = std::move(trace);
-  next_ = (next_ + 1) % capacity_;
-}
-
-std::vector<RequestTrace> SlowTraceRing::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<RequestTrace> out;
-  out.reserve(ring_.size());
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-JsonValue SlowTraceRing::TraceEventsJson() const {
-  const std::vector<RequestTrace> traces = Snapshot();
-  JsonValue out = JsonValue::Array();
-  int lane = 0;
-  for (const RequestTrace& trace : traces) {
-    ++lane;  // one Chrome "thread" per slow request keeps slices separated
-    const struct {
-      const char* name;
-      uint64_t start;
-      uint64_t dur;
-    } stages[] = {
-        {"queue", trace.start_us, trace.queue_us},
-        {"batch", trace.start_us + trace.queue_us, trace.batch_us},
-        {"encode", trace.start_us + trace.queue_us, trace.encode_us},
-        {"score", trace.start_us + trace.queue_us + trace.batch_us -
-                      std::min(trace.batch_us, trace.score_us),
-         trace.score_us},
-    };
-    for (const auto& stage : stages) {
-      if (stage.dur == 0) continue;
-      JsonValue e = JsonValue::Object();
-      e.Set("name", JsonValue(std::string(trace.op) + "/" + stage.name));
-      e.Set("ph", JsonValue("X"));
-      e.Set("ts", JsonValue(stage.start));
-      e.Set("dur", JsonValue(stage.dur));
-      e.Set("pid", JsonValue(1));
-      e.Set("tid", JsonValue(lane));
-      JsonValue args = JsonValue::Object();
-      args.Set("trace", JsonValue(TraceIdToHex(trace.trace_id)));
-      args.Set("op", JsonValue(trace.op));
-      args.Set("detail", JsonValue(trace.detail));
-      args.Set("total_us", JsonValue(trace.total_us));
-      args.Set("ok", JsonValue(trace.ok));
-      e.Set("args", std::move(args));
-      out.Append(std::move(e));
-    }
-  }
-  return out;
-}
-
-size_t SlowTraceRing::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.size();
-}
-
-uint64_t SlowTraceRing::total_recorded() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_;
-}
-
-void SlowTraceRing::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
-  next_ = 0;
-  total_ = 0;
-}
-
 Span::Span(std::string name)
     : name_(std::move(name)),
       start_(std::chrono::steady_clock::now()),

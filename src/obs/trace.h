@@ -129,60 +129,6 @@ std::string TraceIdToHex(uint64_t trace_id);
 /// Parses 1-16 hex digits; false (out unspecified) on anything else.
 bool ParseTraceIdHex(const std::string& text, uint64_t* out);
 
-/// One request's per-stage timing breakdown, recorded when the request was
-/// slower than the configured threshold. All stage durations are in
-/// microseconds; `start_us` shares the TraceNowUs() epoch.
-struct RequestTrace {
-  uint64_t trace_id = 0;
-  std::string op;
-  /// Short request descriptor (e.g. truncated query text).
-  std::string detail;
-  uint64_t start_us = 0;
-  uint64_t queue_us = 0;   // waiting in the serve queue
-  uint64_t batch_us = 0;   // inside the worker (tokenize+encode+score)
-  uint64_t encode_us = 0;  // model forward share
-  uint64_t score_us = 0;   // catalogue scoring share
-  uint64_t total_us = 0;
-  bool ok = true;
-};
-
-/// Bounded ring of the most recent slow-request traces. Writers never
-/// block readers for long: Record overwrites the oldest entry once
-/// `capacity` traces are held. Backs the admin server's /tracez endpoint.
-///
-/// Thread-safety: all methods are safe from any thread.
-class SlowTraceRing {
- public:
-  static SlowTraceRing& Global();
-
-  explicit SlowTraceRing(size_t capacity = kDefaultCapacity);
-
-  void Record(RequestTrace trace);
-
-  /// Oldest-to-newest copy of the held traces.
-  std::vector<RequestTrace> Snapshot() const;
-
-  /// Chrome trace_event JSON array: one lane (tid) per slow request, one
-  /// "X" slice per stage (queue/batch/encode/score), trace id and op in
-  /// args. Loadable via chrome://tracing / Perfetto.
-  JsonValue TraceEventsJson() const;
-
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
-  /// Total traces ever recorded (including overwritten ones).
-  uint64_t total_recorded() const;
-  void Reset();
-
-  static constexpr size_t kDefaultCapacity = 256;
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mutex_;
-  std::vector<RequestTrace> ring_;  // ring_[next_] is the oldest once full
-  size_t next_ = 0;
-  uint64_t total_ = 0;
-};
-
 }  // namespace obs
 }  // namespace telekit
 

@@ -39,8 +39,8 @@ struct RouteMetrics {
   obs::Counter* no_healthy;
   obs::Counter* deadline_exceeded;
   obs::Counter* upstream_errors;
-  obs::LatencyHistogram* request_ms;
-  obs::LatencyHistogram* upstream_ms;
+  obs::Histogram* request_ms;
+  obs::Histogram* upstream_ms;
 
   static RouteMetrics& Get() {
     static RouteMetrics metrics = [] {
@@ -54,8 +54,8 @@ struct RouteMetrics {
       m.no_healthy = &registry.GetCounter("route/no_healthy");
       m.deadline_exceeded = &registry.GetCounter("route/deadline_exceeded");
       m.upstream_errors = &registry.GetCounter("route/upstream_errors");
-      m.request_ms = &registry.GetLatencyHistogram("route/request_ms");
-      m.upstream_ms = &registry.GetLatencyHistogram("route/upstream_ms");
+      m.request_ms = &registry.GetHistogram("route/request_ms");
+      m.upstream_ms = &registry.GetHistogram("route/upstream_ms");
       return m;
     }();
     return metrics;
@@ -402,8 +402,8 @@ std::vector<size_t> Router::PlanAttempts(const std::string& key) {
 
 double Router::HedgeDelayMs() const {
   if (options_.hedge_delay_ms > 0.0) return options_.hedge_delay_ms;
-  const obs::LatencyHistogram* histogram =
-      obs::MetricsRegistry::Global().FindLatencyHistogram("route/upstream_ms");
+  const obs::Histogram* histogram =
+      obs::MetricsRegistry::Global().FindHistogram("route/upstream_ms");
   if (histogram != nullptr &&
       histogram->count() >= options_.hedge_min_samples) {
     return std::max(options_.hedge_min_ms,

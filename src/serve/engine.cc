@@ -27,17 +27,15 @@ struct ServeMetrics {
   /// Requests whose effective encode precision resolved to int8.
   obs::Counter& int8_requests;
   obs::Gauge& queue_depth;
-  // Log-bucketed so /metrics and BENCH_serve.json can report p50/p95/p99
-  // with bounded relative error instead of fixed-bucket resolution.
-  obs::LatencyHistogram& queue_ms;
-  obs::LatencyHistogram& encode_ms;
-  obs::LatencyHistogram& request_ms;
+  obs::Histogram& queue_ms;
+  obs::Histogram& encode_ms;
+  obs::Histogram& request_ms;
   // Per-TaskOp split (serve/<op>/...) so mixed traffic — e.g. the stream
   // pipeline's rca/eap/fct fan-out — stays attributable per task in the
   // Prometheus exposition. Indexed by static_cast<int>(TaskOp).
   obs::Counter* op_requests[kNumTaskOps];
   obs::Counter* op_errors[kNumTaskOps];
-  obs::LatencyHistogram* op_request_ms[kNumTaskOps];
+  obs::Histogram* op_request_ms[kNumTaskOps];
 
   void RecordRequest(TaskOp op, double total_ms, bool ok) {
     requests.Increment();
@@ -62,9 +60,9 @@ struct ServeMetrics {
           reg.GetCounter("serve/slow_requests"),
           reg.GetCounter("serve/precision_int8_requests"),
           reg.GetGauge("serve/queue_depth"),
-          reg.GetLatencyHistogram("serve/queue_ms"),
-          reg.GetLatencyHistogram("serve/encode_ms"),
-          reg.GetLatencyHistogram("serve/request_ms"),
+          reg.GetHistogram("serve/queue_ms"),
+          reg.GetHistogram("serve/encode_ms"),
+          reg.GetHistogram("serve/request_ms"),
           {},
           {},
           {},
@@ -78,8 +76,7 @@ struct ServeMetrics {
         metrics.op_errors[i] =
             &reg.GetCounter("serve/" + TaskOpName(op) + "/errors");
         metrics.op_request_ms[i] =
-            &reg.GetLatencyHistogram("serve/" + TaskOpName(op) +
-                                     "/request_ms");
+            &reg.GetHistogram("serve/" + TaskOpName(op) + "/request_ms");
       }
       return metrics;
     }();
@@ -97,26 +94,12 @@ uint64_t MsToUs(double ms) {
 }
 
 /// When the request crossed the slow threshold: one WARN line with the
-/// full per-stage breakdown plus a SlowTraceRing entry backing /tracez.
-void MaybeCaptureSlow(double slow_request_ms, const Request& request,
-                      const Response& response) {
+/// full per-stage breakdown. Its timing is in the request log either way,
+/// where /tracez?min_ms= finds it.
+void WarnIfSlow(double slow_request_ms, const Request& request,
+                const Response& response) {
   if (slow_request_ms <= 0.0 || response.total_ms < slow_request_ms) return;
   ServeMetrics::Get().slow_requests.Increment();
-  obs::RequestTrace trace;
-  trace.trace_id = response.trace_id;
-  trace.op = TaskOpName(request.op);
-  trace.detail = request.text.size() > 80
-                     ? request.text.substr(0, 77) + "..."
-                     : request.text;
-  trace.total_us = MsToUs(response.total_ms);
-  const uint64_t now_us = obs::TraceNowUs();
-  trace.start_us = now_us > trace.total_us ? now_us - trace.total_us : 0;
-  trace.queue_us = MsToUs(response.queue_ms);
-  trace.batch_us = MsToUs(response.batch_ms);
-  trace.encode_us = MsToUs(response.encode_ms);
-  trace.score_us = MsToUs(response.score_ms);
-  trace.ok = response.status.ok();
-  obs::SlowTraceRing::Global().Record(std::move(trace));
   TELEKIT_LOG(WARN) << "slow request"
                     << obs::F("trace", obs::TraceIdToHex(response.trace_id))
                     << obs::F("op", TaskOpName(request.op))
@@ -388,21 +371,20 @@ void ServeEngine::WorkerLoop() {
     response.trace_id = pending.request.trace_id;
     response.queue_ms = queue_ms;
     response.total_ms = queue_ms;
-    // A lapsed deadline is a slow request by definition; record it
-    // (ok=false) so /tracez shows where the time went. It is also a
-    // served error for the availability SLO — per-op requests counters
-    // only count scored requests, so errors may outpace them (the burn
-    // computation clamps for that).
+    // A lapsed deadline is a slow request by definition; its wide event
+    // (ok=false) shows where the time went. It is also a served error for
+    // the availability SLO — per-op requests counters only count scored
+    // requests, so errors may outpace them (the burn computation clamps
+    // for that).
     metrics.errors.Increment();
     metrics.op_errors[static_cast<int>(pending.request.op)]->Increment();
-    MaybeCaptureSlow(options_.slow_request_ms, pending.request, response);
+    WarnIfSlow(options_.slow_request_ms, pending.request, response);
     RecordWideEvent(pending.request, response);
     pending.promise.set_value(std::move(response));
   }
 }
 
 Response ServeEngine::Process(const Request& request) const {
-  TELEKIT_SPAN("serve/process");
   return Run(request, Clock::now(), /*queue_ms=*/0.0);
 }
 
@@ -434,18 +416,14 @@ Response ServeEngine::Run(const Request& request, Clock::time_point started,
   // Tokenize + prompt-build (const tokenizer: safe concurrently). The
   // cache key is salted by precision so an int8 vector can never be
   // served to an fp32 request (or vice versa).
-  text::EncodedInput input;
-  {
-    TELEKIT_SPAN("serve/tokenize");
-    input = service_->BuildInput(request.text, request.mode);
-  }
+  const text::EncodedInput input =
+      service_->BuildInput(request.text, request.mode);
   const CacheKey key = EmbeddingCache::HashIds(
       input.ids, input.length, precision == Precision::kInt8 ? 1 : 0);
   std::vector<float> vector;
   if (options_.enable_cache && cache_.Get(key, &vector)) {
     response.cache_hit = true;
   } else {
-    TELEKIT_SPAN("serve/encode");
     obs::ScopedTimer timer(metrics.encode_ms);
     vector = precision == Precision::kInt8
                  ? int8_encoder_->Encode(input)
@@ -453,16 +431,13 @@ Response ServeEngine::Run(const Request& request, Clock::time_point started,
     response.encode_ms = timer.ElapsedMs();
     if (options_.enable_cache) cache_.Put(key, vector);
   }
-  {
-    TELEKIT_SPAN("serve/score");
-    const Clock::time_point score_start = Clock::now();
-    FinishRequest(request, std::move(vector), &response);
-    response.score_ms = MsSince(score_start, Clock::now());
-  }
+  const Clock::time_point score_start = Clock::now();
+  FinishRequest(request, std::move(vector), &response);
+  response.score_ms = MsSince(score_start, Clock::now());
   response.batch_ms = MsSince(started, Clock::now());
   response.total_ms = queue_ms + response.batch_ms;
   metrics.RecordRequest(request.op, response.total_ms, response.status.ok());
-  MaybeCaptureSlow(options_.slow_request_ms, request, response);
+  WarnIfSlow(options_.slow_request_ms, request, response);
   RecordWideEvent(request, response);
   return response;
 }

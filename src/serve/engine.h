@@ -130,8 +130,9 @@ struct EngineOptions {
   int cache_shards = 8;
   bool enable_cache = true;
   /// Requests whose total_ms meets or exceeds this are logged (WARN, with
-  /// the per-stage breakdown) and recorded in obs::SlowTraceRing::Global()
-  /// for /tracez. 0 disables slow-request capture.
+  /// the per-stage breakdown) and counted in serve/slow_requests. Every
+  /// request's timing is in the request log regardless, so
+  /// /tracez?min_ms=X shows the slow ones. 0 turns the warning off.
   double slow_request_ms = 0.0;
   /// Intra-op tensor::ComputePool threads (process-wide). > 0 calls
   /// tensor::SetComputeThreads in the engine ctor; <= 0 leaves the

@@ -63,8 +63,9 @@ void ParseFlags(int argc, char** argv, Flags* flags) {
                "comma-separated variants to host (default\n"
                "telebert; also ktelebert_stl|pmtl|imtl)");
   table.Double("slow-request-ms=X", &engine.slow_request_ms, 0.0, 1e9,
-               "log + /tracez requests slower than X ms\n"
-               "(default 100; 0 = off)");
+               "WARN-log and count requests slower than\n"
+               "X ms (default 100; 0 = off); /tracez?min_ms=X\n"
+               "shows them");
   table.Int("workers=N", &engine.num_workers, 1, 1024,
             "engine worker threads (default 4)");
   table.Int("queue-capacity=N", &engine.queue_capacity, 1, int64_t{1} << 30,
@@ -290,13 +291,13 @@ int Main(int argc, char** argv) {
         idx.Set("M", obs::JsonValue(istats.M));
         idx.Set("ef_construction", obs::JsonValue(istats.ef_construction));
         idx.Set("ef_search", obs::JsonValue(istats.ef_search_default));
-        if (const obs::LatencyHistogram* h =
-                obs::MetricsRegistry::Global().FindLatencyHistogram(
+        if (const obs::Histogram* h =
+                obs::MetricsRegistry::Global().FindHistogram(
                     "serve/retrieve/request_ms")) {
           idx.Set("retrieve_latency", obs::LatencySummaryJson(*h));
         }
-        if (const obs::LatencyHistogram* h =
-                obs::MetricsRegistry::Global().FindLatencyHistogram(
+        if (const obs::Histogram* h =
+                obs::MetricsRegistry::Global().FindHistogram(
                     "serve/troubleshoot/request_ms")) {
           idx.Set("troubleshoot_latency", obs::LatencySummaryJson(*h));
         }
@@ -305,9 +306,8 @@ int Main(int argc, char** argv) {
     }
     out->Set("models", host.StatusJson());
     out->Set("reload", reloader.StatusJson());
-    if (const obs::LatencyHistogram* h =
-            obs::MetricsRegistry::Global().FindLatencyHistogram(
-                "serve/request_ms")) {
+    if (const obs::Histogram* h =
+            obs::MetricsRegistry::Global().FindHistogram("serve/request_ms")) {
       out->Set("request_latency", obs::LatencySummaryJson(*h));
     }
   });

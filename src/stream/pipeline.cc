@@ -38,8 +38,8 @@ struct StreamMetrics {
   obs::Gauge& watermark_lag_s;
   obs::Gauge& in_flight;
   obs::Gauge& episodes_per_sec;
-  obs::LatencyHistogram& detect_ms;
-  obs::LatencyHistogram& backpressure_ms;
+  obs::Histogram& detect_ms;
+  obs::Histogram& backpressure_ms;
 
   static StreamMetrics& Get() {
     auto& reg = obs::MetricsRegistry::Global();
@@ -59,8 +59,8 @@ struct StreamMetrics {
         reg.GetGauge("stream/watermark_lag_s"),
         reg.GetGauge("stream/in_flight"),
         reg.GetGauge("stream/episodes_per_sec"),
-        reg.GetLatencyHistogram("stream/detect_ms"),
-        reg.GetLatencyHistogram("stream/backpressure_ms"),
+        reg.GetHistogram("stream/detect_ms"),
+        reg.GetHistogram("stream/backpressure_ms"),
     };
     return m;
   }

@@ -139,8 +139,7 @@ obs::JsonValue StreamStatusJson(const RunState& state) {
   out.Set("watermark_lag_s", gauge("stream/watermark_lag_s"));
   out.Set("in_flight", gauge("stream/in_flight"));
   out.Set("episodes_per_sec", gauge("stream/episodes_per_sec"));
-  if (const obs::LatencyHistogram* h =
-          reg.FindLatencyHistogram("stream/detect_ms")) {
+  if (const obs::Histogram* h = reg.FindHistogram("stream/detect_ms")) {
     out.Set("detect_latency", obs::LatencySummaryJson(*h));
   }
   {
@@ -259,8 +258,8 @@ int Main(int argc, char** argv) {
     std::lock_guard<std::mutex> lock(state.mutex);
     hits = state.hits;
   }
-  const obs::LatencyHistogram& detect =
-      obs::MetricsRegistry::Global().GetLatencyHistogram("stream/detect_ms");
+  const obs::Histogram& detect =
+      obs::MetricsRegistry::Global().GetHistogram("stream/detect_ms");
   std::cout << "telekit_streamd summary\n"
             << "  events:            " << summary.sessionizer.events << "\n"
             << "  episodes flushed:  " << summary.sessionizer.episodes_flushed

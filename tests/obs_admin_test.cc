@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -29,20 +30,35 @@ struct HttpReply {
   std::string body;
 };
 
-/// Raw-socket HTTP/1.0 client, deliberately independent of the server's
-/// own parsing code.
-HttpReply HttpRaw(int port, const std::string& request) {
-  HttpReply reply;
+/// Loopback TCP connection to `port`, or -1. A positive `rcvbuf` shrinks
+/// the receive buffer before connecting (the kernel then stops growing it).
+int Connect(int port, int rcvbuf = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return reply;
+  if (fd < 0) return -1;
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<uint16_t>(port));
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     ::close(fd);
-    return reply;
+    return -1;
   }
+  return fd;
+}
+
+/// Raw-socket HTTP/1.0 client, deliberately independent of the server's
+/// own parsing code. A reply that has not arrived within 5 s reads as
+/// status 0, so a wedged server fails a test instead of hanging it.
+HttpReply HttpRaw(int port, const std::string& request) {
+  HttpReply reply;
+  const int fd = Connect(port);
+  if (fd < 0) return reply;
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   ::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
   std::string raw;
   char buffer[4096];
@@ -153,13 +169,9 @@ TEST(AdminServerTest, MetricsExpositionIsWellFormed) {
   registry.Reset();
   registry.GetCounter("admtest/requests").Increment(5);
   registry.GetGauge("admtest/depth").Set(2.5);
-  Histogram& fixed = registry.GetHistogram("admtest/fixed_ms", {1.0, 10.0});
-  fixed.Observe(0.5);
-  fixed.Observe(5.0);
-  fixed.Observe(100.0);  // overflow -> folded into +Inf
-  LatencyHistogram& latency =
-      registry.GetLatencyHistogram("admtest/latency_ms");
+  Histogram& latency = registry.GetHistogram("admtest/latency_ms");
   for (int i = 1; i <= 50; ++i) latency.Observe(static_cast<double>(i));
+  latency.Observe(1e9);  // past the tracked range: the top bucket
 
   AdminServer server;
   ASSERT_TRUE(server.Start(0));
@@ -174,56 +186,58 @@ TEST(AdminServerTest, MetricsExpositionIsWellFormed) {
   EXPECT_NE(text.find("# TYPE telekit_admtest_depth gauge"),
             std::string::npos);
   EXPECT_NE(text.find("telekit_admtest_depth 2.5\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE telekit_admtest_fixed_ms histogram"),
-            std::string::npos);
   EXPECT_NE(text.find("# TYPE telekit_admtest_latency_ms histogram"),
             std::string::npos);
 
-  // Every _bucket series must be cumulative (monotone non-decreasing) and
+  // The _bucket series must be cumulative (monotone non-decreasing) and
   // terminate with le="+Inf" equal to _count.
-  for (const std::string& metric :
-       {std::string("telekit_admtest_fixed_ms"),
-        std::string("telekit_admtest_latency_ms")}) {
-    std::istringstream lines(text);
-    std::string line;
-    long long last = -1;
-    long long inf_value = -1;
-    long long count_value = -2;
-    bool saw_bucket = false;
-    while (std::getline(lines, line)) {
-      if (line.rfind(metric + "_bucket{", 0) == 0) {
-        saw_bucket = true;
-        const long long value =
-            std::atoll(line.substr(line.rfind(' ') + 1).c_str());
-        EXPECT_GE(value, last) << metric << ": " << line;
-        last = value;
-        if (line.find("le=\"+Inf\"") != std::string::npos) {
-          inf_value = value;
-        }
-      } else if (line.rfind(metric + "_count ", 0) == 0) {
-        count_value = std::atoll(line.substr(line.rfind(' ') + 1).c_str());
-      }
+  const std::string metric = "telekit_admtest_latency_ms";
+  std::istringstream lines(text);
+  std::string line;
+  long long last = -1;
+  long long inf_value = -1;
+  long long count_value = -2;
+  bool saw_bucket = false;
+  while (std::getline(lines, line)) {
+    if (line.rfind(metric + "_bucket{", 0) == 0) {
+      saw_bucket = true;
+      const long long value =
+          std::atoll(line.substr(line.rfind(' ') + 1).c_str());
+      EXPECT_GE(value, last) << line;
+      last = value;
+      if (line.find("le=\"+Inf\"") != std::string::npos) inf_value = value;
+    } else if (line.rfind(metric + "_count ", 0) == 0) {
+      count_value = std::atoll(line.substr(line.rfind(' ') + 1).c_str());
     }
-    EXPECT_TRUE(saw_bucket) << metric;
-    EXPECT_EQ(inf_value, count_value) << metric;
   }
+  EXPECT_TRUE(saw_bucket);
+  EXPECT_EQ(inf_value, 51);
+  EXPECT_EQ(count_value, 51);
   registry.Reset();
 }
 
+// /tracez is the request log in Chrome form: the same filters as /requestz,
+// one lane of request/queue/encode/score slices per matching wide event.
 TEST(AdminServerTest, TracezReturnsChromeTraceJson) {
-  SlowTraceRing::Global().Reset();
-  RequestTrace trace;
-  trace.trace_id = 0xabcdef12u;
-  trace.op = "rca";
-  trace.detail = "test surface";
-  trace.queue_us = 500;
-  trace.encode_us = 1200;
-  trace.total_us = 1800;
-  SlowTraceRing::Global().Record(std::move(trace));
+  RequestLog::Global().Reset();
+  WideEvent slow;
+  slow.t_s = 2.0;
+  slow.trace_id = 0xabcdef12u;
+  slow.op = "rca";
+  slow.queue_us = 500;
+  slow.encode_us = 1200;
+  slow.score_us = 100;
+  slow.total_us = 1800;
+  slow.status = "ok";
+  RequestLog::Global().Record(slow);
+  WideEvent fast = slow;
+  fast.trace_id = 0x5u;
+  fast.total_us = 300;
+  RequestLog::Global().Record(fast);
 
   AdminServer server;
   ASSERT_TRUE(server.Start(0));
-  const HttpReply reply = HttpGet(server.port(), "/tracez");
+  const HttpReply reply = HttpGet(server.port(), "/tracez?min_ms=1");
   ASSERT_EQ(reply.status, 200);
   EXPECT_NE(reply.headers.find("application/json"), std::string::npos);
 
@@ -232,12 +246,23 @@ TEST(AdminServerTest, TracezReturnsChromeTraceJson) {
   ASSERT_TRUE(JsonValue::Parse(reply.body, &parsed, &error)) << error;
   const JsonValue* events = parsed.Find("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_GT(events->size(), 0u);
-  EXPECT_EQ(events->at(0).Find("ph")->AsString(), "X");
-  EXPECT_EQ(events->at(0).Find("args")->Find("trace")->AsString(),
-            "00000000abcdef12");
-  EXPECT_DOUBLE_EQ(parsed.Find("slow_traces_recorded")->AsNumber(), 1.0);
-  SlowTraceRing::Global().Reset();
+  // min_ms=1 keeps the 1.8 ms request and drops the 0.3 ms one.
+  ASSERT_EQ(events->size(), 4u);
+  for (size_t i = 0; i < events->size(); ++i) {
+    const JsonValue& slice = events->at(i);
+    EXPECT_EQ(slice.Find("ph")->AsString(), "X");
+    EXPECT_EQ(slice.Find("args")->Find("trace")->AsString(),
+              "00000000abcdef12");
+  }
+  // The request slice ends when the event was recorded (t_s = 2 s).
+  EXPECT_EQ(events->at(0).Find("name")->AsString(), "rca/request");
+  EXPECT_DOUBLE_EQ(events->at(0).Find("ts")->AsNumber(), 2e6 - 1800);
+  EXPECT_DOUBLE_EQ(events->at(0).Find("dur")->AsNumber(), 1800);
+  EXPECT_DOUBLE_EQ(parsed.Find("count")->AsNumber(), 1.0);
+
+  EXPECT_EQ(HttpGet(server.port(), "/tracez?min_ms=fast").status, 400);
+  EXPECT_EQ(HttpGet(server.port(), "/tracez").status, 200);
+  RequestLog::Global().Reset();
 }
 
 // Every daemon's admin plane answers /spanz out of the box — the router's
@@ -269,7 +294,7 @@ TEST(AdminServerTest, SpanzIsBuiltInAndServesRecordedSpans) {
   store.Reset();
 }
 
-// Scrapes race metric writers and the slow-trace ring; run under TSan via
+// Scrapes race metric writers and the request log; run under TSan via
 // scripts/check_tier1.sh. Every reply must still be well-formed.
 TEST(AdminServerTest, ConcurrentScrapesUnderMetricTraffic) {
   MetricsRegistry& registry = MetricsRegistry::Global();
@@ -281,18 +306,17 @@ TEST(AdminServerTest, ConcurrentScrapesUnderMetricTraffic) {
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     Counter& counter = registry.GetCounter("admtest/race_requests");
-    LatencyHistogram& latency =
-        registry.GetLatencyHistogram("admtest/race_ms");
+    Histogram& latency = registry.GetHistogram("admtest/race_ms");
     uint64_t i = 0;
     while (!stop.load()) {
       counter.Increment();
       latency.Observe(static_cast<double>(i % 50) + 0.5);
       if (i % 64 == 0) {
-        RequestTrace trace;
-        trace.trace_id = i + 1;
-        trace.op = "rca";
-        trace.total_us = i;
-        SlowTraceRing::Global().Record(std::move(trace));
+        WideEvent event;
+        event.trace_id = i + 1;
+        event.op = "rca";
+        event.total_us = i;
+        RequestLog::Global().Record(std::move(event));
       }
       ++i;
     }
@@ -313,8 +337,65 @@ TEST(AdminServerTest, ConcurrentScrapesUnderMetricTraffic) {
   stop.store(true);
   writer.join();
   EXPECT_EQ(failures.load(), 0);
-  SlowTraceRing::Global().Reset();
+  RequestLog::Global().Reset();
   registry.Reset();
+}
+
+/// Seconds a /healthz GET takes; `*status` gets its status (0 = none).
+double TimedHealthz(int port, int* status) {
+  const auto start = std::chrono::steady_clock::now();
+  *status = HttpGet(port, "/healthz").status;
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+// A client that asks for a reply larger than the socket buffers and never
+// reads it must not hold the serial admin loop past its deadline.
+TEST(AdminServerTest, ClientThatNeverReadsDoesNotHoldTheLoop) {
+  AdminServer server;
+  server.Handle("/big", [](const HttpRequest&) {
+    return HttpResponse::Text(200, std::string(16 << 20, 'x'));
+  });
+  ASSERT_TRUE(server.Start(0));
+  const int stalled = Connect(server.port(), /*rcvbuf=*/4096);
+  ASSERT_GE(stalled, 0);
+  const std::string request = "GET /big HTTP/1.0\r\n\r\n";
+  ::send(stalled, request.data(), request.size(), MSG_NOSIGNAL);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  int status = 0;
+  const double elapsed_s = TimedHealthz(server.port(), &status);
+  EXPECT_EQ(status, 200);
+  EXPECT_LT(elapsed_s, 1.5);
+  ::close(stalled);
+}
+
+// A client that dribbles its request line one byte at a time must be cut
+// off at the same deadline.
+TEST(AdminServerTest, DribblingClientDoesNotHoldTheLoop) {
+  AdminServer server;
+  ASSERT_TRUE(server.Start(0));
+  const int dribbler = Connect(server.port());
+  ASSERT_GE(dribbler, 0);
+  std::atomic<bool> stop{false};
+  std::thread dribble([&] {
+    const std::string start = "GET /";
+    for (size_t i = 0; !stop.load(); ++i) {
+      const char byte = i < start.size() ? start[i] : 'a';
+      if (::send(dribbler, &byte, 1, MSG_NOSIGNAL) != 1) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  int status = 0;
+  const double elapsed_s = TimedHealthz(server.port(), &status);
+  EXPECT_EQ(status, 200);
+  EXPECT_LT(elapsed_s, 1.5);
+  stop.store(true);
+  dribble.join();
+  ::close(dribbler);
 }
 
 TEST(AdminServerTest, LoglevelzReadsAndSetsLiveLevel) {
@@ -413,7 +494,7 @@ TEST(AdminServerTest, MetricsBucketLinesCarryExemplars) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.Reset();
   ExemplarStore::Global().Reset();
-  registry.GetLatencyHistogram("admtest/exm_ms").Observe(23.7);
+  registry.GetHistogram("admtest/exm_ms").Observe(23.7);
   ExemplarStore::Global().Record("admtest/exm_ms", 23.7, 0x4d2);
 
   AdminServer server;

@@ -188,7 +188,7 @@ TEST(MetricsTest, RegistryIsThreadSafeUnderContention) {
   constexpr int kThreads = 8;
   constexpr int kIterations = 5000;
   registry.GetCounter("test/mt_counter").Zero();
-  registry.GetHistogram("test/mt_histogram", {1.0, 10.0}).Zero();
+  registry.GetHistogram("test/mt_histogram").Zero();
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&registry, t] {
@@ -229,32 +229,31 @@ TEST(MetricsTest, GaugeSemantics) {
 }
 
 TEST(MetricsTest, HistogramSemantics) {
-  Histogram histogram({1.0, 10.0, 100.0});
-  histogram.Observe(0.5);    // bucket 0 (le 1)
-  histogram.Observe(1.0);    // bucket 0 (inclusive upper bound)
-  histogram.Observe(7.0);    // bucket 1 (le 10)
-  histogram.Observe(1000.0); // overflow bucket
+  Histogram histogram;
+  histogram.Observe(0.5);
+  histogram.Observe(1.0);
+  histogram.Observe(7.0);
+  histogram.Observe(1000.0);
   EXPECT_EQ(histogram.count(), 4u);
   EXPECT_DOUBLE_EQ(histogram.sum(), 1008.5);
   EXPECT_DOUBLE_EQ(histogram.min(), 0.5);
   EXPECT_DOUBLE_EQ(histogram.max(), 1000.0);
   EXPECT_DOUBLE_EQ(histogram.mean(), 1008.5 / 4.0);
-  EXPECT_EQ(histogram.bucket_count(0), 2u);
-  EXPECT_EQ(histogram.bucket_count(1), 1u);
-  EXPECT_EQ(histogram.bucket_count(2), 0u);
-  EXPECT_EQ(histogram.bucket_count(3), 1u);  // overflow
+  EXPECT_EQ(histogram.bucket_count(Histogram::BucketIndex(7.0)), 1u);
 
   JsonValue json = histogram.ToJson();
   EXPECT_DOUBLE_EQ(json.Find("count")->AsNumber(), 4.0);
   const JsonValue* buckets = json.Find("buckets");
   ASSERT_NE(buckets, nullptr);
-  // Sparse export: only non-empty buckets appear (3 of 4 here).
-  EXPECT_EQ(buckets->size(), 3u);
-  EXPECT_EQ(buckets->at(2).Find("le")->AsString(), "inf");
+  // Sparse export: only non-empty buckets appear, in ascending `le`, and
+  // each `le` is the bucket's numeric upper bound.
+  ASSERT_EQ(buckets->size(), 4u);
+  EXPECT_DOUBLE_EQ(buckets->at(3).Find("le")->AsNumber(),
+                   Histogram::BucketUpperMs(Histogram::BucketIndex(1000.0)));
 
   histogram.Zero();
   EXPECT_EQ(histogram.count(), 0u);
-  EXPECT_EQ(histogram.bucket_count(0), 0u);
+  EXPECT_EQ(histogram.bucket_count(Histogram::BucketIndex(7.0)), 0u);
 }
 
 TEST(MetricsTest, ScopedTimerObservesIntoHistogram) {
@@ -273,7 +272,7 @@ TEST(MetricsTest, SnapshotJsonRoundTrip) {
   registry.Reset();
   registry.GetCounter("rt/counter").Increment(7);
   registry.GetGauge("rt/gauge").Set(1.25);
-  registry.GetHistogram("rt/hist_ms", {1.0, 5.0}).Observe(3.0);
+  registry.GetHistogram("rt/hist_ms").Observe(3.0);
 
   const std::string dumped = registry.Snapshot().Dump();
   JsonValue parsed;
@@ -444,8 +443,8 @@ TEST(TraceTest, TraceEventJsonIsChromeLoadable) {
   EXPECT_LE(inner.Find("dur")->AsNumber(), outer.Find("dur")->AsNumber());
 }
 
-TEST(MetricsTest, LatencyHistogramQuantileAccuracy) {
-  LatencyHistogram histogram;
+TEST(MetricsTest, HistogramQuantileAccuracy) {
+  Histogram histogram;
   // Uniform 1..1000 ms: the true q-quantile is q * 1000.
   for (int i = 1; i <= 1000; ++i) {
     histogram.Observe(static_cast<double>(i));
@@ -465,8 +464,8 @@ TEST(MetricsTest, LatencyHistogramQuantileAccuracy) {
   EXPECT_LE(histogram.Quantile(1.0), histogram.max());
 }
 
-TEST(MetricsTest, LatencyHistogramEdgeCases) {
-  LatencyHistogram histogram;
+TEST(MetricsTest, HistogramEdgeCases) {
+  Histogram histogram;
   EXPECT_DOUBLE_EQ(histogram.Quantile(0.5), 0.0);  // empty
   // Out-of-range and non-finite observations clamp to the tracked range
   // instead of corrupting the buckets.
@@ -485,8 +484,8 @@ TEST(MetricsTest, LatencyHistogramEdgeCases) {
   EXPECT_DOUBLE_EQ(histogram.Quantile(1.0), 3.7);
 }
 
-TEST(MetricsTest, LatencyHistogramBoundaryRanks) {
-  LatencyHistogram histogram;
+TEST(MetricsTest, HistogramBoundaryRanks) {
+  Histogram histogram;
   // 10 fast + 90 slow samples: ranks 1..10 live in the fast bucket. The
   // boundary rank q = 0.10 (rank exactly 10, i.e. q*n equal to the fast
   // bucket's cumulative count) must resolve strictly inside the fast
@@ -495,7 +494,7 @@ TEST(MetricsTest, LatencyHistogramBoundaryRanks) {
   for (int i = 0; i < 10; ++i) histogram.Observe(2.0);
   for (int i = 0; i < 90; ++i) histogram.Observe(500.0);
   const double fast_upper =
-      LatencyHistogram::BucketUpperMs(LatencyHistogram::BucketIndex(2.0));
+      Histogram::BucketUpperMs(Histogram::BucketIndex(2.0));
   EXPECT_GE(histogram.Quantile(0.10), 2.0);
   EXPECT_LT(histogram.Quantile(0.10), fast_upper);
   EXPECT_NEAR(histogram.Quantile(0.11), 500.0, 500.0 * 0.06);
@@ -506,8 +505,8 @@ TEST(MetricsTest, LatencyHistogramBoundaryRanks) {
   EXPECT_LE(histogram.Quantile(1.0), histogram.max());
 }
 
-TEST(MetricsTest, LatencyHistogramRepeatedValueExactAtAllRanks) {
-  LatencyHistogram histogram;
+TEST(MetricsTest, HistogramRepeatedValueExactAtAllRanks) {
+  Histogram histogram;
   // Eight identical samples: every rank lands in the same bucket and the
   // [min, max] clamp collapses the estimate to the exact value, including
   // at the rank boundaries q = k/8.
@@ -517,8 +516,8 @@ TEST(MetricsTest, LatencyHistogramRepeatedValueExactAtAllRanks) {
   }
 }
 
-TEST(MetricsTest, LatencyHistogramConcurrentObserve) {
-  LatencyHistogram histogram;
+TEST(MetricsTest, HistogramConcurrentObserve) {
+  Histogram histogram;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 5000;
   std::vector<std::thread> threads;
@@ -537,39 +536,32 @@ TEST(MetricsTest, LatencyHistogramConcurrentObserve) {
 }
 
 // Regression: an empty histogram used to dump min=inf / max=-inf style
-// sentinels; both kinds must emit null so the artifact stays parseable and
-// unambiguous.
+// sentinels; it must emit null so the artifact stays parseable and
+// unambiguous. The snapshot has one histogram key.
 TEST(MetricsTest, EmptyHistogramSnapshotHasNullMinMax) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.Reset();
-  registry.GetHistogram("empty/fixed_ms");
-  registry.GetLatencyHistogram("empty/latency_ms");
+  registry.GetHistogram("empty/latency_ms");
 
   const std::string dumped = registry.Snapshot().Dump();
   JsonValue parsed;
   std::string error;
   ASSERT_TRUE(JsonValue::Parse(dumped, &parsed, &error)) << error;
-
-  const JsonValue* fixed =
-      parsed.Find("histograms")->Find("empty/fixed_ms");
-  ASSERT_NE(fixed, nullptr);
-  EXPECT_DOUBLE_EQ(fixed->Find("count")->AsNumber(), 0.0);
-  ASSERT_NE(fixed->Find("min"), nullptr);
-  EXPECT_TRUE(fixed->Find("min")->is_null());
-  EXPECT_TRUE(fixed->Find("max")->is_null());
+  EXPECT_EQ(parsed.Find("latency_histograms"), nullptr);
 
   const JsonValue* latency =
-      parsed.Find("latency_histograms")->Find("empty/latency_ms");
+      parsed.Find("histograms")->Find("empty/latency_ms");
   ASSERT_NE(latency, nullptr);
   EXPECT_DOUBLE_EQ(latency->Find("count")->AsNumber(), 0.0);
+  ASSERT_NE(latency->Find("min"), nullptr);
   EXPECT_TRUE(latency->Find("min")->is_null());
   EXPECT_TRUE(latency->Find("max")->is_null());
 
   // Once observed, min/max become numbers again.
-  registry.GetHistogram("empty/fixed_ms").Observe(2.0);
+  registry.GetHistogram("empty/latency_ms").Observe(2.0);
   const JsonValue snapshot = registry.Snapshot();
   EXPECT_DOUBLE_EQ(snapshot.Find("histograms")
-                       ->Find("empty/fixed_ms")
+                       ->Find("empty/latency_ms")
                        ->Find("min")
                        ->AsNumber(),
                    2.0);
@@ -625,39 +617,6 @@ TEST(TraceTest, TraceIdHexRoundTrip) {
   EXPECT_FALSE(ParseTraceIdHex("", &out));
   EXPECT_FALSE(ParseTraceIdHex("xyz", &out));
   EXPECT_FALSE(ParseTraceIdHex("0123456789abcdef0", &out));  // 17 digits
-}
-
-TEST(TraceTest, SlowTraceRingOverwritesOldest) {
-  SlowTraceRing ring(3);
-  for (uint64_t i = 1; i <= 5; ++i) {
-    RequestTrace trace;
-    trace.trace_id = i;
-    trace.op = "rca";
-    trace.total_us = i * 1000;
-    trace.queue_us = i * 100;
-    ring.Record(std::move(trace));
-  }
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.total_recorded(), 5u);
-  const std::vector<RequestTrace> traces = ring.Snapshot();
-  ASSERT_EQ(traces.size(), 3u);
-  // Oldest two (ids 1, 2) were overwritten.
-  for (const RequestTrace& trace : traces) {
-    EXPECT_GE(trace.trace_id, 3u);
-  }
-
-  JsonValue parsed;
-  std::string error;
-  ASSERT_TRUE(JsonValue::Parse(ring.TraceEventsJson().Dump(), &parsed,
-                               &error))
-      << error;
-  ASSERT_GT(parsed.size(), 0u);
-  EXPECT_EQ(parsed.at(0).Find("ph")->AsString(), "X");
-  EXPECT_EQ(parsed.at(0).Find("args")->Find("op")->AsString(), "rca");
-
-  ring.Reset();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.total_recorded(), 0u);
 }
 
 TEST(TraceTest, AggregationWorksWithRecordingOff) {

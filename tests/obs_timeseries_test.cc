@@ -27,7 +27,7 @@ TEST(TimeSeriesStoreTest, SweepCapturesCountersGaugesAndQuantiles) {
   registry.Reset();
   registry.GetCounter("tst/sweep_requests").Increment(7);
   registry.GetGauge("tst/sweep_depth").Set(3.5);
-  LatencyHistogram& latency = registry.GetLatencyHistogram("tst/sweep_ms");
+  Histogram& latency = registry.GetHistogram("tst/sweep_ms");
   for (int i = 0; i < 100; ++i) latency.Observe(10.0);
 
   TimeSeriesStore store;
@@ -122,7 +122,7 @@ TEST(TimeSeriesStoreTest, ThresholdSeriesCountsAtOrBelow) {
 
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.Reset();
-  LatencyHistogram& latency = registry.GetLatencyHistogram("tst/thr_ms");
+  Histogram& latency = registry.GetHistogram("tst/thr_ms");
   TimeSeriesStore store;
   store.TrackLatencyThreshold("tst/thr_ms", 25.0);
   latency.Observe(10.0);   // at or below 25
@@ -357,7 +357,7 @@ TEST(SloEngineTest, PendingDwellDelaysFiring) {
 TEST(SloEngineTest, LatencyObjectiveRegistersThresholdSeries) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.Reset();
-  LatencyHistogram& latency = registry.GetLatencyHistogram("slol/ms");
+  Histogram& latency = registry.GetHistogram("slol/ms");
 
   TimeSeriesStore store;
   SloConfig config;
@@ -574,8 +574,7 @@ TEST(ExemplarStoreTest, LatestWinsPerBucketAndFindsByUpperBound) {
   store.Record("tst/ex_ms", 23.9, 0x222);   // same bucket: replaces
   store.Record("tst/ex_ms", 500.0, 0x333);  // different bucket
 
-  const double le = LatencyHistogram::BucketUpperMs(
-      LatencyHistogram::BucketIndex(23.7));
+  const double le = Histogram::BucketUpperMs(Histogram::BucketIndex(23.7));
   ExemplarStore::Exemplar exemplar;
   ASSERT_TRUE(store.Find("tst/ex_ms", le, &exemplar));
   EXPECT_EQ(exemplar.trace_id, 0x222u);
@@ -616,7 +615,7 @@ TEST(TimeSeriesStoreTest, SamplerRacesWritersAndReaders) {
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     Counter& total = registry.GetCounter("race/total");
-    LatencyHistogram& latency = registry.GetLatencyHistogram("race/ms");
+    Histogram& latency = registry.GetHistogram("race/ms");
     uint64_t i = 0;
     while (!stop.load()) {
       total.Increment();

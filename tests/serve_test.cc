@@ -19,6 +19,7 @@
 #include "core/model_zoo.h"
 #include "core/qencode.h"
 #include "obs/metrics.h"
+#include "obs/requestlog.h"
 #include "obs/spanstore.h"
 #include "obs/trace.h"
 #include "serve/daemon_kit.h"
@@ -928,12 +929,15 @@ TEST(ServeEngineTest, StageTimingsAndSlowRequestCapture) {
   const core::ModelZoo& zoo = SharedZoo();
   core::ServiceEncoder service =
       zoo.MakeServiceEncoder(core::ModelKind::kTeleBert);
-  obs::SlowTraceRing::Global().Reset();
   EngineOptions options;
   options.num_workers = 2;
   options.enable_cache = false;        // force real encode time
   options.slow_request_ms = 1e-6;      // everything counts as slow
   ServeEngine engine(&service, options);
+  const obs::Counter& slow_requests =
+      obs::MetricsRegistry::Global().GetCounter("serve/slow_requests");
+  const uint64_t slow_before = slow_requests.value();
+  obs::TraceCollector::Global().Reset();
 
   Request request;
   request.op = TaskOp::kEncode;
@@ -950,20 +954,26 @@ TEST(ServeEngineTest, StageTimingsAndSlowRequestCapture) {
   EXPECT_GE(response.total_ms, response.queue_ms);
   EXPECT_GE(response.total_ms, response.batch_ms);
 
-  // The slow-request threshold routed it into the global ring.
-  EXPECT_GE(obs::SlowTraceRing::Global().total_recorded(), 1u);
-  bool found = false;
-  for (const obs::RequestTrace& trace :
-       obs::SlowTraceRing::Global().Snapshot()) {
-    if (trace.trace_id == 0xfeedu) {
-      found = true;
-      EXPECT_EQ(trace.op, "encode");
-      EXPECT_TRUE(trace.ok);
-      EXPECT_GT(trace.total_us, 0u);
-    }
-  }
-  EXPECT_TRUE(found);
-  obs::SlowTraceRing::Global().Reset();
+  // The slow-request threshold counted it, and /tracez finds it in the
+  // request log with a filter at that threshold.
+  EXPECT_EQ(slow_requests.value(), slow_before + 1);
+  obs::HttpRequest tracez;
+  tracez.path = "/tracez";
+  tracez.query = "trace_id=000000000000feed&min_ms=0.000001";
+  const obs::HttpResponse reply =
+      obs::RequestLog::Global().HandleTraceQuery(tracez);
+  ASSERT_EQ(reply.status, 200);
+  obs::JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(obs::JsonValue::Parse(reply.body, &parsed, &error)) << error;
+  const obs::JsonValue& slices = *parsed.Find("traceEvents");
+  ASSERT_GT(slices.size(), 0u);
+  EXPECT_EQ(slices.at(0).Find("name")->AsString(), "encode/request");
+  EXPECT_EQ(slices.at(0).Find("args")->Find("trace")->AsString(),
+            "000000000000feed");
+  // A served request records its timing in the request log and the span
+  // store, not as TraceCollector spans.
+  EXPECT_TRUE(obs::TraceCollector::Global().Aggregate().empty());
 }
 
 TEST(ServeEngineTest, GetStatsReflectsQueueAndCache) {
