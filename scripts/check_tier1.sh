@@ -54,12 +54,14 @@
 #      zero failed requests, drain the router via /quitquitquit, and lint
 #      the router's wide-event request log with telekit_jsonlint.
 #  11. ASan+UBSan: build the tensor, autograd, core, pretrain, zoo, serve,
-#      text, index and stream suites in build_asan/ with
+#      text, index, stream and route suites in build_asan/ with
 #      -fsanitize=address,undefined -fno-sanitize-recover=all
 #      -D_GLIBCXX_ASSERTIONS (TELEKIT_ASAN) and run them, so an
 #      out-of-bounds access in a raw-pointer kernel (the GEMM tiles, the
 #      fused tape nodes' per-head offsets, the inference forward's [CLS]-only
-#      last layer that serving runs) or undefined behaviour fails.
+#      last layer that serving runs), a reply callback outliving its NDJSON
+#      session (route_test holds the NdjsonServer tests) or undefined
+#      behaviour fails.
 #
 # Optional: TELEKIT_TSAN=1 scripts/check_tier1.sh additionally builds the
 # concurrency-heavy tests (serve engine, stream pipeline, embedding cache,
@@ -753,9 +755,9 @@ echo "router smoke: OK (fleet healthy + probe telemetry, fleet metrics sum," \
   "kill survived, retry trace assembled via /tracezd, ejection exported," \
   "hot reload zero-failure, drain clean, request log lints)"
 
-echo "== [11/11] ASan+UBSan (tensor + autograd + core + pretrain + zoo + serve + text + index + stream) =="
+echo "== [11/11] ASan+UBSan (tensor + autograd + core + pretrain + zoo + serve + text + index + stream + route) =="
 ASAN_SUITES=(tensor_test autograd_test core_test pretrain_test zoo_test
-             serve_test text_test index_test stream_test)
+             serve_test text_test index_test stream_test route_test)
 cmake -B build_asan -S . -DTELEKIT_ASAN=ON
 cmake --build build_asan -j --target "${ASAN_SUITES[@]}"
 for suite in "${ASAN_SUITES[@]}"; do

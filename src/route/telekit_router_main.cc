@@ -16,11 +16,11 @@
 //   telekit_serve --port=7102 --admin-port=7202 &
 //   telekit_router --port=7001 --admin-port=7002 --replica=7101:7201 --replica=7102:7202
 
-#include <future>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -195,9 +195,12 @@ int Main(int argc, char** argv) {
 
   // Each request line forwards on its own thread so one slow upstream
   // never blocks the other requests pipelined on the same connection
-  // (responses still come back in order per connection).
-  serve::LineHandler handler =
-      [&router, &kit](std::string line) -> std::future<std::string> {
+  // (responses still come back in order per connection). The thread's last
+  // use of anything it does not own is `reply`: the session waits for every
+  // reply before it ends, and ServeUntilQuit stops the server before the
+  // router stops.
+  serve::LineHandler handler = [&router, &kit](std::string line,
+                                               serve::LineReply reply) {
     if (kit.draining().load()) {
       // Even the drain rejection echoes the caller's id and trace id, so
       // client-side correlation survives the shutdown window.
@@ -215,16 +218,14 @@ int Main(int argc, char** argv) {
           obs::ParseTraceIdHex(trace->AsString(), &trace_id);
         }
       }
-      std::promise<std::string> rejected;
-      rejected.set_value(serve::ErrorToJson(Status::Unavailable("draining"),
-                                            id.get(), trace_id)
-                             .Dump());
-      return rejected.get_future();
+      reply(serve::ErrorToJson(Status::Unavailable("draining"), id.get(),
+                               trace_id)
+                .Dump());
+      return;
     }
-    return std::async(std::launch::async,
-                      [&router, line = std::move(line)] {
-                        return router.Handle(line);
-                      });
+    std::thread([&router, line = std::move(line), reply = std::move(reply)] {
+      reply(router.Handle(line));
+    }).detach();
   };
 
   serve::NdjsonServer server;

@@ -315,11 +315,12 @@ size_t ServeEngine::CatalogSize(TaskOp op) const {
   return it == catalogs_.end() ? 0 : it->second.names.size();
 }
 
-std::future<Response> ServeEngine::Submit(Request request,
-                                          double max_block_ms) {
+void ServeEngine::Submit(Request request, Completion done,
+                         double max_block_ms) {
   auto pending = std::make_unique<Pending>();
   if (request.trace_id == 0) request.trace_id = obs::NextTraceId();
   pending->request = std::move(request);
+  pending->done = std::move(done);
   pending->enqueued = Clock::now();
   if (pending->request.deadline_ms > 0.0) {
     pending->deadline =
@@ -328,7 +329,6 @@ std::future<Response> ServeEngine::Submit(Request request,
             std::chrono::duration<double, std::milli>(
                 pending->request.deadline_ms));
   }
-  std::future<Response> future = pending->promise.get_future();
   const bool pushed =
       max_block_ms > 0.0
           ? queue_.PushBlocking(std::move(pending),
@@ -336,17 +336,27 @@ std::future<Response> ServeEngine::Submit(Request request,
           : queue_.Push(std::move(pending));
   if (pushed) {
     ServeMetrics::Get().queue_depth.Set(static_cast<double>(queue_.size()));
-    return future;
+    return;
   }
-  // Push leaves `pending` intact on failure: reject here so the future is
-  // still fulfilled.
+  // Push leaves `pending` intact on failure: reject here so the request is
+  // still answered.
   ServeMetrics::Get().rejected.Increment();
   Response response;
   response.trace_id = pending->request.trace_id;
   response.status =
       Status::Unavailable(stopped_.load() ? "engine stopped"
                                           : "serve queue full");
-  pending->promise.set_value(std::move(response));
+  pending->done(std::move(response));
+}
+
+std::future<Response> ServeEngine::Submit(Request request,
+                                          double max_block_ms) {
+  auto promise = std::make_shared<std::promise<Response>>();
+  std::future<Response> future = promise->get_future();
+  Submit(
+      std::move(request),
+      [promise](Response response) { promise->set_value(std::move(response)); },
+      max_block_ms);
   return future;
 }
 
@@ -360,7 +370,7 @@ void ServeEngine::WorkerLoop() {
     if (pending.deadline == Clock::time_point() ||
         started <= pending.deadline) {
       metrics.queue_ms.Observe(queue_ms);
-      pending.promise.set_value(Run(pending.request, started, queue_ms));
+      pending.done(Run(pending.request, started, queue_ms));
       continue;
     }
     // The deadline lapsed while queued: fail without encoding.
@@ -380,7 +390,7 @@ void ServeEngine::WorkerLoop() {
     metrics.op_errors[static_cast<int>(pending.request.op)]->Increment();
     WarnIfSlow(options_.slow_request_ms, pending.request, response);
     RecordWideEvent(pending.request, response);
-    pending.promise.set_value(std::move(response));
+    pending.done(std::move(response));
   }
 }
 
@@ -534,7 +544,7 @@ void ServeEngine::Stop() {
     if (worker.joinable()) worker.join();
   }
   // With num_workers == 0 (or a race against Close) items may still sit in
-  // the queue; fail them so every Submit() future is fulfilled.
+  // the queue; fail them so every submitted request is answered.
   while (std::optional<std::unique_ptr<Pending>> remainder = queue_.Pop()) {
     Pending& pending = **remainder;
     Response response;
@@ -542,7 +552,7 @@ void ServeEngine::Stop() {
     response.status = Status::Unavailable("engine stopped");
     response.queue_ms = MsSince(pending.enqueued, Clock::now());
     response.total_ms = response.queue_ms;
-    pending.promise.set_value(std::move(response));
+    pending.done(std::move(response));
   }
   ServeMetrics::Get().queue_depth.Set(0.0);
 }

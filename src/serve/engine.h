@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -165,9 +166,11 @@ struct EngineStats {
 ///
 ///   Submit() -> bounded deadline queue -> worker pool, one request per
 ///   pop -> tokenize -> EmbeddingCache probe -> encoder forward on a miss
-///   -> per-task catalogue scoring -> promise fulfilment
+///   -> per-task catalogue scoring -> the request's completion callback
 ///
-/// A worker runs the same per-request code as Process.
+/// A worker runs the same per-request code as Process, then calls the
+/// request's callback on its own thread, so a caller such as the NDJSON
+/// server renders and sends the reply there without another thread hop.
 ///
 /// Every stage reports to telekit::obs (serve/* metrics and spans).
 ///
@@ -209,14 +212,24 @@ class ServeEngine {
   /// Number of candidates in the catalogue for `op` (0 when absent).
   size_t CatalogSize(TaskOp op) const;
 
-  /// Enqueues a request. The future is always fulfilled: with the result,
-  /// or with Unavailable (queue full / shutdown) or DeadlineExceeded.
+  /// Receives a submitted request's response. It must not throw.
+  using Completion = std::function<void(Response)>;
+
+  /// Enqueues a request. `done` is called exactly once: on the worker that
+  /// ran the request or lapsed its deadline; on the calling thread, before
+  /// Submit returns, when the queue is full or the engine stopped
+  /// (Unavailable); or on the thread calling Stop() for a request still
+  /// queued then (Unavailable).
   ///
   /// `max_block_ms` is the backpressure hook for streaming ingestion: when
   /// > 0 and the bounded queue is full, Submit blocks up to that long for
   /// a worker to make room before rejecting — so a saturated engine
   /// throttles the producer instead of forcing it to buffer or shed. 0
   /// keeps the historical fail-fast behaviour.
+  void Submit(Request request, Completion done, double max_block_ms = 0.0);
+
+  /// Submit with a future in place of the callback; the future is always
+  /// fulfilled.
   std::future<Response> Submit(Request request, double max_block_ms = 0.0);
 
   /// Synchronous path: the request runs on the calling thread, with no
@@ -239,7 +252,7 @@ class ServeEngine {
 
   struct Pending {
     Request request;
-    std::promise<Response> promise;
+    Completion done;
     Clock::time_point enqueued;
     /// Zero time_point when the request carries no deadline.
     Clock::time_point deadline;

@@ -75,15 +75,22 @@ bool LineReader::ReadLine(std::string* line) {
   }
 }
 
+long SendSome(int fd, const char* data, size_t n, bool block) {
+  const int flags = MSG_NOSIGNAL | (block ? 0 : MSG_DONTWAIT);
+  while (true) {
+    const ssize_t w = ::send(fd, data, n, flags);
+    if (w >= 0) return static_cast<long>(w);
+    if (errno == EINTR) continue;
+    if (!block && (errno == EAGAIN || errno == EWOULDBLOCK)) return 0;
+    return -1;
+  }
+}
+
 bool SendAll(int fd, const char* data, size_t n) {
   size_t sent = 0;
   while (sent < n) {
-    const ssize_t w = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (w == 0) return false;
+    const long w = SendSome(fd, data + sent, n - sent, /*block=*/true);
+    if (w <= 0) return false;
     sent += static_cast<size_t>(w);
   }
   return true;

@@ -53,8 +53,13 @@ class LineReader {
   size_t max_line_;
 };
 
+/// One send of up to n bytes (retrying EINTR); bytes sent, or -1 on error.
+/// With `block` false it never waits and returns 0 when the socket buffer
+/// is full. Uses MSG_NOSIGNAL so a dead peer surfaces as EPIPE, not
+/// SIGPIPE.
+long SendSome(int fd, const char* data, size_t n, bool block);
+
 /// Writes all n bytes, retrying partial sends (and EINTR). False on error.
-/// Uses MSG_NOSIGNAL so a dead peer surfaces as EPIPE, not SIGPIPE.
 bool SendAll(int fd, const char* data, size_t n);
 
 /// Writes `line` plus a terminating '\n' in full.

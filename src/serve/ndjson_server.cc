@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <utility>
 
 #include "obs/log.h"
@@ -22,21 +23,17 @@ namespace serve {
 LineHandler MakeServeLineHandler(ModelHost* host,
                                  const std::atomic<bool>* draining) {
   TELEKIT_CHECK(host != nullptr);
-  return [host, draining](std::string line) -> std::future<std::string> {
-    // Everything up to Submit happens on the reader thread; the returned
-    // deferred future renders (and blocks on the engine) in the writer.
+  return [host, draining](std::string line, LineReply reply) {
     obs::JsonValue json;
     std::string parse_error;
-    auto id = std::unique_ptr<obs::JsonValue>();
+    std::optional<obs::JsonValue> id;
     uint64_t salvaged_trace = 0;
     Request request;
     Status status;
     if (!obs::JsonValue::Parse(line, &json, &parse_error)) {
       status = Status::InvalidArgument("bad JSON: " + parse_error);
     } else {
-      if (const obs::JsonValue* found = json.Find("id")) {
-        id = std::make_unique<obs::JsonValue>(*found);
-      }
+      if (const obs::JsonValue* found = json.Find("id")) id = *found;
       // Salvaged before validation: a reply to a malformed request must
       // still echo the caller's correlation fields.
       if (const obs::JsonValue* trace = json.Find("trace")) {
@@ -59,80 +56,184 @@ LineHandler MakeServeLineHandler(ModelHost* host,
     if (!status.ok()) {
       const uint64_t trace_id =
           request.trace_id != 0 ? request.trace_id : salvaged_trace;
-      std::string rendered =
-          ErrorToJson(status, id.get(), trace_id).Dump();
-      std::promise<std::string> ready;
-      ready.set_value(std::move(rendered));
-      return ready.get_future();
+      reply(ErrorToJson(status, id ? &*id : nullptr, trace_id).Dump());
+      return;
     }
-    std::future<Response> response = bundle->engine->Submit(request);
-    // Deferred: the writer thread performs the blocking get() + render.
-    // The lambda holds `bundle`, so a hot-reload swap cannot destroy the
-    // engine while this request is in flight.
-    return std::async(
-        std::launch::deferred,
-        [request = std::move(request), bundle = std::move(bundle),
-         id = std::shared_ptr<obs::JsonValue>(std::move(id)),
-         response = std::move(response)]() mutable -> std::string {
+    // The worker that runs the request renders and sends the reply. The
+    // callback holds no bundle: a swapped-out generation's engine answers
+    // everything it admitted before its destructor returns, and a worker
+    // must never drop the last reference to its own engine.
+    Request submitted = request;
+    bundle->engine->Submit(
+        std::move(submitted),
+        [request = std::move(request), id = std::move(id),
+         model = bundle->model, generation = bundle->generation,
+         reply = std::move(reply)](Response response) {
           obs::JsonValue out =
-              ResponseToJson(request, response.get(), id.get());
-          out.Set("model", obs::JsonValue(bundle->model));
-          out.Set("generation", obs::JsonValue(bundle->generation));
-          return out.Dump();
+              ResponseToJson(request, response, id ? &*id : nullptr);
+          out.Set("model", obs::JsonValue(model));
+          out.Set("generation", obs::JsonValue(generation));
+          reply(out.Dump());
         });
   };
 }
 
-void ServeNdjsonSession(const LineHandler& handler, LineReader& reader,
-                        const std::function<bool(const std::string&)>& write,
-                        std::atomic<int64_t>* in_flight) {
-  std::deque<std::future<std::string>> pending;
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool reader_done = false;
-  bool write_failed = false;
+namespace {
 
-  std::thread writer([&] {
-    std::unique_lock<std::mutex> lock(mutex);
-    while (true) {
-      cv.wait(lock, [&] { return reader_done || !pending.empty(); });
-      if (pending.empty()) return;  // reader done and queue drained
-      std::future<std::string> next = std::move(pending.front());
-      pending.pop_front();
-      lock.unlock();
-      // get() blocks outside the lock so the reader keeps enqueueing lines
-      // and one client's requests still run on several workers. After a
-      // write failure responses are still harvested (the engine fulfils
-      // them regardless) but not sent.
-      std::string rendered = next.get();
-      bool sent = false;
-      if (!write_failed) sent = write(rendered);
-      lock.lock();
-      if (!sent) write_failed = true;
-      if (in_flight != nullptr) {
-        in_flight->fetch_sub(1, std::memory_order_relaxed);
-      }
+/// One session's reply order, shared by its reader, the threads that
+/// answer its lines and its writer thread. Lines are numbered in dispatch
+/// order; `answers_` holds lines first_ onward, each empty until answered,
+/// and a line leaves it when a thread takes it for writing.
+class Session {
+ public:
+  Session(ReplySink write, std::atomic<int64_t>* in_flight)
+      : write_(std::move(write)), in_flight_(in_flight) {}
+
+  /// Reader: numbers the next line, first blocking while
+  /// kMaxUnwrittenReplies lines are unwritten.
+  uint64_t Dispatch() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    reader_cv_.wait(lock, [this] {
+      return dispatched_ - written_ < kMaxUnwrittenReplies;
+    });
+    answers_.emplace_back();
+    if (in_flight_ != nullptr) {
+      in_flight_->fetch_add(1, std::memory_order_relaxed);
     }
-  });
+    return dispatched_++;
+  }
 
+  /// Any thread: stores line `seq`'s reply. When no thread is writing and
+  /// the oldest unwritten line is answered, this thread writes the
+  /// answered lines at the head without blocking, and leaves what the
+  /// client cannot take to the writer thread.
+  void Answer(uint64_t seq, std::string reply) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    TELEKIT_CHECK(seq >= first_ && seq - first_ < answers_.size() &&
+                  !answers_[seq - first_].has_value())
+        << "line " << seq << " answered twice";
+    answers_[seq - first_] = std::move(reply);
+    if (writing_) return;
+    writing_ = true;
+    std::string batch;
+    while (const size_t lines = TakeAnswered(&batch)) {
+      const bool dropped = write_failed_;
+      lock.unlock();
+      const long sent = dropped ? static_cast<long>(batch.size())
+                                : write_(batch.data(), batch.size(),
+                                         /*block=*/false);
+      lock.lock();
+      if (sent >= 0 && static_cast<size_t>(sent) < batch.size()) {
+        // writing_ stays set: the writer thread owns the writes now.
+        backlog_ = batch.substr(static_cast<size_t>(sent));
+        backlog_lines_ = lines;
+        writer_cv_.notify_one();
+        return;
+      }
+      if (sent < 0) write_failed_ = true;
+      MarkWritten(lines);
+    }
+    writing_ = false;
+  }
+
+  /// The writer thread: finishes each hand-off with blocking writes, then
+  /// writes whatever was answered meanwhile until it has caught up.
+  void WriterLoop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+      writer_cv_.wait(lock, [this] { return !backlog_.empty() || closing_; });
+      if (backlog_.empty()) return;
+      std::string batch = std::move(backlog_);
+      backlog_.clear();
+      size_t lines = backlog_lines_;
+      do {
+        const bool dropped = write_failed_;
+        lock.unlock();
+        const bool ok =
+            dropped || write_(batch.data(), batch.size(), /*block=*/true) ==
+                           static_cast<long>(batch.size());
+        lock.lock();
+        if (!ok) write_failed_ = true;
+        MarkWritten(lines);
+      } while ((lines = TakeAnswered(&batch)) > 0);
+      writing_ = false;
+    }
+  }
+
+  /// Reader, at end of input: waits until every dispatched line is written
+  /// or dropped, then lets the writer thread exit.
+  void Finish() {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      reader_cv_.wait(lock, [this] { return written_ == dispatched_; });
+      closing_ = true;
+    }
+    writer_cv_.notify_one();
+  }
+
+ private:
+  /// Moves the answered lines at the head into `batch`, '\n'-terminated;
+  /// returns how many.
+  size_t TakeAnswered(std::string* batch) {
+    batch->clear();
+    size_t lines = 0;
+    while (!answers_.empty() && answers_.front().has_value()) {
+      batch->append(*answers_.front());
+      batch->push_back('\n');
+      answers_.pop_front();
+      ++first_;
+      ++lines;
+    }
+    return lines;
+  }
+
+  void MarkWritten(size_t lines) {
+    written_ += lines;
+    if (in_flight_ != nullptr) {
+      in_flight_->fetch_sub(static_cast<int64_t>(lines),
+                            std::memory_order_relaxed);
+    }
+    reader_cv_.notify_one();
+  }
+
+  const ReplySink write_;
+  std::atomic<int64_t>* const in_flight_;
+
+  std::mutex mutex_;
+  /// The reader waits here for room under the cap and for the last write.
+  std::condition_variable reader_cv_;
+  /// The writer thread waits here for a hand-off or the end.
+  std::condition_variable writer_cv_;
+  std::deque<std::optional<std::string>> answers_;
+  uint64_t first_ = 0;
+  uint64_t dispatched_ = 0;
+  /// Lines written, or dropped after a write error.
+  uint64_t written_ = 0;
+  /// A thread is writing; the others only store their replies.
+  bool writing_ = false;
+  bool write_failed_ = false;
+  /// Bytes handed to the writer thread, and the lines they finish.
+  std::string backlog_;
+  size_t backlog_lines_ = 0;
+  bool closing_ = false;
+};
+
+}  // namespace
+
+void ServeNdjsonSession(const LineHandler& handler, LineReader& reader,
+                        ReplySink write, std::atomic<int64_t>* in_flight) {
+  // Shared with every LineReply, which may outlive the handler call.
+  auto session = std::make_shared<Session>(std::move(write), in_flight);
+  std::thread writer([session] { session->WriterLoop(); });
   std::string line;
   while (reader.ReadLine(&line)) {
     if (line.empty()) continue;
-    if (in_flight != nullptr) {
-      in_flight->fetch_add(1, std::memory_order_relaxed);
-    }
-    std::future<std::string> future = handler(std::move(line));
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      pending.push_back(std::move(future));
-    }
-    cv.notify_one();
+    const uint64_t seq = session->Dispatch();
+    handler(std::move(line), [session, seq](std::string reply) {
+      session->Answer(seq, std::move(reply));
+    });
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    reader_done = true;
-  }
-  cv.notify_one();
+  session->Finish();
   writer.join();
 }
 
@@ -143,13 +244,13 @@ void ServeNdjsonStdio(const LineHandler& handler, std::istream& in,
     const std::streamsize got = in.gcount();
     return got > 0 ? static_cast<long>(got) : 0;
   });
-  std::mutex out_mutex;
-  ServeNdjsonSession(handler, reader, [&](const std::string& line) {
-    std::lock_guard<std::mutex> lock(out_mutex);
-    out << line << "\n";
-    out.flush();
-    return static_cast<bool>(out);
-  });
+  // One thread writes at a time (the session serializes its writers).
+  ServeNdjsonSession(handler, reader,
+                     [&out](const char* data, size_t n, bool) -> long {
+                       out.write(data, static_cast<std::streamsize>(n));
+                       out.flush();
+                       return out ? static_cast<long>(n) : -1;
+                     });
 }
 
 NdjsonServer::NdjsonServer() = default;
@@ -212,7 +313,10 @@ void NdjsonServer::AcceptLoop() {
       LineReader reader(raw->fd);
       ServeNdjsonSession(
           handler_, reader,
-          [raw](const std::string& line) { return SendLine(raw->fd, line); },
+          [raw](const char* data, size_t n, bool block) -> long {
+            if (!block) return SendSome(raw->fd, data, n, /*block=*/false);
+            return SendAll(raw->fd, data, n) ? static_cast<long>(n) : -1;
+          },
           &in_flight_);
       // Session over (client EOF or error): signal EOF to the client.
       // The fd itself is closed by the reaper (or Stop()) — closing here

@@ -2,8 +2,8 @@
 #define TELEKIT_SERVE_NDJSON_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <functional>
-#include <future>
 #include <istream>
 #include <memory>
 #include <mutex>
@@ -18,32 +18,54 @@
 namespace telekit {
 namespace serve {
 
-/// Dispatches one NDJSON request line; the returned future resolves to the
-/// response line (no trailing '\n'). Handlers are called from connection
-/// reader threads and must be thread-safe; the future's get() runs on the
-/// connection writer thread (a deferred future defers the rendering
-/// there, which is how the serve handler keeps the reader pipelining).
-using LineHandler = std::function<std::future<std::string>(std::string)>;
+/// Answers one dispatched request line with its response line (no
+/// trailing '\n'). Call it exactly once, from any thread.
+using LineReply = std::function<void(std::string)>;
+
+/// Dispatches one NDJSON request line. Handlers are called from connection
+/// reader threads and must be thread-safe. A handler may call `reply`
+/// before it returns or hand it on (the serve handler gives it to the
+/// engine worker that runs the request); the thread that calls it writes
+/// the reply when it is the connection's oldest unanswered line.
+using LineHandler = std::function<void(std::string line, LineReply reply)>;
 
 /// The telekit_serve request handler over a ModelHost: parses the line,
 /// resolves the request's `model` field to a live bundle (holding the
-/// bundle shared_ptr across the request, so hot-reload swaps never drop
-/// in-flight work), submits to that bundle's engine, and renders the
-/// response with `model` + `generation` attribution. While `*draining` is
-/// true every new request is rejected UNAVAILABLE ("draining") — the
-/// /quitquitquit path. `draining` may be null (never drains).
+/// bundle shared_ptr while it submits, so a hot-reload swap cannot destroy
+/// the engine under Submit), submits to that bundle's engine, and the
+/// engine worker renders the response with `model` + `generation`
+/// attribution. While `*draining` is true every new request is rejected
+/// UNAVAILABLE ("draining") — the /quitquitquit path. `draining` may be
+/// null (never drains).
 LineHandler MakeServeLineHandler(ModelHost* host,
                                  const std::atomic<bool>* draining);
 
-/// One client session: reads lines with `reader`, dispatches through
-/// `handler`, and writes responses in request order via a dedicated writer
-/// thread (a synchronous client waiting for each reply must not deadlock
-/// against a reader blocked on the next line). `write_line` must frame and
-/// flush one full line; returning false stops the writer.
-/// `in_flight` (optional) is incremented per dispatched request and
-/// decremented once its response is written or abandoned.
+/// Writes reply bytes to a client and returns how many of the `n` it took,
+/// or -1 on error. With `block` false it must not wait: it takes what the
+/// client accepts at once (0 when the client's buffer is full). With
+/// `block` true it takes all `n`. A sink that cannot tell whether it would
+/// wait (an ostream) takes all `n` either way.
+using ReplySink = std::function<long(const char* data, size_t n, bool block)>;
+
+/// Dispatched lines a connection may hold unwritten before its reader stops
+/// reading, so a client that pipelines without reading stalls on TCP flow
+/// control instead of growing the server's memory. The same number as
+/// EngineOptions::queue_capacity's default.
+inline constexpr size_t kMaxUnwrittenReplies = 1024;
+
+/// One client session: reads lines with `reader` and dispatches each
+/// through `handler`. Replies are written in request order. The thread
+/// that answers the oldest unanswered line writes it, plus any later lines
+/// already answered, with a non-blocking write. When the client cannot
+/// take a whole batch, the session's writer thread finishes it with
+/// blocking writes and keeps writing until it has caught up, so a client
+/// that does not read never blocks the thread that answered it. While
+/// kMaxUnwrittenReplies lines are dispatched but unwritten, the reader
+/// dispatches and reads nothing more. Returns once every dispatched line
+/// is written, or dropped after a write error. `in_flight` (optional)
+/// counts dispatched lines not yet written or dropped.
 void ServeNdjsonSession(const LineHandler& handler, LineReader& reader,
-                        const std::function<bool(const std::string&)>& write,
+                        ReplySink write,
                         std::atomic<int64_t>* in_flight = nullptr);
 
 /// Stdin/stdout convenience wrapper over ServeNdjsonSession.
@@ -82,7 +104,8 @@ class NdjsonServer {
   int port() const { return port_.load(); }
   bool running() const { return running_.load(); }
   bool draining() const { return draining_.load(); }
-  /// Requests dispatched but not yet answered, across all connections.
+  /// Requests dispatched but whose replies are not yet written (or
+  /// dropped with their connection), across all connections.
   int64_t in_flight() const { return in_flight_.load(); }
   /// Tracked connections (live sessions plus finished ones not yet
   /// reaped) — observability for the fd-leak regression test.

@@ -1,15 +1,22 @@
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
-#include <future>
+#include <deque>
+#include <iterator>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/json.h"
@@ -359,10 +366,10 @@ class FakeReplica {
 /// Replies {"ok": true, "replica": name} after `delay_ms`.
 serve::LineHandler ScriptedHandler(std::string name, double delay_ms = 0.0,
                                    std::atomic<int>* hits = nullptr) {
-  return [name = std::move(name), delay_ms,
-          hits](std::string) -> std::future<std::string> {
+  return [name = std::move(name), delay_ms, hits](std::string,
+                                                   serve::LineReply reply) {
     if (hits != nullptr) hits->fetch_add(1);
-    return std::async(std::launch::async, [name, delay_ms] {
+    std::thread([name, delay_ms, reply = std::move(reply)] {
       if (delay_ms > 0.0) {
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(delay_ms));
@@ -370,17 +377,15 @@ serve::LineHandler ScriptedHandler(std::string name, double delay_ms = 0.0,
       obs::JsonValue out = obs::JsonValue::Object();
       out.Set("ok", obs::JsonValue(true));
       out.Set("replica", obs::JsonValue(name));
-      return out.Dump();
-    });
+      reply(out.Dump());
+    }).detach();
   };
 }
 
 /// Replies the serve-protocol error for `status` immediately.
 serve::LineHandler ErrorHandler(Status status) {
-  return [status](std::string) -> std::future<std::string> {
-    std::promise<std::string> ready;
-    ready.set_value(serve::ErrorToJson(status, nullptr).Dump());
-    return ready.get_future();
+  return [status](std::string, serve::LineReply reply) {
+    reply(serve::ErrorToJson(status, nullptr).Dump());
   };
 }
 
@@ -628,7 +633,7 @@ TEST(RouterTest, HedgeNotTriggeredWhenPrimaryIsFast) {
 /// real cross-process tree (the in-process fleet shares the global store;
 /// the assembler's span-id dedup is built for exactly that topology).
 serve::LineHandler SpanRecordingHandler(std::string name) {
-  return [name](std::string line) -> std::future<std::string> {
+  return [name](std::string line, serve::LineReply reply) {
     obs::JsonValue request;
     std::string error;
     uint64_t trace_id = 0;
@@ -652,7 +657,6 @@ serve::LineHandler SpanRecordingHandler(std::string name) {
     span.start_unix_us = obs::UnixNowUs();
     span.dur_us = 50;
     obs::SpanStore::Global().Record(std::move(span));
-    std::promise<std::string> ready;
     obs::JsonValue out = obs::JsonValue::Object();
     out.Set("ok", obs::JsonValue(true));
     out.Set("replica", obs::JsonValue(name));
@@ -660,8 +664,7 @@ serve::LineHandler SpanRecordingHandler(std::string name) {
     out.Set("trace", trace_id != 0
                          ? obs::JsonValue(obs::TraceIdToHex(trace_id))
                          : obs::JsonValue());
-    ready.set_value(out.Dump());
-    return ready.get_future();
+    reply(out.Dump());
   };
 }
 
@@ -839,14 +842,12 @@ TEST(RouterDeadlineTest, HugeDeadlineReachesTheReplicaAndIsRejected) {
   // overflow the router's budget into an instant DEADLINE_EXCEEDED: the
   // line reaches the replica, whose parser answers INVALID_ARGUMENT.
   std::atomic<int> hits{0};
-  FakeReplica replica([&hits](std::string line) -> std::future<std::string> {
+  FakeReplica replica([&hits](std::string line, serve::LineReply reply) {
     hits.fetch_add(1);
     serve::Request request;
     const Status status = serve::ParseRequestLine(line, &request);
-    std::promise<std::string> ready;
-    ready.set_value(status.ok() ? R"({"ok":true})"
-                                : serve::ErrorToJson(status, nullptr).Dump());
-    return ready.get_future();
+    reply(status.ok() ? R"({"ok":true})"
+                      : serve::ErrorToJson(status, nullptr).Dump());
   });
   Router router(Specs({replica.port()}), TestOptions());
   const obs::JsonValue reply =
@@ -1060,10 +1061,8 @@ TEST(RouteConcurrencyTest, SpanScrapesRaceTracedTraffic) {
 
 TEST(NdjsonServerTest, SurvivesArbitraryWriteSegmentation) {
   serve::NdjsonServer server;
-  ASSERT_TRUE(server.Start(0, [](std::string line) {
-    std::promise<std::string> ready;
-    ready.set_value("echo:" + line);
-    return ready.get_future();
+  ASSERT_TRUE(server.Start(0, [](std::string line, serve::LineReply reply) {
+    reply("echo:" + line);
   }));
 
   const int fd = serve::ConnectTcp("127.0.0.1", server.port(), 1000.0);
@@ -1093,9 +1092,8 @@ TEST(NdjsonServerTest, SurvivesArbitraryWriteSegmentation) {
 
 TEST(NdjsonServerTest, DrainStopsAcceptingButFinishesSessions) {
   serve::NdjsonServer server;
-  ASSERT_TRUE(server.Start(0, [](std::string line) {
-    return std::async(std::launch::deferred,
-                      [line = std::move(line)] { return "ok:" + line; });
+  ASSERT_TRUE(server.Start(0, [](std::string line, serve::LineReply reply) {
+    reply("ok:" + line);
   }));
   const int fd = serve::ConnectTcp("127.0.0.1", server.port(), 1000.0);
   ASSERT_GE(fd, 0);
@@ -1124,10 +1122,8 @@ TEST(NdjsonServerTest, DrainStopsAcceptingButFinishesSessions) {
 // client read EOF on its next request.
 TEST(NdjsonServerTest, IdleConnectionOutlivesOneSecond) {
   serve::NdjsonServer server;
-  ASSERT_TRUE(server.Start(0, [](std::string line) {
-    std::promise<std::string> ready;
-    ready.set_value("echo:" + line);
-    return ready.get_future();
+  ASSERT_TRUE(server.Start(0, [](std::string line, serve::LineReply reply) {
+    reply("echo:" + line);
   }));
   const int fd = serve::ConnectTcp("127.0.0.1", server.port(), 1000.0);
   ASSERT_GE(fd, 0);
@@ -1149,10 +1145,8 @@ TEST(NdjsonServerTest, IdleConnectionOutlivesOneSecond) {
 // client until Stop() (fd exhaustion kills the accept loop).
 TEST(NdjsonServerTest, ReapsFinishedConnections) {
   serve::NdjsonServer server;
-  ASSERT_TRUE(server.Start(0, [](std::string line) {
-    std::promise<std::string> ready;
-    ready.set_value("echo:" + line);
-    return ready.get_future();
+  ASSERT_TRUE(server.Start(0, [](std::string line, serve::LineReply reply) {
+    reply("echo:" + line);
   }));
 
   for (int i = 0; i < 3; ++i) {
@@ -1176,12 +1170,250 @@ TEST(NdjsonServerTest, ReapsFinishedConnections) {
   server.Stop();
 }
 
+/// Polls `done` every 5 ms until it holds or `seconds` pass.
+template <typename Predicate>
+bool WaitFor(Predicate done, double seconds = 5.0) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+/// A receive timeout, so a wedged server fails the test instead of
+/// hanging it.
+void SetRecvTimeout(int fd, int ms) {
+  timeval tv{ms / 1000, (ms % 1000) * 1000};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
+/// A loopback client with a pinned 4 KB receive buffer, so replies it does
+/// not read back up into the server after a few kilobytes.
+int ConnectNonReader(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  int bytes = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// An engine stand-in with one worker: answers the lines of every
+/// connection in arrival order on one thread, each reply padded to
+/// `reply_bytes`. A worker blocked writing to one client would stall all
+/// the others.
+class OneWorker {
+ public:
+  explicit OneWorker(size_t reply_bytes)
+      : padding_(reply_bytes, 'x'), thread_([this] { Loop(); }) {}
+  ~OneWorker() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      closed_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+  OneWorker(const OneWorker&) = delete;
+  OneWorker& operator=(const OneWorker&) = delete;
+
+  serve::LineHandler Handler() {
+    return [this](std::string line, serve::LineReply reply) {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        queue_.emplace_back(std::move(line), std::move(reply));
+      }
+      cv_.notify_one();
+    };
+  }
+  int answered() const { return answered_.load(); }
+
+ private:
+  void Loop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+      cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
+      if (queue_.empty()) return;
+      auto [line, reply] = std::move(queue_.front());
+      queue_.pop_front();
+      lock.unlock();
+      reply(line + ":" + padding_);
+      answered_.fetch_add(1);
+      lock.lock();
+    }
+  }
+
+  const std::string padding_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<std::pair<std::string, serve::LineReply>> queue_;
+  bool closed_ = false;
+  std::atomic<int> answered_{0};
+  std::thread thread_;
+};
+
+TEST(NdjsonServerTest, RepliesKeepRequestOrderWhenLaterLinesFinishFirst) {
+  // Line i is answered from its own thread after kDelayMs[i], so most
+  // lines finish before the ones sent ahead of them.
+  static constexpr int kDelayMs[] = {60, 0, 30, 0, 10, 0, 45, 5};
+  serve::NdjsonServer server;
+  ASSERT_TRUE(server.Start(0, [](std::string line, serve::LineReply reply) {
+    std::thread([line = std::move(line), reply = std::move(reply)] {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(kDelayMs[std::stoi(line)]));
+      reply("r" + line);
+    }).detach();
+  }));
+  const int fd = serve::ConnectTcp("127.0.0.1", server.port(), 1000.0);
+  ASSERT_GE(fd, 0);
+  SetRecvTimeout(fd, 5000);
+  std::string lines;
+  for (size_t i = 0; i < std::size(kDelayMs); ++i) {
+    lines += std::to_string(i) + "\n";
+  }
+  ASSERT_TRUE(serve::SendAll(fd, lines.data(), lines.size()));
+  serve::LineReader reader(fd);
+  std::string line;
+  for (size_t i = 0; i < std::size(kDelayMs); ++i) {
+    ASSERT_TRUE(reader.ReadLine(&line)) << i;
+    EXPECT_EQ(line, "r" + std::to_string(i));
+  }
+  ::close(fd);
+  server.Stop();
+  EXPECT_EQ(server.in_flight(), 0);
+}
+
+TEST(NdjsonServerTest, UnwrittenRepliesCapTheReader) {
+  // "hold" lines stay unanswered until the test releases them, so each
+  // one dispatched is a reply the connection has not written.
+  std::mutex mutex;
+  std::vector<std::pair<std::string, serve::LineReply>> held;
+  bool release = false;
+  std::atomic<size_t> calls{0};
+  serve::NdjsonServer server;
+  ASSERT_TRUE(server.Start(0, [&](std::string line, serve::LineReply reply) {
+    if (line.rfind("hold", 0) != 0) {
+      reply("echo:" + line);
+      return;
+    }
+    calls.fetch_add(1);
+    std::lock_guard<std::mutex> lock(mutex);
+    if (release) {
+      reply(std::move(line));
+    } else {
+      held.emplace_back(std::move(line), std::move(reply));
+    }
+  }));
+
+  // A client pipelines 300 lines past the cap and reads nothing.
+  const size_t cap = serve::kMaxUnwrittenReplies;
+  const size_t total = cap + 300;
+  const int flood = serve::ConnectTcp("127.0.0.1", server.port(), 1000.0);
+  ASSERT_GE(flood, 0);
+  SetRecvTimeout(flood, 5000);
+  std::string lines;
+  for (size_t i = 0; i < total; ++i) lines += "hold:" + std::to_string(i) + "\n";
+  ASSERT_TRUE(serve::SendAll(flood, lines.data(), lines.size()));
+  ASSERT_TRUE(WaitFor([&] { return calls.load() >= cap; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(calls.load(), cap);
+  EXPECT_EQ(server.in_flight(), static_cast<int64_t>(cap));
+
+  // Another connection is still answered at once.
+  const int other = serve::ConnectTcp("127.0.0.1", server.port(), 1000.0);
+  ASSERT_GE(other, 0);
+  SetRecvTimeout(other, 2000);
+  ASSERT_TRUE(serve::SendLine(other, "ping"));
+  serve::LineReader other_reader(other);
+  std::string line;
+  ASSERT_TRUE(other_reader.ReadLine(&line));
+  EXPECT_EQ(line, "echo:ping");
+  ::close(other);
+
+  // Once the held lines are answered the reader goes on, and every line
+  // is answered once, in order.
+  std::vector<std::pair<std::string, serve::LineReply>> answers;
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+    answers.swap(held);
+  }
+  for (auto& [text, reply] : answers) reply(std::move(text));
+  serve::LineReader reader(flood);
+  for (size_t i = 0; i < total; ++i) {
+    ASSERT_TRUE(reader.ReadLine(&line)) << i;
+    ASSERT_EQ(line, "hold:" + std::to_string(i));
+  }
+  EXPECT_EQ(calls.load(), total);
+  ::close(flood);
+  EXPECT_TRUE(WaitFor([&] { return server.in_flight() == 0; }));
+  server.Stop();
+}
+
+TEST(NdjsonServerTest, ClientThatNeverReadsDoesNotDelayAnotherConnection) {
+  // 300 replies of 64 KB: far more than the socket buffers between the
+  // server and a client with a 4 KB receive buffer.
+  OneWorker worker(64 << 10);
+  serve::NdjsonServer server;
+  ASSERT_TRUE(server.Start(0, worker.Handler()));
+  const int stuck = ConnectNonReader(server.port());
+  ASSERT_GE(stuck, 0);
+  std::string lines;
+  for (int i = 0; i < 300; ++i) lines += "s" + std::to_string(i) + "\n";
+  ASSERT_TRUE(serve::SendAll(stuck, lines.data(), lines.size()));
+  // The one worker answers every line although nobody reads the replies.
+  EXPECT_TRUE(WaitFor([&] { return worker.answered() == 300; }))
+      << worker.answered();
+
+  // The same worker answers another connection at once.
+  const int other = serve::ConnectTcp("127.0.0.1", server.port(), 1000.0);
+  ASSERT_GE(other, 0);
+  SetRecvTimeout(other, 2000);
+  ASSERT_TRUE(serve::SendLine(other, "ping"));
+  serve::LineReader reader(other);
+  std::string line;
+  ASSERT_TRUE(reader.ReadLine(&line));
+  EXPECT_EQ(line.substr(0, 5), "ping:");
+  ::close(other);
+
+  // Closing with the replies unread drops them; nothing stays in flight.
+  EXPECT_GT(server.in_flight(), 0);
+  ::close(stuck);
+  EXPECT_TRUE(WaitFor([&] { return server.in_flight() == 0; }))
+      << server.in_flight();
+  server.Stop();
+}
+
+TEST(NdjsonServerTest, ClientClosingMidStreamLeavesNothingInFlight) {
+  serve::NdjsonServer server;
+  ASSERT_TRUE(server.Start(0, ScriptedHandler("late", /*delay_ms=*/50.0)));
+  const int fd = serve::ConnectTcp("127.0.0.1", server.port(), 1000.0);
+  ASSERT_GE(fd, 0);
+  std::string lines;
+  for (int i = 0; i < 20; ++i) lines += "{}\n";
+  ASSERT_TRUE(serve::SendAll(fd, lines.data(), lines.size()));
+  ASSERT_TRUE(WaitFor([&] { return server.in_flight() == 20; }));
+  // Gone before any reply is ready: the replies have nowhere to go.
+  ::close(fd);
+  EXPECT_TRUE(WaitFor([&] { return server.in_flight() == 0; }))
+      << server.in_flight();
+  EXPECT_TRUE(WaitFor([&] { return server.tracked_connections() == 0; }));
+  server.Stop();
+}
+
 TEST(ConnectTcpTest, ResolvesHostnames) {
   serve::NdjsonServer server;
-  ASSERT_TRUE(server.Start(0, [](std::string line) {
-    std::promise<std::string> ready;
-    ready.set_value("hi:" + line);
-    return ready.get_future();
+  ASSERT_TRUE(server.Start(0, [](std::string line, serve::LineReply reply) {
+    reply("hi:" + line);
   }));
   // "localhost" exercises getaddrinfo (and the fall-through past any ::1
   // candidate — the server listens on 127.0.0.1 only).

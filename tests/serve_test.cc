@@ -845,6 +845,74 @@ TEST(ServeEngineTest, DeadlineExceededThroughWorker) {
   EXPECT_TRUE(response.vector.empty());
 }
 
+TEST(ServeEngineTest, CompletionFiresOnceOnEveryPath) {
+  const core::ModelZoo& zoo = SharedZoo();
+  core::ServiceEncoder service =
+      zoo.MakeServiceEncoder(core::ModelKind::kTeleBert);
+  struct Outcome {
+    std::atomic<int> calls{0};
+    StatusCode code = StatusCode::kOk;
+    std::thread::id thread;
+  };
+  const auto record = [](Outcome* outcome) {
+    return [outcome](Response response) {
+      outcome->code = response.status.code();
+      outcome->thread = std::this_thread::get_id();
+      outcome->calls.fetch_add(1);
+    };
+  };
+  const auto settled = [](const Outcome& outcome) {
+    for (int i = 0; i < 5000 && outcome.calls.load() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return outcome.calls.load() > 0;
+  };
+  Request request;
+  request.text = zoo.world().alarms()[0].name;
+  Outcome served, lapsed, rejected, stopped, after_stop;
+  {
+    EngineOptions options;
+    options.num_workers = 1;
+    ServeEngine engine(&service, options);
+    // Success and a lapsed deadline: the worker calls back.
+    engine.Submit(request, record(&served));
+    Request late = request;
+    late.deadline_ms = 1e-6;
+    engine.Submit(late, record(&lapsed));
+    ASSERT_TRUE(settled(served));
+    ASSERT_TRUE(settled(lapsed));
+    EXPECT_EQ(served.code, StatusCode::kOk);
+    EXPECT_NE(served.thread, std::this_thread::get_id());
+    EXPECT_EQ(lapsed.code, StatusCode::kDeadlineExceeded);
+    EXPECT_NE(lapsed.thread, std::this_thread::get_id());
+  }
+  {
+    EngineOptions options;
+    options.num_workers = 0;  // nothing drains the queue
+    options.queue_capacity = 1;
+    ServeEngine engine(&service, options);
+    engine.Submit(request, record(&stopped));
+    // Queue full: answered on this thread before Submit returns.
+    engine.Submit(request, record(&rejected));
+    EXPECT_EQ(rejected.calls.load(), 1);
+    EXPECT_EQ(rejected.code, StatusCode::kUnavailable);
+    EXPECT_EQ(rejected.thread, std::this_thread::get_id());
+    EXPECT_EQ(stopped.calls.load(), 0);
+    // Stop answers what is still queued, and Submit after Stop is refused.
+    engine.Stop();
+    EXPECT_EQ(stopped.calls.load(), 1);
+    EXPECT_EQ(stopped.code, StatusCode::kUnavailable);
+    engine.Submit(request, record(&after_stop));
+    EXPECT_EQ(after_stop.calls.load(), 1);
+    EXPECT_EQ(after_stop.code, StatusCode::kUnavailable);
+  }
+  // The engines are gone: no path called back twice.
+  for (const Outcome* outcome :
+       {&served, &lapsed, &rejected, &stopped, &after_stop}) {
+    EXPECT_EQ(outcome->calls.load(), 1);
+  }
+}
+
 // A lone request on an idle engine is not held back: a parked worker takes
 // it at once.
 TEST(ServeEngineTest, LoneRequestIsNotHeldForABatch) {
@@ -1126,6 +1194,17 @@ TEST(ModelHostTest, InstallAssignsGenerationsAndResolvesDefault) {
   EXPECT_EQ(status.Find("models")->at(0).Find("generation")->AsNumber(), 2);
 }
 
+/// Dispatches one line through `handler`; the future holds its reply.
+std::future<std::string> Dispatch(const LineHandler& handler,
+                                  std::string line) {
+  auto reply = std::make_shared<std::promise<std::string>>();
+  std::future<std::string> future = reply->get_future();
+  handler(std::move(line), [reply](std::string out) {
+    reply->set_value(std::move(out));
+  });
+  return future;
+}
+
 TEST(ModelHostTest, LineHandlerStampsModelAndSurvivesHotSwap) {
   ModelHost host("telebert");
   auto bundle = BuildModelBundle("telebert", SharedZooPtr(),
@@ -1136,10 +1215,10 @@ TEST(ModelHostTest, LineHandlerStampsModelAndSurvivesHotSwap) {
   const LineHandler handler = MakeServeLineHandler(&host, &draining);
 
   // A request admitted on generation 1...
-  std::future<std::string> in_flight =
-      handler(R"({"op":"encode","text":"hot swap survivor","id":"r1"})");
-  // ...is not dropped by a swap to generation 2 (the handler holds the
-  // bundle; the old engine drains before it dies).
+  std::future<std::string> in_flight = Dispatch(
+      handler, R"({"op":"encode","text":"hot swap survivor","id":"r1"})");
+  // ...is not dropped by a swap to generation 2 (the old engine answers
+  // what it admitted before it dies).
   auto next = BuildModelBundle("telebert", SharedZooPtr(),
                                TinyEngineOptions());
   ASSERT_TRUE(next.ok());
@@ -1154,13 +1233,13 @@ TEST(ModelHostTest, LineHandlerStampsModelAndSurvivesHotSwap) {
 
   // New requests land on the new generation.
   ASSERT_TRUE(obs::JsonValue::Parse(
-      handler(R"({"op":"encode","text":"after swap"})").get(), &response,
-      &error));
+      Dispatch(handler, R"({"op":"encode","text":"after swap"})").get(),
+      &response, &error));
   EXPECT_EQ(response.Find("generation")->AsNumber(), 2);
 
   // Unknown model: NOT_FOUND, not a retryable UNAVAILABLE.
   ASSERT_TRUE(obs::JsonValue::Parse(
-      handler(R"({"op":"encode","text":"x","model":"nope"})").get(),
+      Dispatch(handler, R"({"op":"encode","text":"x","model":"nope"})").get(),
       &response, &error));
   ASSERT_FALSE(response.Find("ok")->AsBool());
   EXPECT_EQ(static_cast<int>(response.Find("error")->Find("code")->AsNumber()),
@@ -1169,7 +1248,8 @@ TEST(ModelHostTest, LineHandlerStampsModelAndSurvivesHotSwap) {
   // Draining: UNAVAILABLE so the router retries elsewhere.
   draining.store(true);
   ASSERT_TRUE(obs::JsonValue::Parse(
-      handler(R"({"op":"encode","text":"x"})").get(), &response, &error));
+      Dispatch(handler, R"({"op":"encode","text":"x"})").get(), &response,
+      &error));
   EXPECT_EQ(static_cast<int>(response.Find("error")->Find("code")->AsNumber()),
             static_cast<int>(StatusCode::kUnavailable));
 }
@@ -1481,10 +1561,8 @@ TEST(DaemonKitTest, QuitquitquitDrainsAndReleasesTheWaitingMain) {
   kit.HandleQuit();
   ASSERT_TRUE(kit.Start());
   NdjsonServer server;
-  ASSERT_TRUE(server.Start(0, [](std::string line) {
-    std::promise<std::string> echo;
-    echo.set_value(std::move(line));
-    return echo.get_future();
+  ASSERT_TRUE(server.Start(0, [](std::string line, LineReply reply) {
+    reply(std::move(line));
   }));
   std::atomic<bool> released{false};
   std::thread main_thread([&] {
