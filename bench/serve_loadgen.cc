@@ -251,20 +251,22 @@ RunResult RunOpenLoop(const core::ServiceEncoder& service,
   return result;
 }
 
-/// End-to-end SLO alert lifecycle against a live engine (ISSUE 6
-/// acceptance). The induced regression is real work, not a sleep: cache
-/// hits skip the transformer forward entirely, so the healthy phase drives
-/// a small memoized hot set and the degraded phase drives never-repeated
-/// cold texts that each pay the full encode. The latency objective's
-/// threshold sits between the two regimes (geometric mean of hot p95 and
-/// cold p50): healthy traffic burns ~nothing, degraded traffic burns the
-/// error budget at many times the firing threshold.
+/// End-to-end SLO alert lifecycle against a live engine. The induced
+/// regression is real work, not a sleep: the healthy phase drives a small
+/// memoized hot set through Process(), and the degraded phase submits
+/// bursts of never-repeated cold texts that each pay the full encode and
+/// queue behind each other on the engine's one worker. A single cold
+/// request costs about what a paced cache hit does (a forward takes
+/// 0.05-0.1 ms), so the regression is the overload's queue build-up. The
+/// latency objective's threshold sits between the two regimes (geometric
+/// mean of hot p95 and cold p50): healthy traffic burns ~nothing, degraded
+/// traffic burns the error budget at many times the firing threshold.
 obs::JsonValue RunSloAlertDemo(const core::ServiceEncoder& service,
                                const std::vector<std::string>& names,
                                const std::vector<std::string>& pool,
                                bool* passed) {
   serve::EngineOptions options;
-  options.num_workers = 0;  // Process(): latency is pure compute, no queue
+  options.num_workers = 1;  // runs the degraded bursts; Process() is inline
   options.enable_cache = true;
   serve::ServeEngine engine(&service, options);
   for (serve::TaskOp op :
@@ -289,16 +291,26 @@ obs::JsonValue RunSloAlertDemo(const core::ServiceEncoder& service,
     request.text = "slo demo cold surface " + std::to_string(seq) + " " +
                    pool[static_cast<size_t>(seq) % pool.size()];
     request.top_k = 5;
-    return engine.Process(request);
+    return request;
   };
 
-  // The healthy phase paces hot requests near the degraded rate, so the
-  // slow window is not dominated by sheer healthy volume when the
-  // regression hits; the degraded phase runs cold requests back to back.
+  // The healthy phase paces hot requests, so the slow window is not
+  // dominated by sheer healthy volume when the regression hits; the
+  // degraded phase submits bursts of 16 cold requests back to back.
   auto healthy_step = [&] {
     const double total_ms = hot_request().total_ms;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     return total_ms;
+  };
+  auto degraded_step = [&](obs::Histogram* hist) {
+    std::vector<std::future<serve::Response>> replies;
+    for (int i = 0; i < 16; ++i) {
+      replies.push_back(engine.Submit(cold_request()));
+    }
+    for (auto& reply : replies) {
+      const double total_ms = reply.get().total_ms;
+      if (hist != nullptr) hist->Observe(total_ms);
+    }
   };
 
   // Probe both regimes, each at the pace of the phase it drives (a paced
@@ -308,7 +320,7 @@ obs::JsonValue RunSloAlertDemo(const core::ServiceEncoder& service,
   obs::Histogram cold_hist;
   for (size_t i = 0; i < 2 * hot; ++i) hot_request();  // warm the cache
   for (int i = 0; i < 200; ++i) hot_hist.Observe(healthy_step());
-  for (int i = 0; i < 30; ++i) cold_hist.Observe(cold_request().total_ms);
+  for (int i = 0; i < 4; ++i) degraded_step(&cold_hist);
   const double hot_p95 = hot_hist.Quantile(0.95);
   const double cold_p50 = cold_hist.Quantile(0.50);
   double threshold_ms = std::sqrt(hot_p95 * cold_p50);
@@ -322,13 +334,13 @@ obs::JsonValue RunSloAlertDemo(const core::ServiceEncoder& service,
   phases.healthy_s = demo.slo.config().slow_window_s + 1.0;
   const SloDemoResult lifecycle = RunSloAlertLifecycle(
       demo.store, demo.slo, demo.objective.name, [&] { healthy_step(); },
-      [&] { cold_request(); }, phases);
+      [&] { degraded_step(nullptr); }, phases);
   demo.store.Stop();
 
   // Exemplar acceptance: the latest exemplar in a latency bucket must
   // resolve through the wide-event log to a request whose total_us matches
   // (both derive from the same response.total_ms).
-  const serve::Response probe = cold_request();
+  const serve::Response probe = engine.Process(cold_request());
   const double le = obs::Histogram::BucketUpperMs(
       obs::Histogram::BucketIndex(probe.total_ms));
   obs::ExemplarStore::Exemplar exemplar;

@@ -91,12 +91,14 @@ RunResult RunPipeline(const std::string& name, const core::ModelZoo& zoo,
   return result;
 }
 
-/// End-to-end SLO alert lifecycle on the detection-latency objective
-/// (ISSUE 6 acceptance). Ticks replay the same tiny episode slice through
-/// two differently-provisioned pipelines: the healthy one has the full
-/// worker pool and a warm service-vector cache, the degraded one is
-/// starved (1 worker, cache off, tight in-flight bound), so every episode
-/// pays serialized full forwards and stream/detect_ms genuinely inflates.
+/// End-to-end SLO alert lifecycle on the detection-latency objective.
+/// Healthy ticks replay a tiny episode slice through a pipeline with the
+/// full worker pool and a warm service-vector cache; degraded ticks replay
+/// a 30-episode burst through a starved one (1 worker, cache off), so the
+/// episodes' full forwards queue behind each other and stream/detect_ms
+/// genuinely inflates. A forward takes 0.05-0.1 ms, about what a healthy
+/// episode's cache hits and pipeline overhead cost, so the regression is
+/// the queue: up to 16 episodes (48 ops) are in flight at once.
 obs::JsonValue RunSloAlertDemo(const core::ModelZoo& zoo,
                                const core::ServiceEncoder& service,
                                const std::vector<std::string>& names,
@@ -105,8 +107,8 @@ obs::JsonValue RunSloAlertDemo(const core::ModelZoo& zoo,
                                const LoadgenFlags& flags, bool* passed) {
   // One 3-episode replay slice, reused by every healthy tick (repeat
   // queries keep the healthy engine's cache warm). Degraded ticks replay
-  // a larger burst: on the starved engine every episode's ops queue up
-  // behind the whole burst, so detection latency inflates with real queue
+  // the burst: on the starved engine every episode's ops queue up behind
+  // the episodes in flight, so detection latency inflates with real queue
   // buildup rather than an artificial sleep.
   auto make_slice = [&](int num_episodes, uint64_t salt) {
     synth::ReplayConfig replay;
@@ -121,7 +123,7 @@ obs::JsonValue RunSloAlertDemo(const core::ModelZoo& zoo,
   const std::vector<synth::StreamEvent> events =
       make_slice(3, 0x534c4f44454d4fULL);
   const std::vector<synth::StreamEvent> burst_events =
-      make_slice(10, 0x4255525354ULL);
+      make_slice(30, 0x4255525354ULL);
 
   serve::EngineOptions healthy_options;
   healthy_options.num_workers = std::max(2, flags.workers);
@@ -142,7 +144,7 @@ obs::JsonValue RunSloAlertDemo(const core::ModelZoo& zoo,
   healthy_config.max_in_flight = 8;
   stream::PipelineConfig degraded_config;
   degraded_config.deterministic = false;
-  degraded_config.max_in_flight = 4;
+  degraded_config.max_in_flight = 16;
   degraded_config.submit_block_ms = 2000.0;
 
   auto run_tick = [&](serve::ServeEngine* engine,

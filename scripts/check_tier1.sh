@@ -61,16 +61,22 @@
 #      fused tape nodes' per-head offsets, the inference forward's [CLS]-only
 #      last layer that serving runs), a reply callback outliving its NDJSON
 #      session (route_test holds the NdjsonServer tests) or undefined
-#      behaviour fails.
+#      behaviour fails. The suites run at TELEKIT_COMPUTE_THREADS=4: only a
+#      GEMM of 2 MFLOP or more fans out over the compute pool, so the pool's
+#      workers run tensor_test's larger MatMuls; at the model's shapes (the
+#      core, pretrain, zoo and serve suites) every kernel runs on the
+#      calling thread.
 #
 # Optional: TELEKIT_TSAN=1 scripts/check_tier1.sh additionally builds the
 # concurrency-heavy tests (serve engine, stream pipeline, embedding cache,
 # ANN index, metrics registry, admin server, tensor ComputePool) under
 # ThreadSanitizer in build_tsan/ and runs them — tensor_test, serve_test,
-# stream_test, route_test and index_test
-# with TELEKIT_COMPUTE_THREADS=4 so the intra-op worker pool is actually
-# exercised under TSan. Off by default: the TSan tree roughly doubles check
-# time.
+# stream_test, route_test and index_test with TELEKIT_COMPUTE_THREADS=4.
+# The pool is exercised by tensor_test alone: its MatMuls above the 2 MFLOP
+# floor fan out, and ComputePoolTest.ConcurrentMatMulsKeepSerialBits runs
+# two callers at once, so one of them takes the pool's try-lock fallback.
+# serve_test's concurrent encodes run at the model's shapes and do not
+# reach the pool. Off by default: the TSan tree roughly doubles check time.
 #
 # Stages 7-10 start their daemons with start_daemon and poll them with
 # wait_ready (below); one EXIT trap stops whatever is still running and

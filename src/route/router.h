@@ -1,7 +1,6 @@
 #ifndef TELEKIT_ROUTE_ROUTER_H_
 #define TELEKIT_ROUTE_ROUTER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -159,7 +158,6 @@ class Router {
 
   std::mutex rng_mutex_;
   std::mt19937_64 rng_;
-  std::atomic<uint64_t> round_robin_{0};
 
   /// Idle connections per replica; one request per checkout (no
   /// multiplexing — a hedged loser's connection is simply closed, which

@@ -8,9 +8,10 @@ class FlagSet;
 namespace tensor {
 
 /// Intra-op compute backend (DESIGN.md §3): a lazily-started, persistent
-/// worker pool that the hot tensor kernels (tiled MatMul, row-wise
-/// Softmax/LayerNorm, elementwise ops, embedding gather/scatter) fan out
-/// over.
+/// worker pool. Only the GEMM drivers of ops.cc fan out over it, and only
+/// for a product of at least two chunks of kMinChunkFlops (2 MFLOP); every
+/// other kernel is a plain loop, and no product at the model's shapes
+/// reaches the floor.
 ///
 /// Determinism contract: ParallelFor splits [0, n) into a fixed grid of
 /// contiguous chunks of `grain` items that depends only on (n, grain) —
@@ -18,7 +19,7 @@ namespace tensor {
 /// thread. Kernels only write locations owned by their chunk and never
 /// reorder per-location float accumulation, so results are bit-identical
 /// across compute_threads settings and run-to-run; `1` is byte-for-byte
-/// today's serial behaviour.
+/// the serial loop.
 
 /// Configured intra-op thread count (always >= 1). Resolved lazily on
 /// first use: TELEKIT_COMPUTE_THREADS env when set and positive, else

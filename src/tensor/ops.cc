@@ -45,31 +45,38 @@ bool AnyGrad(const Tensor& a, const Tensor& b) {
   return a.requires_grad() || b.requires_grad();
 }
 
-// --- Register-tiled, parallel GEMM -------------------------------------------
+// --- Register-tiled GEMM -----------------------------------------------------
 //
-// All three products partition the rows of C across the ComputePool (each
-// output row owned by exactly one worker) and walk each chunk in tiles of
-// the backend's register kernels (simd::GemmKernels). A tile gives every
-// element of C exactly the arithmetic of the per-(row, k) Axpy or
-// per-element Dot loop on the same backend, so results are bit-identical
-// for any thread count and any tiling (DESIGN.md §3).
+// All three products walk the rows of C in tiles of the backend's register
+// kernels (simd::GemmKernels). A tile gives every element of C exactly the
+// arithmetic of the per-(row, k) Axpy or per-element Dot loop on the same
+// backend, so results are bit-identical for any tiling. The GEMM drivers are
+// the only kernels that fan out over the ComputePool, and only above
+// kMinChunkFlops per chunk: each output row is owned by one chunk, so the
+// bits are the same at every thread count too (DESIGN.md §3).
 
-// Chunk size (in rows) for a row-partitioned kernel where each row costs
+// Work per ComputePool chunk, from two measurements on a 4-vCPU AVX2 host.
+// A region of four chunks whose workers are parked (50 µs of caller work
+// between regions, as between a model's ops) ends 15-19 µs after its ideal
+// time, the wake-up and join of the workers; an empty region costs 4-6 µs.
+// One GEMM thread runs 68-76 GFLOP/s at the model's and the benches' shapes.
+// So a chunk must carry about 1 MFLOP (14 µs) to match one region's cost,
+// and a GEMM fans out only from two chunks, 2 MFLOP (28 µs of one thread):
+// [64, 128] x [128, 128] does, while no product at the model's shapes
+// (d_model 64, ffn 128, at most 24 rows) reaches it (EXPERIMENTS.md,
+// "GEMM-only fan-out").
+constexpr size_t kMinChunkFlops = size_t{1} << 20;
+
+// Chunk size (in rows) for a GEMM whose output rows each cost
 // `flops_per_row`, rounded up to whole `tile`-row tiles. Fixed per shape —
 // never a function of the thread count — so the chunk grid is
-// deterministic. Returns `rows` (one serial chunk) when the whole op is too
-// small to amortize a fan-out.
-int RowGrain(int rows, size_t flops_per_row, int tile = 1) {
-  constexpr size_t kMinChunkFlops = 1 << 15;
+// deterministic. Returns `rows` (one serial chunk) below two chunks' work.
+int RowGrain(int rows, size_t flops_per_row, int tile) {
   const size_t per_row = std::max<size_t>(flops_per_row, 1);
   if (static_cast<size_t>(rows) * per_row < 2 * kMinChunkFlops) return rows;
   const size_t grain = std::max<size_t>(1, kMinChunkFlops / per_row);
   return static_cast<int>((grain + tile - 1) / tile * tile);
 }
-
-// Chunk size for flat elementwise loops; ops smaller than 2x this run
-// serially inside ParallelFor.
-constexpr int kElemGrain = 16384;
 
 // C[rows,n] += Â[rows,k] * B[k,n] with Â[r,p] = a[r*a_row + p*a_red]: A
 // itself for NN, A^T for TN.
@@ -147,42 +154,32 @@ size_t BIndex(Broadcast bc, size_t a_index, int a_cols) {
 
 // Forward of a binary elementwise op with broadcasting: fwd(x, y) per
 // element, or the optional simd kernels `vsame(a, b, out, n)` (kSame
-// directly, kRow by splitting each chunk at row boundaries) and
-// `vscalar(a, c, out, n)` (kScalar).
+// directly, kRow row by row) and `vscalar(a, c, out, n)` (kScalar).
 template <typename Fwd, typename VSame, typename VScalar>
 NodePtr BinaryForward(const Tensor& a, const Tensor& b, Broadcast bc,
                       int a_cols, Fwd fwd, VSame vsame, VScalar vscalar) {
   NodePtr out = NewNode(a.shape(), AnyGrad(a, b));
-  const auto& av = a.data();
-  const auto& bv = b.data();
-  ParallelFor(static_cast<int>(av.size()), kElemGrain, [&](int lo, int hi) {
-    if constexpr (!std::is_same_v<VSame, std::nullptr_t>) {
-      if (bc == Broadcast::kSame) {
-        vsame(av.data() + lo, bv.data() + lo, out->value.data() + lo,
-              hi - lo);
-        return;
-      }
-      if (bc == Broadcast::kRow) {
-        int i = lo;
-        while (i < hi) {
-          const int col0 = static_cast<int>(i % static_cast<size_t>(a_cols));
-          const int len = std::min(hi - i, a_cols - col0);
-          vsame(av.data() + i, bv.data() + col0, out->value.data() + i, len);
-          i += len;
-        }
-        return;
-      }
+  const float* av = a.data().data();
+  const float* bv = b.data().data();
+  float* o = out->value.data();
+  const int size = static_cast<int>(a.size());
+  if constexpr (!std::is_same_v<VSame, std::nullptr_t>) {
+    if (bc == Broadcast::kSame) {
+      vsame(av, bv, o, size);
+      return out;
     }
-    if constexpr (!std::is_same_v<VScalar, std::nullptr_t>) {
-      if (bc == Broadcast::kScalar) {
-        vscalar(av.data() + lo, bv[0], out->value.data() + lo, hi - lo);
-        return;
-      }
+    if (bc == Broadcast::kRow) {
+      for (int i = 0; i < size; i += a_cols) vsame(av + i, bv, o + i, a_cols);
+      return out;
     }
-    for (int i = lo; i < hi; ++i) {
-      out->value[i] = fwd(av[i], bv[BIndex(bc, i, a_cols)]);
+  }
+  if constexpr (!std::is_same_v<VScalar, std::nullptr_t>) {
+    if (bc == Broadcast::kScalar) {
+      vscalar(av, bv[0], o, size);
+      return out;
     }
-  });
+  }
+  for (int i = 0; i < size; ++i) o[i] = fwd(av[i], bv[BIndex(bc, i, a_cols)]);
   return out;
 }
 
@@ -205,25 +202,14 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, Fwd fwd, Dfa dfa, Dfb dfb,
                      dfb](Node* self) {
       if (an->requires_grad) an->EnsureGrad();
       if (bn->requires_grad) bn->EnsureGrad();
-      auto range = [&](int lo, int hi) {
-        for (int i = lo; i < hi; ++i) {
-          const size_t bi = BIndex(bc, static_cast<size_t>(i), a_cols);
-          const float g = self->grad[i];
-          if (g == 0.0f) continue;
-          const float x = an->value[i];
-          const float y = bn->value[bi];
-          if (an->requires_grad) an->grad[i] += g * dfa(x, y);
-          if (bn->requires_grad) bn->grad[bi] += g * dfb(x, y);
-        }
-      };
-      const int size = static_cast<int>(self->grad.size());
-      if (bc == Broadcast::kSame || !bn->requires_grad) {
-        // Every index writes its own an->grad[i] / bn->grad[i] slot.
-        ParallelFor(size, kElemGrain, range);
-      } else {
-        // kRow/kScalar reduce many indices into one bn->grad slot; keep the
-        // serial ascending order so the float sum is reproducible.
-        range(0, size);
+      for (size_t i = 0; i < self->grad.size(); ++i) {
+        const size_t bi = BIndex(bc, i, a_cols);
+        const float g = self->grad[i];
+        if (g == 0.0f) continue;
+        const float x = an->value[i];
+        const float y = bn->value[bi];
+        if (an->requires_grad) an->grad[i] += g * dfa(x, y);
+        if (bn->requires_grad) bn->grad[bi] += g * dfb(x, y);
       }
     };
   }
@@ -232,15 +218,6 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, Fwd fwd, Dfa dfa, Dfb dfb,
 
 // simd::Add or simd::Sub: out[i] = a[i] +/- b[i].
 using ElementwiseKernel = void (*)(const float*, const float*, float*, int);
-
-// acc[i] = kernel(acc[i], g[i]) over n elements, in ComputePool chunks:
-// each slot is its own, so any chunking gives the same bits.
-void AccumulateInto(float* acc, const float* g, int n,
-                    ElementwiseKernel kernel = simd::Add) {
-  ParallelFor(n, kElemGrain, [=](int lo, int hi) {
-    kernel(acc + lo, g + lo, acc + lo, hi - lo);
-  });
-}
 
 // Add, or Sub when `subtract`: BinaryForward on the simd kernels, and a
 // backward that adds (b of Sub: subtracts) whole rows of the output
@@ -267,14 +244,14 @@ Tensor AddOrSub(const Tensor& a, const Tensor& b, bool subtract) {
       const int size = static_cast<int>(self->grad.size());
       if (an->requires_grad) {
         an->EnsureGrad();
-        AccumulateInto(an->grad.data(), g, size);
+        simd::Add(an->grad.data(), g, an->grad.data(), size);
       }
       if (!bn->requires_grad) return;
       bn->EnsureGrad();
       float* gb = bn->grad.data();
       switch (bc) {
         case Broadcast::kSame:
-          AccumulateInto(gb, g, size, kernel);
+          kernel(gb, g, gb, size);
           break;
         case Broadcast::kRow:
           for (int i = 0; i < size; i += a_cols) kernel(gb, g + i, gb, a_cols);
@@ -295,24 +272,18 @@ template <typename Fwd, typename Df, typename Vec = std::nullptr_t>
 Tensor UnaryOp(const Tensor& a, Fwd fwd, Df df, Vec vec = nullptr) {
   NodePtr out = NewNode(a.shape(), AnyGrad(a));
   const auto& av = a.data();
-  ParallelFor(static_cast<int>(av.size()), kElemGrain, [&](int lo, int hi) {
-    if constexpr (!std::is_same_v<Vec, std::nullptr_t>) {
-      vec(av.data() + lo, out->value.data() + lo, hi - lo);
-    } else {
-      for (int i = lo; i < hi; ++i) out->value[i] = fwd(av[i]);
-    }
-  });
+  if constexpr (!std::is_same_v<Vec, std::nullptr_t>) {
+    vec(av.data(), out->value.data(), static_cast<int>(av.size()));
+  } else {
+    for (size_t i = 0; i < av.size(); ++i) out->value[i] = fwd(av[i]);
+  }
   if (out->requires_grad) {
     out->parents = {a.node_ptr()};
     out->backward = [an = a.node_ptr(), df](Node* self) {
       an->EnsureGrad();
-      ParallelFor(static_cast<int>(self->grad.size()), kElemGrain,
-                  [&](int lo, int hi) {
-                    for (int i = lo; i < hi; ++i) {
-                      an->grad[i] +=
-                          self->grad[i] * df(an->value[i], self->value[i]);
-                    }
-                  });
+      for (size_t i = 0; i < self->grad.size(); ++i) {
+        an->grad[i] += self->grad[i] * df(an->value[i], self->value[i]);
+      }
     };
   }
   return Tensor::FromNode(out);
@@ -582,50 +553,21 @@ Tensor GatherRows(const Tensor& a, const std::vector<int>& indices) {
   TELEKIT_CHECK_GT(m, 0);
   for (int idx : indices) TELEKIT_CHECK(idx >= 0 && idx < a.dim(0));
   NodePtr out = NewNode({m, n}, AnyGrad(a));
-  ParallelFor(m, RowGrain(m, static_cast<size_t>(n)), [&](int r0, int r1) {
-    for (int i = r0; i < r1; ++i) {
-      std::copy(a.data().begin() + static_cast<size_t>(indices[i]) * n,
-                a.data().begin() + static_cast<size_t>(indices[i] + 1) * n,
-                out->value.begin() + static_cast<size_t>(i) * n);
-    }
-  });
+  for (int i = 0; i < m; ++i) {
+    std::copy_n(a.data().data() + static_cast<size_t>(indices[i]) * n, n,
+                out->value.data() + static_cast<size_t>(i) * n);
+  }
   if (out->requires_grad) {
     out->parents = {a.node_ptr()};
     out->backward = [an = a.node_ptr(), indices, n](Node* self) {
       an->EnsureGrad();
-      // Indices may repeat (e.g. the same token twice in a sequence), so a
-      // plain row-parallel scatter would race. Group positions by
-      // destination row: each destination is owned by one worker, and the
-      // stable sort keeps positions ascending within a group, preserving
-      // the serial accumulation order per slot.
-      const int m = static_cast<int>(indices.size());
-      std::vector<int> order(static_cast<size_t>(m));
-      for (int i = 0; i < m; ++i) order[static_cast<size_t>(i)] = i;
-      std::stable_sort(order.begin(), order.end(),
-                       [&](int x, int y) { return indices[x] < indices[y]; });
-      std::vector<int> starts;
-      starts.reserve(static_cast<size_t>(m) + 1);
-      for (int i = 0; i < m; ++i) {
-        if (i == 0 || indices[order[i]] != indices[order[i - 1]]) {
-          starts.push_back(i);
-        }
+      // Indices may repeat (the same token twice in a sequence): a repeated
+      // row's gradient sums its positions in ascending order.
+      for (size_t i = 0; i < indices.size(); ++i) {
+        const float* src = self->grad.data() + i * n;
+        float* dst = an->grad.data() + static_cast<size_t>(indices[i]) * n;
+        for (int j = 0; j < n; ++j) dst[j] += src[j];
       }
-      starts.push_back(m);
-      const int groups = static_cast<int>(starts.size()) - 1;
-      const size_t per_group =
-          2ull * static_cast<size_t>(m) * n / std::max(groups, 1);
-      ParallelFor(groups, RowGrain(groups, per_group), [&](int g0, int g1) {
-        for (int g = g0; g < g1; ++g) {
-          for (int pos = starts[g]; pos < starts[g + 1]; ++pos) {
-            const int i = order[pos];
-            const size_t src = static_cast<size_t>(i) * n;
-            const size_t dst = static_cast<size_t>(indices[i]) * n;
-            for (int j = 0; j < n; ++j) {
-              an->grad[dst + j] += self->grad[src + j];
-            }
-          }
-        }
-      });
     };
   }
   return Tensor::FromNode(out);
@@ -695,23 +637,19 @@ Tensor Gelu(const Tensor& a) {
   NodePtr out = NewNode(a.shape(), AnyGrad(a));
   const int size = static_cast<int>(a.size());
   const float* x = a.data().data();
-  ParallelFor(size, kElemGrain, [&](int lo, int hi) {
-    simd::Gelu(x + lo, out->value.data() + lo, /*tanh_u=*/nullptr, hi - lo);
-  });
+  simd::Gelu(x, out->value.data(), /*tanh_u=*/nullptr, size);
   if (out->requires_grad) {
     out->parents = {a.node_ptr()};
     out->backward = [an = a.node_ptr(), size](Node* self) {
       an->EnsureGrad();
-      ParallelFor(size, kElemGrain, [&](int lo, int hi) {
-        constexpr int kBlock = 256;
-        float y[kBlock], t[kBlock];
-        for (int i0 = lo; i0 < hi; i0 += kBlock) {
-          const int m = std::min(kBlock, hi - i0);
-          simd::Gelu(an->value.data() + i0, y, t, m);
-          simd::GeluBackward(an->value.data() + i0, t,
-                             self->grad.data() + i0, an->grad.data() + i0, m);
-        }
-      });
+      constexpr int kBlock = 256;
+      float y[kBlock], t[kBlock];
+      for (int i0 = 0; i0 < size; i0 += kBlock) {
+        const int m = std::min(kBlock, size - i0);
+        simd::Gelu(an->value.data() + i0, y, t, m);
+        simd::GeluBackward(an->value.data() + i0, t, self->grad.data() + i0,
+                           an->grad.data() + i0, m);
+      }
     };
   }
   return Tensor::FromNode(out);
@@ -853,26 +791,21 @@ Tensor Softmax(const Tensor& a) {
   const int m = a.rank() == 2 ? a.dim(0) : 1;
   const int n = a.rank() == 2 ? a.dim(1) : a.dim(0);
   NodePtr out = NewNode(a.shape(), AnyGrad(a));
-  const int grain = RowGrain(m, 32ull * static_cast<size_t>(n));
-  ParallelFor(m, grain, [&](int r0, int r1) {
-    for (int i = r0; i < r1; ++i) {
-      SoftmaxRow(a.data().data() + static_cast<size_t>(i) * n,
-                 out->value.data() + static_cast<size_t>(i) * n, n);
-    }
-  });
+  for (int i = 0; i < m; ++i) {
+    SoftmaxRow(a.data().data() + static_cast<size_t>(i) * n,
+               out->value.data() + static_cast<size_t>(i) * n, n);
+  }
   if (out->requires_grad) {
     out->parents = {a.node_ptr()};
-    out->backward = [an = a.node_ptr(), m, n, grain](Node* self) {
+    out->backward = [an = a.node_ptr(), m, n](Node* self) {
       an->EnsureGrad();
-      ParallelFor(m, grain, [&](int r0, int r1) {
-        for (int i = r0; i < r1; ++i) {
-          const float* y = self->value.data() + static_cast<size_t>(i) * n;
-          const float* dy = self->grad.data() + static_cast<size_t>(i) * n;
-          float* dx = an->grad.data() + static_cast<size_t>(i) * n;
-          const float dot = simd::Dot(dy, y, n);
-          for (int j = 0; j < n; ++j) dx[j] += y[j] * (dy[j] - dot);
-        }
-      });
+      for (int i = 0; i < m; ++i) {
+        const float* y = self->value.data() + static_cast<size_t>(i) * n;
+        const float* dy = self->grad.data() + static_cast<size_t>(i) * n;
+        float* dx = an->grad.data() + static_cast<size_t>(i) * n;
+        const float dot = simd::Dot(dy, y, n);
+        for (int j = 0; j < n; ++j) dx[j] += y[j] * (dy[j] - dot);
+      }
     };
   }
   return Tensor::FromNode(out);
@@ -903,8 +836,7 @@ struct LayerNormCache {
 // LayerNorm's backward from the output gradient dy [m, n]: the gain and
 // bias gradients, then dx += d(out)/d(in) when dx is not null.
 void LayerNormBackward(const float* dy, const LayerNormCache& cache,
-                       Node* gn, Node* bn, float* dx, int m, int n,
-                       int grain) {
+                       Node* gn, Node* bn, float* dx, int m, int n) {
   if (gn->requires_grad) gn->EnsureGrad();
   if (bn->requires_grad) bn->EnsureGrad();
   // Gain/bias gradients reduce over rows into shared [n] slots: rows in
@@ -921,28 +853,25 @@ void LayerNormBackward(const float* dy, const LayerNormCache& cache,
     }
   }
   if (dx == nullptr) return;
-  // dx touches only row i — safe to fan out.
   const float* gain = gn->value.data();
-  ParallelFor(m, grain, [&](int r0, int r1) {
-    for (int i = r0; i < r1; ++i) {
-      const float* dyr = dy + static_cast<size_t>(i) * n;
-      const float* xh = cache.xhat.data() + static_cast<size_t>(i) * n;
-      // dxhat = dy * gain; dx = istd * (dxhat - mean(dxhat)
-      //                                 - xhat * mean(dxhat * xhat)).
-      // The two means are serial sums; the update is per element.
-      float mean_dxhat = 0.0f;
-      float mean_dxhat_xhat = 0.0f;
-      for (int j = 0; j < n; ++j) {
-        const float dxh = dyr[j] * gain[j];
-        mean_dxhat += dxh;
-        mean_dxhat_xhat += dxh * xh[j];
-      }
-      mean_dxhat /= static_cast<float>(n);
-      mean_dxhat_xhat /= static_cast<float>(n);
-      simd::LayerNormDx(dyr, gain, xh, mean_dxhat, mean_dxhat_xhat,
-                        cache.inv_std[i], dx + static_cast<size_t>(i) * n, n);
+  for (int i = 0; i < m; ++i) {
+    const float* dyr = dy + static_cast<size_t>(i) * n;
+    const float* xh = cache.xhat.data() + static_cast<size_t>(i) * n;
+    // dxhat = dy * gain; dx = istd * (dxhat - mean(dxhat)
+    //                                 - xhat * mean(dxhat * xhat)).
+    // The two means are serial sums; the update is per element.
+    float mean_dxhat = 0.0f;
+    float mean_dxhat_xhat = 0.0f;
+    for (int j = 0; j < n; ++j) {
+      const float dxh = dyr[j] * gain[j];
+      mean_dxhat += dxh;
+      mean_dxhat_xhat += dxh * xh[j];
     }
-  });
+    mean_dxhat /= static_cast<float>(n);
+    mean_dxhat_xhat /= static_cast<float>(n);
+    simd::LayerNormDx(dyr, gain, xh, mean_dxhat, mean_dxhat_xhat,
+                      cache.inv_std[i], dx + static_cast<size_t>(i) * n, n);
+  }
 }
 
 }  // namespace
@@ -957,26 +886,23 @@ Tensor LayerNorm(const Tensor& a, const Tensor& gain, const Tensor& bias,
   auto cache = std::make_shared<LayerNormCache>();
   cache->xhat.resize(a.data().size());
   cache->inv_std.resize(static_cast<size_t>(m));
-  const int grain = RowGrain(m, 8ull * static_cast<size_t>(n));
-  ParallelFor(m, grain, [&](int r0, int r1) {
-    for (int i = r0; i < r1; ++i) {
-      const size_t row = static_cast<size_t>(i) * n;
-      cache->inv_std[i] = LayerNormRow(
-          a.data().data() + row, gain.data().data(), bias.data().data(), eps,
-          cache->xhat.data() + row, out->value.data() + row, n);
-    }
-  });
+  for (int i = 0; i < m; ++i) {
+    const size_t row = static_cast<size_t>(i) * n;
+    cache->inv_std[i] = LayerNormRow(
+        a.data().data() + row, gain.data().data(), bias.data().data(), eps,
+        cache->xhat.data() + row, out->value.data() + row, n);
+  }
   if (out->requires_grad) {
     out->parents = {a.node_ptr(), gain.node_ptr(), bias.node_ptr()};
     out->backward = [an = a.node_ptr(), gn = gain.node_ptr(),
-                     bn = bias.node_ptr(), cache, m, n, grain](Node* self) {
+                     bn = bias.node_ptr(), cache, m, n](Node* self) {
       float* dx = nullptr;
       if (an->requires_grad) {
         an->EnsureGrad();
         dx = an->grad.data();
       }
       LayerNormBackward(self->grad.data(), *cache, gn.get(), bn.get(), dx, m,
-                        n, grain);
+                        n);
     };
   }
   return Tensor::FromNode(out);
@@ -1150,36 +1076,33 @@ Tensor AddLayerNorm(const Tensor& x, const Tensor& y, const Tensor& gain,
   auto cache = std::make_shared<LayerNormCache>();
   cache->xhat.resize(x.data().size());
   cache->inv_std.resize(static_cast<size_t>(m));
-  const int grain = RowGrain(m, 8ull * static_cast<size_t>(n));
-  ParallelFor(m, grain, [&](int r0, int r1) {
-    for (int i = r0; i < r1; ++i) {
-      const size_t row = static_cast<size_t>(i) * n;
-      float* sum = out->value.data() + row;
-      simd::Add(x.data().data() + row, y.data().data() + row, sum, n);
-      cache->inv_std[i] =
-          LayerNormRow(sum, gain.data().data(), bias.data().data(), eps,
-                       cache->xhat.data() + row, sum, n);
-    }
-  });
+  for (int i = 0; i < m; ++i) {
+    const size_t row = static_cast<size_t>(i) * n;
+    float* sum = out->value.data() + row;
+    simd::Add(x.data().data() + row, y.data().data() + row, sum, n);
+    cache->inv_std[i] =
+        LayerNormRow(sum, gain.data().data(), bias.data().data(), eps,
+                     cache->xhat.data() + row, sum, n);
+  }
   if (out->requires_grad) {
     out->parents = {x.node_ptr(), y.node_ptr(), gain.node_ptr(),
                     bias.node_ptr()};
     out->backward = [xn = x.node_ptr(), yn = y.node_ptr(),
-                     gn = gain.node_ptr(), bn = bias.node_ptr(), cache, m, n,
-                     grain](Node* self) {
+                     gn = gain.node_ptr(), bn = bias.node_ptr(), cache, m,
+                     n](Node* self) {
       const bool sum_grad = xn->requires_grad || yn->requires_grad;
       // The sum's gradient, in zeroed scratch as the Add node's was.
       std::vector<float> dsum(sum_grad ? self->grad.size() : 0, 0.0f);
       LayerNormBackward(self->grad.data(), *cache, gn.get(), bn.get(),
-                        sum_grad ? dsum.data() : nullptr, m, n, grain);
+                        sum_grad ? dsum.data() : nullptr, m, n);
       const int size = static_cast<int>(dsum.size());
       if (xn->requires_grad) {
         xn->EnsureGrad();
-        AccumulateInto(xn->grad.data(), dsum.data(), size);
+        simd::Add(xn->grad.data(), dsum.data(), xn->grad.data(), size);
       }
       if (yn->requires_grad) {
         yn->EnsureGrad();
-        AccumulateInto(yn->grad.data(), dsum.data(), size);
+        simd::Add(yn->grad.data(), dsum.data(), yn->grad.data(), size);
       }
     };
   }
@@ -1251,31 +1174,25 @@ Tensor L2NormalizeRows(const Tensor& a, float eps) {
   const int n = a.rank() == 2 ? a.dim(1) : a.dim(0);
   NodePtr out = NewNode(a.shape(), AnyGrad(a));
   auto inv_norm = std::make_shared<std::vector<float>>(m);
-  const int grain = RowGrain(m, 4ull * static_cast<size_t>(n));
-  ParallelFor(m, grain, [&](int r0, int r1) {
-    for (int i = r0; i < r1; ++i) {
-      const float* row = a.data().data() + static_cast<size_t>(i) * n;
-      const float sq = simd::ReduceSumSqDiff(row, 0.0f, n);
-      const float inv = 1.0f / (std::sqrt(sq) + eps);
-      (*inv_norm)[i] = inv;
-      simd::ScaleTo(row, inv, out->value.data() + static_cast<size_t>(i) * n,
-                    n);
-    }
-  });
+  for (int i = 0; i < m; ++i) {
+    const float* row = a.data().data() + static_cast<size_t>(i) * n;
+    const float sq = simd::ReduceSumSqDiff(row, 0.0f, n);
+    const float inv = 1.0f / (std::sqrt(sq) + eps);
+    (*inv_norm)[i] = inv;
+    simd::ScaleTo(row, inv, out->value.data() + static_cast<size_t>(i) * n, n);
+  }
   if (out->requires_grad) {
     out->parents = {a.node_ptr()};
-    out->backward = [an = a.node_ptr(), inv_norm, m, n, grain](Node* self) {
+    out->backward = [an = a.node_ptr(), inv_norm, m, n](Node* self) {
       an->EnsureGrad();
-      ParallelFor(m, grain, [&](int r0, int r1) {
-        for (int i = r0; i < r1; ++i) {
-          const float* y = self->value.data() + static_cast<size_t>(i) * n;
-          const float* dy = self->grad.data() + static_cast<size_t>(i) * n;
-          float* dx = an->grad.data() + static_cast<size_t>(i) * n;
-          const float dot = simd::Dot(dy, y, n);
-          const float inv = (*inv_norm)[i];
-          for (int j = 0; j < n; ++j) dx[j] += inv * (dy[j] - y[j] * dot);
-        }
-      });
+      for (int i = 0; i < m; ++i) {
+        const float* y = self->value.data() + static_cast<size_t>(i) * n;
+        const float* dy = self->grad.data() + static_cast<size_t>(i) * n;
+        float* dx = an->grad.data() + static_cast<size_t>(i) * n;
+        const float dot = simd::Dot(dy, y, n);
+        const float inv = (*inv_norm)[i];
+        for (int j = 0; j < n; ++j) dx[j] += inv * (dy[j] - y[j] * dot);
+      }
     };
   }
   return Tensor::FromNode(out);

@@ -8,8 +8,10 @@
 
 #include "common/rng.h"
 #include "core/ktelebert.h"
+#include "core/model_zoo.h"
 #include "core/service.h"
 #include "core/telebert.h"
+#include "obs/metrics.h"
 #include "tensor/simd.h"
 #include "tensor/compute_pool.h"
 #include "tensor/ops.h"
@@ -111,6 +113,48 @@ TEST(TeleBertTest, ServiceVectorDeterministic) {
   auto v2 = model.ServiceVector(F().encoded[0]);
   EXPECT_EQ(v1, v2);
   EXPECT_EQ(static_cast<int>(v1.size()), F().Config().d_model);
+}
+
+// At the zoo's encoder shape no GEMM reaches the ComputePool's floor: one
+// pre-train step and one full-length encode at 4 compute threads fan out
+// no region. Inputs are max_len tokens over a zoo-sized vocabulary.
+TEST(TeleBertTest, ZooShapeFansOutNoRegion) {
+  const ZooConfig zoo;
+  text::Tokenizer tokenizer(text::TokenizerOptions{
+      .max_len = zoo.encoder.max_len, .min_word_count = 1});
+  std::vector<std::string> corpus;
+  for (int s = 0; s < 32; ++s) {
+    std::string sentence;
+    for (int w = 0; w < 30; ++w) {
+      const int word = (s * 30 + w) % 460;
+      sentence += std::string(sentence.empty() ? "" : " ") + "x" +
+                  static_cast<char>('a' + word / 26) +
+                  static_cast<char>('a' + word % 26);
+    }
+    corpus.push_back(sentence);
+  }
+  tokenizer.BuildVocab(corpus);
+  std::vector<text::EncodedInput> encoded;
+  for (const std::string& s : corpus) {
+    encoded.push_back(tokenizer.EncodeSentence(s));
+  }
+  ASSERT_EQ(encoded[0].length, zoo.encoder.max_len);
+  EncoderConfig config = zoo.encoder;
+  config.vocab_size = tokenizer.vocab().size();
+  Rng init(6);
+  TeleBert model(config, init);
+  PretrainOptions step = zoo.pretrain;
+  step.steps = 1;
+  const int threads = tensor::ComputeThreads();
+  tensor::SetComputeThreads(4);
+  const obs::Counter& regions =
+      obs::MetricsRegistry::Global().GetCounter("tensor/parallel_regions");
+  const uint64_t before = regions.value();
+  Rng rng(7);
+  model.Pretrain(encoded, tokenizer.vocab(), step, rng);
+  model.ServiceVector(encoded[0]);
+  EXPECT_EQ(regions.value(), before);
+  tensor::SetComputeThreads(threads);
 }
 
 TEST(TeleBertTest, CheckpointRoundTrip) {

@@ -542,8 +542,7 @@ void ForEachBackendAndThreadCount(
   tensor::SetComputeThreads(threads);
 }
 
-// The longest inputs first, so the projections are large enough for the
-// compute pool to split them into several chunks.
+// The longest inputs first: the forward's largest products.
 std::vector<const text::EncodedInput*> LongestFirst(
     const std::vector<text::EncodedInput>& inputs, size_t count) {
   std::vector<const text::EncodedInput*> out;

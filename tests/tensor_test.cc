@@ -7,8 +7,10 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "tensor/compute_pool.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
@@ -493,12 +495,19 @@ TEST(OpsDeathTest, L2NormalizeRowsRejectsRank3) {
 
 // --- ComputePool determinism --------------------------------------------------
 
-// Forward values + leaf gradients from one composite graph covering every
-// parallelized kernel: tiled MatMul (forward and both backward transposes),
-// Softmax, LayerNorm, GELU/Sigmoid and the elementwise broadcasts, the
-// embedding gather/scatter with duplicate rows, and L2NormalizeRows. Sized
-// so ParallelFor genuinely fans out (matmul rows, >16k-element elementwise
-// loops, grouped scatter).
+// Regions the ComputePool has fanned out so far (tensor/parallel_regions).
+uint64_t ParallelRegions() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("tensor/parallel_regions")
+      .value();
+}
+
+// Forward values + leaf gradients from one composite graph: tiled MatMul
+// (forward and both backward transposes), Softmax, LayerNorm, GELU/Sigmoid
+// and the elementwise broadcasts, the embedding gather/scatter with
+// duplicate rows, and L2NormalizeRows. Only its MatMuls fan out over the
+// pool (each is above the GEMM's two-chunk floor); the other kernels are
+// plain loops at every thread count.
 struct OpSuiteResult {
   std::vector<std::vector<float>> values;
   std::vector<std::vector<float>> grads;
@@ -560,7 +569,9 @@ TEST(ComputePoolTest, OpSuiteBitIdenticalAcrossThreadCounts) {
   const OpSuiteResult serial = RunOpSuite();
   for (int threads : {2, 4}) {
     SetComputeThreads(threads);
+    const uint64_t regions = ParallelRegions();
     const OpSuiteResult parallel = RunOpSuite();
+    EXPECT_GT(ParallelRegions(), regions) << "threads=" << threads;
     EXPECT_TRUE(parallel.BitIdentical(serial))
         << "results diverged at compute_threads=" << threads;
   }
@@ -582,6 +593,38 @@ TEST(ComputePoolTest, SetComputeThreadsRoundTrips) {
   EXPECT_EQ(ComputeThreads(), 3);
   SetComputeThreads(0);  // back to env / hardware default
   EXPECT_GE(ComputeThreads(), 1);
+  SetComputeThreads(previous);
+}
+
+// Two threads multiply above the floor at once: one owns the pool, the
+// other's regions run inline (the try-lock fallback); both keep the serial
+// bits. Under TSan this is the suite's check of concurrent callers.
+TEST(ComputePoolTest, ConcurrentMatMulsKeepSerialBits) {
+  const int previous = ComputeThreads();
+  Rng rng(29);
+  std::vector<Tensor> as, bs;
+  for (int t = 0; t < 2; ++t) {
+    as.push_back(Tensor::Randn({128, 96}, rng, 1.0f));
+    bs.push_back(Tensor::Randn({96, 160}, rng, 1.0f));
+  }
+  SetComputeThreads(1);
+  std::vector<std::vector<float>> serial;
+  for (int t = 0; t < 2; ++t) serial.push_back(MatMul(as[t], bs[t]).data());
+  SetComputeThreads(4);
+  const uint64_t regions = ParallelRegions();
+  std::vector<int> mismatches(2, 0);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&, t] {
+      for (int rep = 0; rep < 50; ++rep) {
+        if (MatMul(as[t], bs[t]).data() != serial[t]) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_GT(ParallelRegions(), regions);
+  EXPECT_EQ(mismatches[0], 0);
+  EXPECT_EQ(mismatches[1], 0);
   SetComputeThreads(previous);
 }
 
@@ -979,19 +1022,31 @@ TEST(SimdKernelTest, VectorQuantizeRowMatchesScalarLoopByteForByte) {
 
 // The vectorized MatMul must stay bit-identical across ComputePool thread
 // counts: the chunk grid is fixed per (n, grain) and each chunk's result
-// depends only on its operands.
+// depends only on its operands. [64, 96] x [96, 80] (1 MFLOP) runs as one
+// chunk; [128, 96] x [96, 160] (3.9 MFLOP) is above the floor and must fan
+// out at 2 and 4 threads.
 TEST(SimdKernelTest, MatMulBitIdenticalAcrossThreadCountsOnSimdPath) {
   BackendGuard guard;
   simd::ForceBackend(simd::DetectBackend());
-  Rng rng(16);
-  Tensor a = Tensor::Randn({64, 96}, rng, 1.0f);
-  Tensor b = Tensor::Randn({96, 80}, rng, 1.0f);
   const int previous = ComputeThreads();
-  SetComputeThreads(1);
-  const std::vector<float> serial = MatMul(a, b).data();
-  for (int threads : {2, 4}) {
-    SetComputeThreads(threads);
-    EXPECT_EQ(MatMul(a, b).data(), serial) << "threads=" << threads;
+  Rng rng(16);
+  for (const auto& [m, k, n] : {std::array{64, 96, 80},
+                                std::array{128, 96, 160}}) {
+    Tensor a = Tensor::Randn({m, k}, rng, 1.0f);
+    Tensor b = Tensor::Randn({k, n}, rng, 1.0f);
+    const bool fans_out = m == 128;
+    SetComputeThreads(1);
+    const std::vector<float> serial = MatMul(a, b).data();
+    for (int threads : {2, 4}) {
+      SetComputeThreads(threads);
+      const uint64_t regions = ParallelRegions();
+      EXPECT_EQ(MatMul(a, b).data(), serial)
+          << "m=" << m << " threads=" << threads;
+      if (fans_out) {
+        EXPECT_GT(ParallelRegions(), regions)
+            << "m=" << m << " threads=" << threads;
+      }
+    }
   }
   SetComputeThreads(previous);
 }
@@ -1018,8 +1073,9 @@ TEST(SimdKernelTest, MatMulBitIdenticalAcrossThreadCountsOnSimdPath) {
 // backend: k-ascending Axpy for C = A*B and dB = A^T*dC, one Dot per
 // element for dA = dC*B^T. The shapes straddle the 6-row and 4-row tile
 // edges, the 3-column Dot blocks, the 8/16-column tiles and the vector
-// lane tails of both operands; the last one is large enough that every
-// product fans out over the pool.
+// lane tails of both operands. The last one (2.7 MFLOP per product) is
+// above the floor, so at 2 and 4 threads each of its three products fans
+// out, over three chunks whose last is short.
 TEST(SimdKernelTest, MatMulTilesMatchAxpyAndDotLoopsBitForBit) {
   BackendGuard guard;
   const int previous = ComputeThreads();
@@ -1034,6 +1090,7 @@ TEST(SimdKernelTest, MatMulTilesMatchAxpyAndDotLoopsBitForBit) {
     }
   }
   shapes.push_back({37, 130, 70});
+  shapes.push_back({70, 130, 150});
   Rng rng(17);
   for (simd::Backend backend : backends) {
     simd::ForceBackend(backend);
@@ -1058,13 +1115,19 @@ TEST(SimdKernelTest, MatMulTilesMatchAxpyAndDotLoopsBitForBit) {
           simd::Axpy(av[i * k + p], gv + i * n, db_ref.data() + p * n, n);
         }
       }
+      const bool fans_out = m == 70;  // the shape above the floor
       for (int threads : {1, 2, 4}) {
         SetComputeThreads(threads);
+        const uint64_t regions = ParallelRegions();
         Tensor a = Tensor::FromData({m, k}, a0.data(), true);
         Tensor b = Tensor::FromData({k, n}, b0.data(), true);
         Tensor c = MatMul(a, b);
         // d(sum(C .* dC))/dC is dC exactly (products with 1.0f).
         Sum(Mul(c, dc)).Backward();
+        if (fans_out && threads > 1) {
+          EXPECT_EQ(ParallelRegions(), regions + 3)
+              << "m=" << m << " threads=" << threads;
+        }
         const std::string where =
             std::string(simd::BackendName(backend)) +
             " m=" + std::to_string(m) + " n=" + std::to_string(n) +
